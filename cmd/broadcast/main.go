@@ -40,6 +40,10 @@ func main() {
 		csv       = flag.Bool("csv", false, "emit CSV instead of markdown")
 	)
 	flag.Parse()
+	if err := checkFlags(*trials, *maxRounds, *loss); err != nil {
+		fatal(err)
+	}
+	channel := radio.LossyChannel(*loss)
 
 	topo, err := cliutil.ParseTopology(*topoSpec)
 	if err != nil {
@@ -63,7 +67,7 @@ func main() {
 		out := sweep.RunTrials(*trials, *seed, *workers, func(tr sweep.Trial) sweep.Metrics {
 			g := topo.Build(tr.Seed)
 			res := radio.RunBroadcast(g, topo.Source, factory(), rng.New(rng.SubSeed(tr.Seed, 1)),
-				radio.Options{MaxRounds: *maxRounds, LossProb: *loss})
+				radio.Options{MaxRounds: *maxRounds, Reception: channel})
 			m := sweep.Metrics{
 				"success": 0, "totalTx": float64(res.TotalTx),
 				"txPerNode": res.TxPerNode(), "maxNodeTx": float64(res.MaxNodeTx),
@@ -104,7 +108,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		opts := radio.Options{MaxRounds: *maxRounds, RecordHistory: true, LossProb: *loss}
+		opts := radio.Options{MaxRounds: *maxRounds, RecordHistory: true, Reception: channel}
 		var traceOut *os.File
 		if *traceFile != "" {
 			traceOut, err = os.Create(*traceFile)
@@ -136,6 +140,20 @@ func main() {
 			fmt.Fprintf(os.Stderr, "wrote trace of trial 0 to %s\n", *traceFile)
 		}
 	}
+}
+
+// checkFlags rejects flag values the trials cannot run with, before any
+// trial starts.
+func checkFlags(trials, maxRounds int, loss float64) error {
+	switch {
+	case trials < 1:
+		return fmt.Errorf("-trials %d: need at least one trial", trials)
+	case maxRounds < 1:
+		return fmt.Errorf("-maxrounds %d: need at least one round", maxRounds)
+	case !(loss >= 0 && loss < 1): // NaN fails both comparisons
+		return fmt.Errorf("-loss %v outside [0,1)", loss)
+	}
+	return nil
 }
 
 func fatal(err error) {

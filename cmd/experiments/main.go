@@ -149,8 +149,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 		traceFile  = fs.String("trace", "", "write a runtime/trace execution trace to this file")
 		pprofAddr  = fs.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-		parMode    = fs.String("parallelism", "auto", "core split between trial fan-out and rounds-parallel delivery: auto (measured arbiter), trials, or off")
-		calibrate  = fs.Bool("calibrate", false, "run the parallelism calibration probe, print the measurement as JSON, and exit")
+		calibrate  = fs.Bool("calibrate", false, "print the machine description (core counts, per-edge kernel costs) as JSON and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -165,12 +164,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		return 0
-	}
-	switch *parMode {
-	case "auto", "trials", "off":
-	default:
-		fmt.Fprintf(stderr, "experiments: unknown -parallelism %q (want auto, trials, or off)\n", *parMode)
-		return 1
 	}
 
 	if *pprofAddr != "" {
@@ -278,7 +271,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	cfg := expt.Config{Full: *full, Seed: *seed, Workers: *workers, Parallelism: *parMode}
+	cfg := expt.Config{Full: *full, Seed: *seed, Workers: *workers}
 	if *implicit {
 		cfg.GraphMode = "implicit"
 	}

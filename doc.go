@@ -80,19 +80,17 @@
 // transmitter-side count), and a word-parallel dense kernel for the
 // mid-phase (Σ deg(tx) ≥ n on a binary-decidable channel): carry-save
 // hit accumulation into two Bitset planes and 64-receivers-at-a-time
-// resolution, branch-free and transmitter-side exact. Where the cores go
-// is decided by a measured cost model (radio.Calibrate probes effective
-// cores and per-edge kernel costs once per process; sweep.PlanPoint gives
-// trial-level parallelism first claim and hands only spare cores to
-// rounds-parallel delivery) — scheduling varies per machine, results
-// never do. Orthogonally, uniform-Bernoulli phases opt into
-// the cross-round stream contract (radio.UniformRound /
-// radio.UniformGossipRound over radio.TxSet's stream draws): the rounds of
-// one phase form a single Bernoulli stream whose geometric overshoot
-// carries across round boundaries, so a fully silent round consumes no
-// randomness and whole silent spans are skipped in O(1), with
-// energy.State.AdvanceIdle settling idle-listen charges and the
-// death-prediction heap across the span in bulk. Every engine
+// resolution, branch-free and transmitter-side exact. The cores go to
+// trials: each grid point fans its trials over Config.Workers goroutines
+// (0 = GOMAXPROCS), and trial seeds depend only on (seed, index), so the
+// worker count changes the wall clock, never a result. Orthogonally,
+// uniform-Bernoulli phases opt into the cross-round stream contract
+// (radio.UniformRound / radio.UniformGossipRound over radio.TxSet's
+// stream draws): the rounds of one phase form a single Bernoulli stream
+// whose geometric overshoot carries across round boundaries, so a fully
+// silent round consumes no randomness and whole silent spans are skipped
+// in O(1), with energy.State.AdvanceIdle settling idle-listen charges and
+// the death-prediction heap across the span in bulk. Every engine
 // configuration (radio.SetEngineOverrides) is pinned bit-identical on
 // informed trajectory, per-node transmissions, rounds and energy. See
 // README.md ("The sparse round engine").

@@ -55,15 +55,9 @@ type Config struct {
 	// from different restrictions never collide and resume works across
 	// changes. Campaigns without a channel axis ignore it.
 	Channel string
-	// Parallelism selects how the machine is divided between the two
-	// parallelism axes — trial fan-out and per-trial rounds-parallel
-	// delivery. "" or "auto" uses the measured arbiter: the engine wires the
-	// calibration probe's effective-core count (radio.Calibrate) into
-	// sweep.PlanPoint, which gives trials first claim on cores and hands
-	// rounds-parallel only the spares. "trials" gives every core to the
-	// trial pool (the pre-calibration behaviour); "off" runs fully serial.
-	// Workers, when set, still bounds the trial pool in every mode. Results
-	// are bit-identical across all settings — only scheduling changes.
+	// Parallelism "off" runs each point's trials on one worker whatever
+	// Workers says; any other value leaves the trial pool to Workers.
+	// Results are bit-identical either way — only scheduling changes.
 	Parallelism string
 }
 
@@ -99,14 +93,8 @@ func (p Point) value(name string) any {
 // Int returns the named axis value of a Product-built point as an int.
 func (p Point) Int(name string) int { return p.value(name).(int) }
 
-// Float returns the named axis value as a float64.
-func (p Point) Float(name string) float64 { return p.value(name).(float64) }
-
 // Str returns the named axis value as a string.
 func (p Point) Str(name string) string { return p.value(name).(string) }
-
-// Val returns the named axis value untyped (for axes built with Vals).
-func (p Point) Val(name string) any { return p.value(name) }
 
 // Axis is one named dimension of a grid: an ordered list of values with
 // canonical string labels (the labels appear in point keys, so they must be
@@ -127,16 +115,6 @@ func Ints(name string, vals ...int) Axis {
 	return a
 }
 
-// Floats builds a float axis; labels use the shortest exact formatting.
-func Floats(name string, vals ...float64) Axis {
-	a := Axis{Name: name}
-	for _, v := range vals {
-		a.Labels = append(a.Labels, strconv.FormatFloat(v, 'g', -1, 64))
-		a.Values = append(a.Values, v)
-	}
-	return a
-}
-
 // Strings builds a string axis (labels are the values themselves).
 func Strings(name string, vals ...string) Axis {
 	a := Axis{Name: name}
@@ -145,15 +123,6 @@ func Strings(name string, vals ...string) Axis {
 		a.Values = append(a.Values, v)
 	}
 	return a
-}
-
-// Vals builds an axis of arbitrary typed values with explicit labels (e.g.
-// protocol constructors labelled by protocol name). Access via Point.Val.
-func Vals(name string, labels []string, vals []any) Axis {
-	if len(labels) != len(vals) {
-		panic("campaign: Vals needs one label per value")
-	}
-	return Axis{Name: name, Labels: labels, Values: vals}
 }
 
 // Product enumerates the cartesian product of the axes in row-major order

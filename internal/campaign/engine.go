@@ -6,9 +6,6 @@ import (
 	"io"
 	"os"
 	"time"
-
-	"repro/internal/radio"
-	"repro/internal/sweep"
 )
 
 // ErrInterrupted is returned (possibly wrapped) by Run when RunOptions.
@@ -72,13 +69,6 @@ func Run(units []Unit, opt RunOptions) (*ResultSet, error) {
 	}
 	if opt.Resume && opt.Checkpoint == "" {
 		return nil, fmt.Errorf("campaign: resume requires a checkpoint path")
-	}
-	if opt.Config.Parallelism == "" || opt.Config.Parallelism == "auto" {
-		// Install the measured core count for the per-point arbiter
-		// (sweep.PlanPoint). The probe runs once per process and kernel
-		// choice never consults it, so records stay bit-identical whatever
-		// it reports.
-		sweep.SetEffectiveCores(radio.Calibrate().EffectiveCores)
 	}
 
 	// Enumerate the global point list and validate key uniqueness.

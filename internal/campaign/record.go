@@ -189,12 +189,6 @@ func (v View) Samples(pointKey string) Samples {
 	return r.samples()
 }
 
-// Has reports whether the point has a record.
-func (v View) Has(pointKey string) bool {
-	_, ok := v.rs.Lookup(v.id, pointKey)
-	return ok
-}
-
 // --- checkpoint sink ---
 
 // Sink is the append-only JSONL checkpoint stream. Every record is written

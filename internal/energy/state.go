@@ -214,9 +214,6 @@ func (st *State) DeadReceive() bool { return st.deadReceive }
 // TrackPartition reports whether partition detection is enabled.
 func (st *State) TrackPartition() bool { return st.trackPartition }
 
-// PartitionRecorded reports whether the partition round has been found.
-func (st *State) PartitionRecorded() bool { return st.partition >= 0 }
-
 // Remaining returns node v's residual charge, clamped at 0 (+Inf when the
 // budget is unlimited).
 func (st *State) Remaining(v graph.NodeID) float64 {

@@ -73,7 +73,7 @@ func x5Campaign() campaign.Campaign {
 						return sc.GNPDirected(n, p, rng.New(seed)), 0
 					},
 					makeProto: makeProto,
-					opts:      radio.Options{MaxRounds: 100000, LossProb: loss},
+					opts:      radio.Options{MaxRounds: 100000, Reception: radio.LossyChannel(loss)},
 				})
 			}
 			rate := pt.Data.(float64)

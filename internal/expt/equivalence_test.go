@@ -81,10 +81,11 @@ func TestExperimentTablesInvariantUnderEngineConfiguration(t *testing.T) {
 
 // TestSweepScratchDeterminism pins the other half of the trial-loop
 // contract: per-worker scratch reuse must not leak state between trials, so
-// serial (workers=1) and parallel sweeps stay bit-identical.
+// serial (workers=1, or Parallelism "off" over four workers) and parallel
+// sweeps stay bit-identical.
 func TestSweepScratchDeterminism(t *testing.T) {
-	run := func(workers int) map[string]string {
-		c := Config{Full: false, Seed: 31337, Workers: workers}
+	run := func(c Config) map[string]string {
+		c.Seed = 31337
 		e, _ := ByID("E1")
 		out := map[string]string{}
 		for _, tb := range e.Run(c) {
@@ -92,11 +93,16 @@ func TestSweepScratchDeterminism(t *testing.T) {
 		}
 		return out
 	}
-	serial := run(1)
-	parallel := run(4)
-	for k, v := range serial {
-		if parallel[k] != v {
-			t.Fatalf("E1 table %q differs between workers=1 and workers=4", k)
+	serial := run(Config{Workers: 1})
+	for name, c := range map[string]Config{
+		"workers=4":                  {Workers: 4},
+		"workers=4, parallelism=off": {Workers: 4, Parallelism: "off"},
+	} {
+		other := run(c)
+		for k, v := range serial {
+			if other[k] != v {
+				t.Fatalf("E1 table %q differs between workers=1 and %s", k, name)
+			}
 		}
 	}
 }

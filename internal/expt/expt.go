@@ -180,29 +180,15 @@ func scratchOf(t sweep.Trial) *trialScratch {
 	return newTrialScratch().(*trialScratch)
 }
 
-// planFor resolves the point's parallelism split from Config: the measured
-// arbiter by default, with "trials" and "off" as explicit overrides and
-// Workers bounding the trial pool in every mode.
-func planFor(cfg Config) sweep.Plan {
-	switch cfg.Parallelism {
-	case "off":
-		return sweep.Plan{TrialWorkers: 1}
-	case "trials":
-		return sweep.Plan{TrialWorkers: cfg.Workers} // 0 → GOMAXPROCS in the pool
-	default: // "", "auto"
-		p := sweep.PlanPoint(trials(cfg))
-		if cfg.Workers > 0 && cfg.Workers < p.TrialWorkers {
-			p.TrialWorkers = cfg.Workers
-		}
-		return p
-	}
-}
-
 // runSweep is the standard point-trial fan-out: trials(cfg) repetitions from
-// the point seed on the arbiter's trial workers, with the per-worker scratch
-// bundle.
+// the point seed on cfg.Workers trial workers (one under Parallelism "off"),
+// with the per-worker scratch bundle.
 func runSweep(cfg Config, seed uint64, fn func(sweep.Trial) sweep.Metrics) campaign.Samples {
-	return sweep.RunTrialsScratch(trials(cfg), seed, planFor(cfg).TrialWorkers, newTrialScratch, fn)
+	workers := cfg.Workers
+	if cfg.Parallelism == "off" {
+		workers = 1
+	}
+	return sweep.RunTrialsScratch(trials(cfg), seed, workers, newTrialScratch, fn)
 }
 
 // broadcastTrial holds everything needed to run one protocol/topology pair
@@ -234,7 +220,6 @@ const (
 // seed and returns the standard metric samples. Failed runs report NaN for
 // informedRound.
 func runBroadcastTrials(cfg Config, seed uint64, spec broadcastTrial) campaign.Samples {
-	plan := planFor(cfg)
 	return runSweep(cfg, seed, func(t sweep.Trial) sweep.Metrics {
 		ts := scratchOf(t)
 		g, src := spec.makeGraph(t.Seed, ts.graph)
@@ -242,13 +227,6 @@ func runBroadcastTrials(cfg Config, seed uint64, spec broadcastTrial) campaign.S
 		opts := spec.opts
 		if spec.makeOpts != nil {
 			opts = spec.makeOpts(t.Seed)
-		}
-		// Spare cores the trial pool cannot fill go to rounds-parallel
-		// delivery (bit-identical to serial by the kernel equivalence
-		// contract; only scheduling changes).
-		if plan.RoundWorkers >= 2 && !opts.Parallel {
-			opts.Parallel = true
-			opts.Workers = plan.RoundWorkers
 		}
 		res := radio.RunBroadcastWith(ts.radio, g, src, proto, rng.New(rng.SubSeed(t.Seed, 1)), opts)
 		m := sweep.Metrics{

@@ -31,26 +31,6 @@ func (b Bitset) Reset() {
 	}
 }
 
-// Word-level operations: the dense delivery kernel (dense.go) treats Bitsets
-// as arrays of 64-receiver lanes, so set algebra over whole rounds costs
-// n/64 word operations instead of n branchy per-node updates. All operands
-// must have equal length (the kernels size every per-session Bitset with
-// NewBitset(n), so this holds by construction).
-
-// OrWords folds o into b word-wise: b |= o.
-func (b Bitset) OrWords(o Bitset) {
-	for i, w := range o {
-		b[i] |= w
-	}
-}
-
-// AndNotWords clears from b every bit set in o: b &^= o.
-func (b Bitset) AndNotWords(o Bitset) {
-	for i, w := range o {
-		b[i] &^= w
-	}
-}
-
 // Count returns the number of set bits (popcount over words).
 func (b Bitset) Count() int {
 	c := 0
@@ -58,17 +38,4 @@ func (b Bitset) Count() int {
 		c += bits.OnesCount64(w)
 	}
 	return c
-}
-
-// AppendIDs appends the set ids to dst in ascending order via per-word
-// popcount iteration and returns the extended slice.
-func (b Bitset) AppendIDs(dst []graph.NodeID) []graph.NodeID {
-	for wi, w := range b {
-		base := wi << 6
-		for w != 0 {
-			dst = append(dst, graph.NodeID(base+bits.TrailingZeros64(w)))
-			w &= w - 1
-		}
-	}
-	return dst
 }

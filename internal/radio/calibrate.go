@@ -9,26 +9,18 @@ import (
 	"repro/internal/rng"
 )
 
-// Calibration is the startup probe's measurement of what this machine can
-// actually do. PR 1's rounds-parallel kernel and the sweep's trials-parallel
-// pool were both built blind — on a 1-CPU container they fight over the same
-// core, and GOMAXPROCS alone cannot tell a 16-vCPU machine from a cgroup
-// throttled to one. The probe measures instead of assuming, and the sweep
-// arbiter (sweep.PlanPoint) divides cores between the two parallelism axes
-// from the measurement. Kernel *choice* never depends on it — results stay
-// bit-identical whatever the probe reports — only scheduling does.
+// Calibration describes the machine a run executes on: its core counts and
+// the measured per-edge cost of the serial push and dense kernels. Scripts
+// stamp it into benchmark metadata so trajectory points from different
+// hosts stay comparable. Nothing schedules from it and kernel choice never
+// reads it, so results do not depend on what it reports.
 type Calibration struct {
 	GoMaxProcs int // runtime.GOMAXPROCS(0) at probe time
 	NumCPU     int // runtime.NumCPU()
-	// EffectiveCores is the measured parallel speedup of a CPU-bound spin
-	// fanned over GOMAXPROCS goroutines (1.0 on a single-core container even
-	// when NumCPU lies). Fractional: a hyperthreaded or throttled pair often
-	// measures ~1.5.
-	EffectiveCores float64
 	// EdgeNs and DenseEdgeNs are the measured per-edge costs (nanoseconds) of
 	// the serial push and word-parallel dense kernels on a synthetic dense
 	// round — the constants the cost model's "outSum ≳ n" heuristic stands
-	// on, recorded in bench metadata so trajectory points are comparable.
+	// on.
 	EdgeNs      float64
 	DenseEdgeNs float64
 }
@@ -38,9 +30,8 @@ var (
 	cal     Calibration
 )
 
-// Calibrate runs the startup probe once per process and returns the cached
-// measurement (~10ms of spin plus two synthetic delivery rounds). Safe for
-// concurrent use.
+// Calibrate measures the machine once per process and returns the cached
+// description (two synthetic delivery rounds). Safe for concurrent use.
 func Calibrate() Calibration {
 	calOnce.Do(func() { cal = runProbe() })
 	return cal
@@ -51,62 +42,8 @@ func runProbe() Calibration {
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 	}
-	c.EffectiveCores = measureEffectiveCores(c.GoMaxProcs)
 	c.EdgeNs, c.DenseEdgeNs = measureEdgeCost()
 	return c
-}
-
-// spin burns CPU for a fixed iteration count; the sink defeats dead-code
-// elimination.
-var spinSink uint64
-
-func spin(iters int) uint64 {
-	x := uint64(0x9e3779b97f4a7c15)
-	for i := 0; i < iters; i++ {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-	}
-	return x
-}
-
-// measureEffectiveCores times one spin quantum serially, then p goroutines
-// each running the same quantum. With p real cores the parallel wall clock
-// matches the serial one; on an oversubscribed container it stretches toward
-// p·serial. The ratio is the usable parallelism.
-func measureEffectiveCores(p int) float64 {
-	if p <= 1 {
-		return 1
-	}
-	const iters = 2_000_000
-	spinSink = spin(iters / 10) // warm up scheduling/clock ramp
-	best := time.Duration(1<<63 - 1)
-	for rep := 0; rep < 3; rep++ {
-		t0 := time.Now()
-		spinSink = spin(iters)
-		if d := time.Since(t0); d < best {
-			best = d
-		}
-	}
-	var wg sync.WaitGroup
-	t0 := time.Now()
-	for i := 0; i < p; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			spinSink = spin(iters)
-		}()
-	}
-	wg.Wait()
-	par := time.Since(t0)
-	eff := float64(p) * float64(best) / float64(par)
-	if eff < 1 {
-		eff = 1
-	}
-	if eff > float64(p) {
-		eff = float64(p)
-	}
-	return eff
 }
 
 // measureEdgeCost times the serial push and dense kernels on one synthetic

@@ -106,7 +106,7 @@ func TestImplicitLossyEquivalence(t *testing.T) {
 	for gname, pair := range implicitTestGraphs(t) {
 		run := func(g graph.Implicit) *Result {
 			return RunBroadcast(g, 0, &sbern{q: 0.05}, rng.New(11),
-				Options{MaxRounds: 1200, LossProb: 0.2, ExactCollisions: true})
+				Options{MaxRounds: 1200, Reception: LossyChannel(0.2), ExactCollisions: true})
 		}
 		want := run(pair.mat)
 		got := run(pair.imp)

@@ -9,8 +9,9 @@
 //     in-neighbours transmits in that round. If two or more transmit, the
 //     messages collide and v hears nothing; v cannot even detect the
 //     collision.
-//   - By default a transmitting node cannot simultaneously receive
-//     (half-duplex radios); Options.FullDuplex disables this.
+//   - A transmitting node cannot simultaneously receive (half-duplex
+//     radios). In broadcast this never matters, since only informed nodes
+//     transmit; GossipOptions.FullDuplex lifts it for gossip.
 //   - Nodes know n (and protocol parameters like p or D) but nothing about
 //     the topology.
 //
@@ -210,9 +211,6 @@ func SetEngineOverrides(o EngineOverrides) { engineOverrides = o }
 type Options struct {
 	// MaxRounds caps the segment length. Required (> 0).
 	MaxRounds int
-	// FullDuplex lets a transmitting node receive in the same round.
-	// Default false: half-duplex radios, as standard in the literature.
-	FullDuplex bool
 	// Target is the informed-node count at which InformedRound is recorded.
 	// 0 means g.N(). The run continues past the target until the protocol
 	// quiesces or MaxRounds elapses, so that energy is accounted for the
@@ -229,16 +227,9 @@ type Options struct {
 	// Workers is the parallel kernel's worker count (0 = GOMAXPROCS).
 	Workers int
 	// Reception selects the channel's reception model (see ReceptionModel
-	// in reception.go). Nil means Binary() — the paper's exactly-one rule —
-	// unless LossProb is set. Every model runs on every kernel and keeps
-	// the silent-skip fast path.
+	// in reception.go). Nil means Binary() — the paper's exactly-one rule.
+	// Every model runs on every kernel and keeps the silent-skip fast path.
 	Reception ReceptionModel
-	// LossProb is shorthand for Reception: LossyChannel(LossProb) — the
-	// per-edge fading probability: each (transmitter, receiver) delivery is
-	// independently lost with this probability, in which case the signal
-	// neither delivers nor interferes at that receiver. Mutually exclusive
-	// with an explicit Reception model.
-	LossProb float64
 	// Jammed, when non-nil, returns the receivers whose channel is occupied
 	// by external interference in the given round: a jammed node cannot
 	// receive that round (the noise collides with any transmission).
@@ -285,12 +276,6 @@ func (o Options) validate() error {
 	}
 	if o.Target < 0 {
 		return fmt.Errorf("radio: negative Target %d", o.Target)
-	}
-	if o.LossProb < 0 || o.LossProb >= 1 {
-		return fmt.Errorf("radio: LossProb %v outside [0,1)", o.LossProb)
-	}
-	if o.LossProb > 0 && o.Reception != nil {
-		return fmt.Errorf("radio: Reception and LossProb are mutually exclusive (LossProb is LossyChannel shorthand)")
 	}
 	return nil
 }
@@ -479,9 +464,6 @@ func (s *BroadcastSession) Rounds() int { return s.rounds }
 // Quiesced reports whether the protocol has retired every node.
 func (s *BroadcastSession) Quiesced() bool { return s.quiesced }
 
-// IsInformed reports whether node v has received the message.
-func (s *BroadcastSession) IsInformed(v graph.NodeID) bool { return s.informed.Get(v) }
-
 // EnergyState returns the session's battery bank (nil when the energy model
 // is disabled). Pass it as energy.Spec{Resume: ...} to a later session to
 // model repeated campaigns on one charge. When the session borrowed a
@@ -551,11 +533,7 @@ func (s *BroadcastSession) Run(g graph.Implicit, opt Options) *Result {
 	// unmodified hot paths.
 	model := opt.Reception
 	if model == nil {
-		if opt.LossProb > 0 {
-			model = LossyChannel(opt.LossProb)
-		} else {
-			model = Binary()
-		}
+		model = Binary()
 	}
 	caps := model.resolve(s.chanSeed)
 	parallel := opt.Parallel || engineOverrides.Kernel == KernelParallel

@@ -582,10 +582,10 @@ func TestBroadcastSessionGraphSizeMismatchPanics(t *testing.T) {
 }
 
 func TestLossZeroMatchesLosslessPath(t *testing.T) {
-	// LossProb=0 must take the exact same code path results as default.
+	// A zero-loss channel must give the same results as the default.
 	g := graph.GNPDirected(200, 0.05, rng.New(50))
 	a := RunBroadcast(g, 0, &coin{q: 0.2}, rng.New(51), Options{MaxRounds: 100})
-	b := RunBroadcast(g, 0, &coin{q: 0.2}, rng.New(51), Options{MaxRounds: 100, LossProb: 0})
+	b := RunBroadcast(g, 0, &coin{q: 0.2}, rng.New(51), Options{MaxRounds: 100, Reception: LossyChannel(0)})
 	if a.Informed != b.Informed || a.TotalTx != b.TotalTx {
 		t.Fatalf("loss=0 changed results: %+v vs %+v", a, b)
 	}
@@ -602,7 +602,7 @@ func TestLossSlowsDirectedPathFlood(t *testing.T) {
 	}
 	g := b.Build()
 	clean := RunBroadcast(g, 0, flood{}, rng.New(60), Options{MaxRounds: 5000, StopWhenInformed: true})
-	lossy := RunBroadcast(g, 0, flood{}, rng.New(60), Options{MaxRounds: 5000, StopWhenInformed: true, LossProb: 0.5})
+	lossy := RunBroadcast(g, 0, flood{}, rng.New(60), Options{MaxRounds: 5000, StopWhenInformed: true, Reception: LossyChannel(0.5)})
 	if clean.InformedRound != n-1 {
 		t.Fatalf("clean path: %d", clean.InformedRound)
 	}
@@ -624,27 +624,9 @@ func TestLossCanResolveCollisions(t *testing.T) {
 	if stuck.Completed() {
 		t.Fatal("lossless flood should livelock")
 	}
-	faded := RunBroadcast(g, 0, flood{}, rng.New(70), Options{MaxRounds: 300, LossProb: 0.3, StopWhenInformed: true})
+	faded := RunBroadcast(g, 0, flood{}, rng.New(70), Options{MaxRounds: 300, Reception: LossyChannel(0.3), StopWhenInformed: true})
 	if !faded.Completed() {
 		t.Fatal("fading should eventually isolate one transmitter")
-	}
-}
-
-func TestLossProbValidation(t *testing.T) {
-	g := graph.Complete(3)
-	for name, opt := range map[string]Options{
-		"negative":       {MaxRounds: 1, LossProb: -0.1},
-		"one":            {MaxRounds: 1, LossProb: 1},
-		"with Reception": {MaxRounds: 1, LossProb: 0.1, Reception: Fade(0.2)},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s did not panic", name)
-				}
-			}()
-			RunBroadcast(g, 0, flood{}, rng.New(1), opt)
-		}()
 	}
 }
 

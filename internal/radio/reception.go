@@ -172,10 +172,10 @@ func (m fadeModel) resolve(seed uint64) channelCaps {
 // LossyChannel returns the per-edge fading model: each (transmitter,
 // receiver) delivery of a round is independently lost with probability
 // loss, in which case the signal neither delivers nor interferes at that
-// receiver. The hashed-draw successor of the old Options.LossProb stream
-// (same distribution, different — order-independent — randomness), which is
-// what lets lossy runs use the pull/parallel kernels and silent-round
-// skipping. Collision counts are exact over the surviving signals.
+// receiver. Draws are hashed per (round, transmitter, receiver), so they do
+// not depend on iteration order, which is what lets lossy runs use the
+// pull/parallel kernels and silent-round skipping. Collision counts are
+// exact over the surviving signals.
 func LossyChannel(loss float64) ReceptionModel {
 	probPanic("LossyChannel", loss)
 	return lossyModel{loss: loss}

@@ -32,7 +32,7 @@ var receptionForcings = []struct {
 
 // TestChannelModelForcingsBitIdentical is the channel-layer counterpart of
 // TestEngineConfigurationsBitIdentical, and the regression pin for the
-// refactor's acceptance claim: LossProb and Jammed runs — once serial-only —
+// refactor's acceptance claim: lossy and Jammed runs — once serial-only —
 // and every new reception model must produce identical trajectories,
 // transmissions and energy under every kernel, decision-path and skip
 // forcing.
@@ -48,12 +48,11 @@ func TestChannelModelForcingsBitIdentical(t *testing.T) {
 		return []graph.NodeID{base, base + 101, base + 202}
 	}
 	channels := map[string]func() Options{
-		"lossprob": func() Options { return Options{MaxRounds: 2500, LossProb: 0.25} },
-		"lossy":    func() Options { return Options{MaxRounds: 2500, Reception: LossyChannel(0.25)} },
-		"fade":     func() Options { return Options{MaxRounds: 2500, Reception: Fade(0.2)} },
-		"jam":      func() Options { return Options{MaxRounds: 2500, Reception: Jam(0.15)} },
-		"sinr":     func() Options { return Options{MaxRounds: 2500, Reception: SINRThreshold(0.5, 0.1)} },
-		"jammed":   func() Options { return Options{MaxRounds: 2500, Jammed: jam} },
+		"lossy":  func() Options { return Options{MaxRounds: 2500, Reception: LossyChannel(0.25)} },
+		"fade":   func() Options { return Options{MaxRounds: 2500, Reception: Fade(0.2)} },
+		"jam":    func() Options { return Options{MaxRounds: 2500, Reception: Jam(0.15)} },
+		"sinr":   func() Options { return Options{MaxRounds: 2500, Reception: SINRThreshold(0.5, 0.1)} },
+		"jammed": func() Options { return Options{MaxRounds: 2500, Jammed: jam} },
 	}
 	for gname, g := range sparseTestGraphs(t) {
 		for cname, mkOpt := range channels {
@@ -80,19 +79,6 @@ func TestChannelModelForcingsBitIdentical(t *testing.T) {
 				}
 				SetEngineOverrides(EngineOverrides{})
 			}
-		}
-	}
-}
-
-// TestLossProbMatchesLossyChannel: the Options.LossProb shorthand must be
-// the exact same run as the explicit model (same hashed draws).
-func TestLossProbMatchesLossyChannel(t *testing.T) {
-	for gname, g := range sparseTestGraphs(t) {
-		a := RunBroadcast(g, 0, &sbern{q: 0.03}, rng.New(5), Options{MaxRounds: 1500, LossProb: 0.3})
-		b := RunBroadcast(g, 0, &sbern{q: 0.03}, rng.New(5), Options{MaxRounds: 1500, Reception: LossyChannel(0.3)})
-		assertSameResult(t, gname, a, b)
-		if a.Collisions != b.Collisions {
-			t.Fatalf("%s: collision counts differ: %d vs %d", gname, a.Collisions, b.Collisions)
 		}
 	}
 }
@@ -228,6 +214,7 @@ func TestSINRValidation(t *testing.T) {
 		"noise eats K": func() { SINRThreshold(1, 1.5) },
 		"fade 1":       func() { Fade(1) },
 		"loss neg":     func() { LossyChannel(-0.1) },
+		"loss 1":       func() { LossyChannel(1) },
 		"jam 1":        func() { Jam(1.5) },
 	} {
 		func() {

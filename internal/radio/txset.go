@@ -68,15 +68,6 @@ func (s *TxSet) DrawList(r *rng.RNG, list []graph.NodeID, p float64, round int) 
 	}
 }
 
-// DrawRange skip-samples the id range [0, n) — the gossip case, where every
-// node is a candidate.
-func (s *TxSet) DrawRange(r *rng.RNG, n int, p float64, round int) {
-	it := r.SkipSample(n, p)
-	for i, ok := it.Next(); ok; i, ok = it.Next() {
-		s.Add(graph.NodeID(i), round)
-	}
-}
-
 // ensureStream primes the carried gap for probability q, restarting the
 // stream when q changed since the carry was drawn.
 func (s *TxSet) ensureStream(r *rng.RNG, q float64) {

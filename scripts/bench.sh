@@ -52,10 +52,10 @@ if [[ -z "${OUT}" ]]; then
 fi
 TXT="${OUT%.json}.txt"
 
-# Machine metadata: GOMAXPROCS, NumCPU, and the calibration probe's measured
-# effective cores and per-edge kernel costs, so trajectory points recorded on
-# different containers are comparable. The probe runs in the benched tree
-# (BENCH_ROOT may predate -calibrate, so tolerate failure).
+# Machine metadata: GOMAXPROCS, NumCPU, and the measured per-edge kernel
+# costs, so trajectory points recorded on different containers are
+# comparable. The probe runs in the benched tree (BENCH_ROOT may predate
+# -calibrate, so tolerate failure).
 CAL_JSON="$(go run ./cmd/experiments -calibrate 2>/dev/null | tr -d '\n' | tr -s ' ' || true)"
 
 echo "running go test -bench=${PATTERN} -benchmem -count=${COUNT} (tier: ${BENCH_FILTER}) -> ${OUT}" >&2
@@ -84,7 +84,6 @@ for line in lines:
     if ev.get("Action") == "bench-meta" and cal:
         sys.stdout.write("gomaxprocs: %s\n" % cal.get("GoMaxProcs", ""))
         sys.stdout.write("numcpu: %s\n" % cal.get("NumCPU", ""))
-        sys.stdout.write("effective-cores: %.2f\n" % cal.get("EffectiveCores", 0.0))
 for line in lines:
     try:
         ev = json.loads(line)
