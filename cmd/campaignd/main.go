@@ -23,19 +23,20 @@
 // campaign executed across any fleet, with any amount of worker churn,
 // yields records identical to one uninterrupted single-process run.
 //
-// The daemon itself survives death: queue state (jobs, leases, attempt
-// counts, backoff deadlines) is persisted to a write-ahead log plus
-// snapshot under -state (default: the -data directory), so a campaignd
-// killed at any instant — SIGKILL included — and restarted over the same
-// -state and -data directories resumes every campaign exactly where it
-// stopped. Workers reconnect unaided; completions that arrive from the
-// outage window are accepted or dup-discarded.
+// The daemon itself survives death: every accepted spec is an fsync'd line
+// of jobs.jsonl under -state (default: the -data directory), so a
+// campaignd killed at any instant — SIGKILL included — and restarted over
+// the same -state and -data directories rebuilds every campaign from its
+// records and manifest. A restart keeps jobs, records and manifest holes;
+// it resets leases (points in flight run again), attempt counts, backoff
+// gates, the requeue, retry and duplicate counters, and the ETA. Workers
+// reconnect unaided; completions that arrive from the outage window are
+// accepted or dup-discarded.
 //
 // Shutdown semantics: on the first SIGTERM/SIGINT the daemon drains —
-// it stops granting leases, finishes in-flight HTTP exchanges, folds the
-// WAL into a final snapshot, and exits 0. A second signal hard-exits
-// immediately (the WAL is fsync'd per append, so even that loses
-// nothing).
+// it stops granting leases, finishes in-flight HTTP exchanges, and exits
+// 0. A second signal hard-exits immediately (specs and records are
+// fsync'd as they are acknowledged, so even that loses nothing).
 //
 // See README.md ("The campaign daemon") for the API and the fault model.
 package main
@@ -62,8 +63,7 @@ func run() int {
 		addr       = flag.String("addr", "127.0.0.1:8655", "listen address (use :0 for an ephemeral port)")
 		addrFile   = flag.String("addr-file", "", "write the bound address to this file once listening (for scripts)")
 		dataDir    = flag.String("data", "campaignd-data", "root directory for per-job checkpoint namespaces")
-		stateDir   = flag.String("state", "", "durable queue state directory: wal.jsonl + snapshot.json (default: the -data directory)")
-		compactN   = flag.Int("wal-compact", 1024, "WAL appends between snapshot compactions")
+		stateDir   = flag.String("state", "", "durable queue state directory: jobs.jsonl, the log of accepted job specs (default: the -data directory)")
 		leaseTTL   = flag.Duration("lease", 30*time.Second, "lease time-to-live without a heartbeat")
 		hbTimeout  = flag.Duration("heartbeat-timeout", 0, "declare a worker lost after this silence (default 3/4 of -lease)")
 		maxTries   = flag.Int("max-attempts", 4, "grants per point before it lands in the failure manifest")
@@ -72,6 +72,10 @@ func run() int {
 		sweepEvery = flag.Duration("sweep", time.Second, "lease-expiry sweep interval")
 	)
 	flag.Parse()
+	if err := checkFlags(*leaseTTL, *hbTimeout, *maxTries, *backoff, *backoffMax, *sweepEvery); err != nil {
+		fmt.Fprintln(os.Stderr, "campaignd:", err)
+		return 1
+	}
 	if *stateDir == "" {
 		*stateDir = *dataDir
 	}
@@ -80,7 +84,6 @@ func run() int {
 		DataDir:          *dataDir,
 		Expand:           exptrun.Expand,
 		StateDir:         *stateDir,
-		CompactEvery:     *compactN,
 		LeaseTTL:         *leaseTTL,
 		HeartbeatTimeout: *hbTimeout,
 		MaxAttempts:      *maxTries,
@@ -122,7 +125,7 @@ func run() int {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case s := <-sig:
-		fmt.Fprintf(os.Stderr, "campaignd: %v — draining (no new leases; state snapshotted; restart with the same -state to resume)\n", s)
+		fmt.Fprintf(os.Stderr, "campaignd: %v — draining (no new leases; restart with the same -state and -data to resume)\n", s)
 	case err := <-errCh:
 		fmt.Fprintln(os.Stderr, "campaignd:", err)
 		close(stop)
@@ -130,8 +133,8 @@ func run() int {
 		return 1
 	}
 	// Graceful drain: stop granting leases, let in-flight exchanges
-	// finish, then snapshot and exit 0. A second signal hard-exits — the
-	// per-append fsync'd WAL makes even that recoverable.
+	// finish, then exit 0. A second signal hard-exits — the fsync'd job
+	// log and records make even that recoverable.
 	q.Drain()
 	close(stop)
 	done := make(chan struct{})
@@ -152,4 +155,25 @@ func run() int {
 		return 1
 	}
 	return 0
+}
+
+// checkFlags rejects the settings the queue would otherwise silently
+// replace by its defaults, and a sweep interval the ticker cannot run.
+// Zero keeps its documented default meaning.
+func checkFlags(lease, hbTimeout time.Duration, maxTries int, backoff, backoffMax, sweep time.Duration) error {
+	switch {
+	case lease < 0:
+		return fmt.Errorf("-lease %v: must not be negative", lease)
+	case hbTimeout < 0:
+		return fmt.Errorf("-heartbeat-timeout %v: must not be negative", hbTimeout)
+	case maxTries < 0:
+		return fmt.Errorf("-max-attempts %d: must not be negative", maxTries)
+	case backoff < 0:
+		return fmt.Errorf("-backoff %v: must not be negative", backoff)
+	case backoffMax < 0:
+		return fmt.Errorf("-backoff-max %v: must not be negative", backoffMax)
+	case sweep <= 0:
+		return fmt.Errorf("-sweep %v: need a positive interval", sweep)
+	}
+	return nil
 }

@@ -332,8 +332,8 @@ func loadCheckpoint(path string) (*ResultSet, int64, LoadReport, error) {
 // tear. Returns the clean length — the byte offset just past the last
 // accepted line, the truncation target for in-place tail repair — and the
 // damage report (fn successes counted in Records). A missing file scans
-// as empty. The jobqueue write-ahead log shares this machinery with the
-// record checkpoints.
+// as empty. The jobqueue job log (jobs.jsonl, one accepted spec per line)
+// shares this machinery with the record checkpoints.
 func ScanJSONL(path string, fn func(line []byte) error) (int64, LoadReport, error) {
 	var rep LoadReport
 	f, err := os.Open(path)
@@ -390,9 +390,9 @@ func ScanJSONL(path string, fn func(line []byte) error) (int64, LoadReport, erro
 
 // RepairJSONL scans a JSONL stream through fn and truncates any torn tail
 // in place, so the next append starts on a fresh line — the generic form
-// of RepairCheckpoint, used by the jobqueue write-ahead log. The scan's
-// hard-error contract is unchanged: a corrupt terminated line refuses
-// rather than truncates.
+// of RepairCheckpoint, used when a restarted campaignd reads its job log.
+// The scan's hard-error contract is unchanged: a corrupt terminated line
+// refuses rather than truncates, and leaves the file as it was.
 func RepairJSONL(path string, fn func(line []byte) error) (LoadReport, error) {
 	cleanLen, rep, err := ScanJSONL(path, fn)
 	if err != nil {

@@ -269,9 +269,6 @@ func (c *Client) Register(ctx context.Context, workerID string) (*RegisterInfo, 
 // response was lost in transit expire and requeue instead of being kept
 // alive forever by a worker that never knew it had it.
 func (c *Client) Heartbeat(ctx context.Context, workerID string, held []uint64) error {
-	if held == nil {
-		held = []uint64{}
-	}
 	req := struct {
 		ID     string   `json:"id"`
 		Leases []uint64 `json:"leases"`

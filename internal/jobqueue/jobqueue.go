@@ -30,18 +30,15 @@
 // record file — written through campaign.Sink, resumable with
 // campaign.RepairCheckpoint — and its failure manifest.
 //
-// The queue itself is durable when Options.StateDir is set: every state
-// transition appends one fsync'd JSONL record to a write-ahead log that is
-// periodically folded into a snapshot, and a queue reopened over the same
-// state directory resumes exactly where its predecessor died — SIGKILL
-// included. What survives verbatim: jobs and their task states, live
-// leases with their absolute deadlines and attempt counts, backoff gates,
-// and the requeue/retry/duplicate counters. What is recomputed or
-// re-armed: checkpoint contents are reconciled against records.jsonl (a
-// completion that reached the checkpoint but not the WAL is healed), and
-// live-lease holders get a fresh heartbeat window so the sweeper does not
-// steal a point from a worker that merely outlived the daemon. See wal.go
-// for the format, compaction, and torn-tail repair discipline.
+// The queue is durable when Options.StateDir is set: Submit acknowledges a
+// job only once its spec is an fsync'd line of StateDir/jobs.jsonl, as
+// Complete acknowledges a point only once its record is an fsync'd line
+// of records.jsonl. A queue reopened over the same directories, after a
+// SIGKILL included, rebuilds every logged job as a Resume submit would.
+// A restart keeps jobs, records and manifest holes. It resets leases,
+// attempt counts, backoff gates, the requeue, retry and duplicate
+// counters, and the ETA: points in flight run again, and a poison point
+// can get MaxAttempts more tries per crash.
 //
 // The package is layered so the whole service can be exercised in-process:
 // Queue (this file and queue.go) is the pure coordination core with an
@@ -83,8 +80,10 @@ type JobSpec struct {
 	// the channel-realism comparison grid.
 	Channel string `json:"channel,omitempty"`
 	// Resume continues a previous job with the same ID: points whose records
-	// already sit in the job's checkpoint are marked done without re-running.
-	// Without Resume, submitting over a non-empty checkpoint is refused.
+	// already sit in the job's checkpoint are marked done without re-running,
+	// and the holes of its manifest stay failed (remove manifest.json to
+	// retry them). Without Resume, submitting over a non-empty checkpoint is
+	// refused.
 	Resume bool `json:"resume,omitempty"`
 }
 
@@ -211,17 +210,10 @@ type Options struct {
 	// Expand turns submitted specs into grid points (required).
 	Expand Expander
 
-	// StateDir, when set, makes the queue durable: every state transition
-	// appends one JSONL record to StateDir/wal.jsonl (fsync'd like the
-	// checkpoint sink), periodically compacted into StateDir/snapshot.json.
-	// A queue reopened over the same StateDir replays snapshot+WAL and
-	// resumes exactly — live leases keep their deadlines, backoff gates and
-	// attempt counts survive, completed points stay done. Empty means the
-	// pre-WAL behaviour: queue state lives and dies with the process.
+	// StateDir, when set, makes the queue durable: accepted specs are
+	// logged to StateDir/jobs.jsonl and rebuilt on reopen (see the package
+	// doc). Empty means the job list lives and dies with the process.
 	StateDir string
-	// CompactEvery is the number of WAL appends between automatic
-	// compactions into a fresh snapshot (default 1024).
-	CompactEvery int
 
 	// LeaseTTL is how long a lease lives without a heartbeat (default 30s).
 	LeaseTTL time.Duration

@@ -85,11 +85,9 @@ type Queue struct {
 	nextID  uint64
 	autoJob int
 
-	// Durability (wal.go); wal is nil when Options.StateDir is empty.
-	wal      *os.File
-	walPath  string
-	walSeq   uint64
-	walCount int // appends since the last compaction
+	// jobLog is StateDir/jobs.jsonl open for appends; nil when
+	// Options.StateDir is empty.
+	jobLog   *os.File
 	draining bool
 }
 
@@ -122,9 +120,6 @@ func NewQueue(opts Options) (*Queue, error) {
 	if opts.Now == nil {
 		opts.Now = time.Now
 	}
-	if opts.CompactEvery <= 0 {
-		opts.CompactEvery = 1024
-	}
 	if err := os.MkdirAll(opts.DataDir, 0o755); err != nil {
 		return nil, fmt.Errorf("jobqueue: create data dir: %w", err)
 	}
@@ -133,16 +128,50 @@ func NewQueue(opts Options) (*Queue, error) {
 		jobs:    map[string]*qjob{},
 		workers: map[string]*workerInfo{},
 		leases:  map[uint64]*qlease{},
+		// Leases do not survive a restart, so lease IDs start at the open
+		// time: they must not repeat across incarnations.
+		nextID: uint64(opts.Now().UnixNano()),
 	}
 	if opts.StateDir != "" {
-		if err := q.openState(); err != nil {
+		if err := q.restoreJobs(); err != nil {
+			q.Close() //nolint:errcheck // the restore error is the one to report
 			return nil, err
-		}
-		if n := len(q.jobs); n > 0 {
-			q.logf("state: restored %d job(s), %d live lease(s), WAL seq %d", n, len(q.leases), q.walSeq)
 		}
 	}
 	return q, nil
+}
+
+// restoreJobs rebuilds every job in StateDir/jobs.jsonl the way a Resume
+// submit would, then opens the log for appends (so the rebuilt jobs are
+// not logged again). A torn final line (a Submit killed mid-append, never
+// acknowledged) is cut off; a corrupt newline-terminated line refuses.
+func (q *Queue) restoreJobs() error {
+	if err := os.MkdirAll(q.opts.StateDir, 0o755); err != nil {
+		return fmt.Errorf("jobqueue: create state dir: %w", err)
+	}
+	path := filepath.Join(q.opts.StateDir, "jobs.jsonl")
+	rep, err := campaign.RepairJSONL(path, func(line []byte) error {
+		var spec JobSpec
+		if err := json.Unmarshal(line, &spec); err != nil {
+			return fmt.Errorf("corrupt job spec (not a torn tail — the line is newline-terminated): %w", err)
+		}
+		_, err := q.addJob(spec, true)
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("jobqueue: restore jobs: %w", err)
+	}
+	if rep.TornTailBytes > 0 {
+		q.logf("state: dropped torn %d-byte tail of %s", rep.TornTailBytes, path)
+	}
+	if len(q.jobs) > 0 {
+		q.logf("state: restored %d job(s) from %s", len(q.jobs), path)
+	}
+	q.jobLog, err = os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return fmt.Errorf("jobqueue: open job log: %w", err)
+	}
+	return nil
 }
 
 func (q *Queue) logf(format string, args ...any) {
@@ -158,27 +187,42 @@ func (q *Queue) logf(format string, args ...any) {
 func (q *Queue) Submit(spec JobSpec) (JobStatus, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if spec.ID == "" {
+	for spec.ID == "" {
 		q.autoJob++
-		spec.ID = fmt.Sprintf("job-%03d", q.autoJob)
+		if id := fmt.Sprintf("job-%03d", q.autoJob); q.jobs[id] == nil {
+			spec.ID = id
+		}
 	}
-	if err := validateJobID(spec.ID); err != nil {
-		return JobStatus{}, err
-	}
-	if _, dup := q.jobs[spec.ID]; dup {
-		return JobStatus{}, fmt.Errorf("jobqueue: job %q already exists", spec.ID)
-	}
-	points, trials, err := q.opts.Expand(spec)
+	j, err := q.addJob(spec, spec.Resume)
 	if err != nil {
 		return JobStatus{}, err
 	}
+	q.logf("job %s: submitted, %d points (%d resumed)", spec.ID, len(j.tasks), j.done)
+	return q.status(j, false), nil
+}
+
+// addJob validates and expands spec, opens its checkpoint, logs the spec
+// and enqueues the job. With resume, recorded points are done and the
+// failures in an existing manifest stay failed; a fully resumed job is
+// complete on arrival.
+func (q *Queue) addJob(spec JobSpec, resume bool) (*qjob, error) {
+	if err := validateJobID(spec.ID); err != nil {
+		return nil, err
+	}
+	if _, dup := q.jobs[spec.ID]; dup {
+		return nil, fmt.Errorf("jobqueue: job %q already exists", spec.ID)
+	}
+	points, trials, err := q.opts.Expand(spec)
+	if err != nil {
+		return nil, err
+	}
 	if len(points) == 0 {
-		return JobStatus{}, fmt.Errorf("jobqueue: job %q expands to zero grid points", spec.ID)
+		return nil, fmt.Errorf("jobqueue: job %q expands to zero grid points", spec.ID)
 	}
 
 	dir := filepath.Join(q.opts.DataDir, spec.ID)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return JobStatus{}, fmt.Errorf("jobqueue: create job dir: %w", err)
+		return nil, fmt.Errorf("jobqueue: create job dir: %w", err)
 	}
 	j := &qjob{
 		spec:     spec,
@@ -189,45 +233,84 @@ func (q *Queue) Submit(spec JobSpec) (JobStatus, error) {
 	}
 	for _, ref := range points {
 		if _, dup := j.byRef[ref]; dup {
-			return JobStatus{}, fmt.Errorf("jobqueue: job %q: duplicate point %s/%s", spec.ID, ref.Campaign, ref.Key)
+			return nil, fmt.Errorf("jobqueue: job %q: duplicate point %s/%s", spec.ID, ref.Campaign, ref.Key)
 		}
 		t := &qtask{ref: ref}
 		j.byRef[ref] = t
 		j.tasks = append(j.tasks, t)
 	}
 
-	prior := campaign.NewResultSet()
-	if spec.Resume {
+	if resume {
 		rs, rep, err := campaign.RepairCheckpoint(j.sinkPath)
 		if err != nil {
-			return JobStatus{}, fmt.Errorf("jobqueue: resume job %q: %w", spec.ID, err)
+			return nil, fmt.Errorf("jobqueue: resume job %q: %w", spec.ID, err)
 		}
 		if rep.TornTailBytes > 0 {
 			q.logf("job %s: dropped torn %d-byte checkpoint tail on resume", spec.ID, rep.TornTailBytes)
 		}
-		prior = rs
-	} else if st, err := os.Stat(j.sinkPath); err == nil && st.Size() > 0 {
-		return JobStatus{}, fmt.Errorf("jobqueue: job %q checkpoint %s already holds records; submit with resume or remove it", spec.ID, j.sinkPath)
-	}
-	for _, t := range j.tasks {
-		r, ok := prior.Lookup(t.ref.Campaign, t.ref.Key)
-		if ok && recordMatches(r, t.ref, spec, trials) {
-			t.state = taskDone
-			j.done++
+		for _, t := range j.tasks {
+			if r, ok := rs.Lookup(t.ref.Campaign, t.ref.Key); ok && recordMatches(r, t.ref, spec, trials) {
+				t.state = taskDone
+				j.done++
+			}
 		}
+		var m Manifest
+		data, err := os.ReadFile(j.manifest)
+		if err == nil {
+			err = json.Unmarshal(data, &m)
+		}
+		if err != nil && !os.IsNotExist(err) {
+			return nil, fmt.Errorf("jobqueue: resume job %q: read manifest: %w", spec.ID, err)
+		}
+		for _, f := range m.Failures {
+			// The holes of a manifest written for another seed or scale do
+			// not carry over, and a point recorded since stays done.
+			if t := j.byRef[f.Point]; t != nil && t.state == taskPending && m.Spec.Seed == spec.Seed && m.Spec.Full == spec.Full {
+				t.state, t.attempts, t.lastErr = taskFailed, f.Attempts, f.LastErr
+				j.failed++
+			}
+		}
+	} else if st, err := os.Stat(j.sinkPath); err == nil && st.Size() > 0 {
+		return nil, fmt.Errorf("jobqueue: job %q checkpoint %s already holds records; submit with resume or remove it", spec.ID, j.sinkPath)
 	}
 
-	sink, err := campaign.OpenSink(j.sinkPath, !spec.Resume)
+	sink, err := campaign.OpenSink(j.sinkPath, !resume)
 	if err != nil {
-		return JobStatus{}, err
+		return nil, err
+	}
+	if err := q.logJob(spec); err != nil {
+		sink.Close() //nolint:errcheck // the log error is the one to report
+		return nil, err
 	}
 	j.sink = sink
 	q.jobs[spec.ID] = j
 	q.order = append(q.order, spec.ID)
-	q.walAppend(walRecord{Type: "submit", Job: spec.ID, Spec: &spec, Trials: trials, AutoJob: q.autoJob})
-	q.maybeFinish(j) // a fully resumed job is complete on arrival
-	q.logf("job %s: submitted, %d points (%d resumed)", spec.ID, len(j.tasks), j.done)
-	return q.status(j, false), nil
+	q.maybeFinish(j)
+	return j, nil
+}
+
+// logJob appends the accepted spec to the job log as one fsync'd line
+// (no-op without a StateDir).
+func (q *Queue) logJob(spec JobSpec) error {
+	if q.jobLog == nil {
+		return nil
+	}
+	st, err := q.jobLog.Stat()
+	if err == nil {
+		line, _ := json.Marshal(spec) // plain fields only: cannot fail
+		if _, err = q.jobLog.Write(append(line, '\n')); err == nil {
+			err = q.jobLog.Sync()
+		}
+		if err != nil {
+			// Cut the failed line off, so that it can neither glue itself
+			// to the next one nor bring back a refused submission.
+			q.jobLog.Truncate(st.Size()) //nolint:errcheck // err is the one to report
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("jobqueue: log job %q: %w", spec.ID, err)
+	}
+	return nil
 }
 
 // recordMatches is the resume/acceptance criterion: same point identity,
@@ -260,20 +343,11 @@ func (q *Queue) touchWorker(id string) *workerInfo {
 	return w
 }
 
-// Heartbeat marks the worker live and renews the deadline of every lease
-// it holds. Workers that track their own leases should prefer
-// HeartbeatLeases: renewing blindly keeps alive leases the worker never
-// learned about (a grant whose response was lost mid-body), which would
-// otherwise pin their points forever.
-func (q *Queue) Heartbeat(workerID string) error {
-	return q.HeartbeatLeases(workerID, nil)
-}
-
 // HeartbeatLeases marks the worker live and renews exactly the leases it
-// reports holding (nil renews all of them — the legacy blind renewal; an
-// empty non-nil slice renews none). A lease the daemon granted but the
-// worker never heard of is deliberately NOT renewed: it runs out its
-// absolute deadline and the sweeper requeues the point.
+// reports holding; with none listed it only marks the worker live. A
+// lease the daemon granted but the worker never heard of is deliberately
+// NOT renewed: it runs out its absolute deadline and the sweeper requeues
+// the point.
 func (q *Queue) HeartbeatLeases(workerID string, held []uint64) error {
 	if workerID == "" {
 		return fmt.Errorf("jobqueue: empty worker id")
@@ -281,26 +355,10 @@ func (q *Queue) HeartbeatLeases(workerID string, held []uint64) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	w := q.touchWorker(workerID)
-	deadline := w.lastSeen.Add(q.opts.LeaseTTL)
-	var renewed []uint64
-	if held == nil {
-		for id, l := range w.leases {
-			l.deadline = deadline
-			renewed = append(renewed, id)
+	for _, id := range held {
+		if l, ok := w.leases[id]; ok {
+			l.deadline = w.lastSeen.Add(q.opts.LeaseTTL)
 		}
-	} else {
-		for _, id := range held {
-			if l, ok := w.leases[id]; ok {
-				l.deadline = deadline
-				renewed = append(renewed, id)
-			}
-		}
-	}
-	if len(renewed) > 0 {
-		// Idle heartbeats change no lease state; logging only held-lease
-		// renewals keeps the WAL proportional to work, not to fleet size.
-		sort.Slice(renewed, func(i, j int) bool { return renewed[i] < renewed[j] })
-		q.walAppend(walRecord{Type: "renew", Worker: workerID, Deadline: deadline, LastSeen: w.lastSeen, Leases: renewed})
 	}
 	return nil
 }
@@ -345,8 +403,6 @@ func (q *Queue) Acquire(workerID string) (*Lease, error) {
 			t.lease = l
 			q.leases[l.id] = l
 			w.leases[l.id] = l
-			q.walAppend(walRecord{Type: "lease", Job: j.spec.ID, Point: &t.ref, Lease: l.id,
-				Worker: workerID, Attempt: l.attempt, Deadline: l.deadline, Started: l.started})
 			return &Lease{
 				ID:       l.id,
 				Job:      j.spec.ID,
@@ -363,12 +419,14 @@ func (q *Queue) Acquire(workerID string) (*Lease, error) {
 }
 
 // Complete records a finished point. Stale leases are accepted — a worker
-// that lost its lease to expiry but finished anyway delivers a record that
-// is bit-identical by seed purity, and the first valid completion wins.
-// Duplicate completions of an already-done point are discarded and
-// counted. A record that does not match the lease's point and spec
-// consumes an attempt like a reported failure: the worker is evidently not
-// computing what it was asked.
+// that lost its lease to expiry or to a daemon restart but finished anyway
+// delivers a record that is bit-identical by seed purity, and the first
+// valid completion wins. Duplicate completions of an already-done point
+// are discarded and counted. A record that does not match the lease's
+// point and spec consumes an attempt like a reported failure: the worker
+// is evidently not computing what it was asked. Only the point's own
+// lease is ever released: a stale ref.ID may since have been granted for
+// another point.
 func (q *Queue) Complete(ref LeaseRef, rec *campaign.Record) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -391,26 +449,19 @@ func (q *Queue) Complete(ref LeaseRef, rec *campaign.Record) error {
 		// a stale mismatch is simply dropped.
 		if t.lease != nil && t.lease.id == ref.ID {
 			j.retries++
-			q.failLocked(j, t, ref.ID, fmt.Sprintf("record mismatch: got %s/%s seed=%d full=%v trials=%d",
-				rec.Campaign, rec.Point, rec.Seed, rec.Full, rec.Trials), "report")
+			q.failLocked(j, t, fmt.Sprintf("record mismatch: got %s/%s seed=%d full=%v trials=%d",
+				rec.Campaign, rec.Point, rec.Seed, rec.Full, rec.Trials))
 		}
-		q.releaseLease(ref.ID)
 		return fmt.Errorf("jobqueue: record does not match lease for %s/%s", ref.Point.Campaign, ref.Point.Key)
 	}
 	if j.complete || t.state == taskDone {
 		j.dups++
 		q.logf("job %s: duplicate completion of %s/%s discarded", j.spec.ID, t.ref.Campaign, t.ref.Key)
-		q.releaseLease(ref.ID)
-		q.walAppend(walRecord{Type: "dup", Job: j.spec.ID, Point: &t.ref, Lease: ref.ID})
 		return nil
 	}
-	var dur time.Duration
-	timed := false
-	if l := q.leases[ref.ID]; l != nil && l.task == t {
-		dur = q.opts.Now().Sub(l.started)
-		j.compDur += dur
+	if l := t.lease; l != nil && l.id == ref.ID {
+		j.compDur += q.opts.Now().Sub(l.started)
 		j.compN++
-		timed = true
 	}
 	if t.state == taskFailed {
 		// A straggler delivered the record after the attempt budget wrote
@@ -419,26 +470,17 @@ func (q *Queue) Complete(ref LeaseRef, rec *campaign.Record) error {
 		q.logf("job %s: late completion filled failed point %s/%s", j.spec.ID, t.ref.Campaign, t.ref.Key)
 	}
 	q.dropTaskLease(t)
-	q.releaseLease(ref.ID)
 	if err := j.sink.Append(rec); err != nil {
 		// Sink failure is a daemon-side storage problem, not the worker's:
 		// leave the task pending so the record is recomputed and appended
 		// once storage recovers.
 		t.state = taskPending
 		t.notBefore = q.opts.Now().Add(q.backoff(t.attempts))
-		q.walAppend(walRecord{Type: "fail", Job: j.spec.ID, Point: &t.ref, Lease: ref.ID,
-			Worker: ref.Worker, Attempt: t.attempts, Outcome: "retry", Cause: "report",
-			NotBefore: t.notBefore, Err: fmt.Sprintf("append record: %v", err)})
 		return fmt.Errorf("jobqueue: append record: %w", err)
 	}
 	t.state = taskDone
 	t.lastErr = ""
 	j.done++
-	// Checkpoint first, WAL second: a logged completion implies the record
-	// is durable. The reverse crash window (record durable, completion
-	// lost) is healed by the reconcile step on recovery.
-	q.walAppend(walRecord{Type: "complete", Job: j.spec.ID, Point: &t.ref, Lease: ref.ID,
-		Worker: ref.Worker, Timed: timed, DurNS: int64(dur)})
 	q.maybeFinish(j)
 	return nil
 }
@@ -446,7 +488,8 @@ func (q *Queue) Complete(ref LeaseRef, rec *campaign.Record) error {
 // Fail records a reported point failure from the task's current lease
 // holder: retry after backoff, or land the point in the failure manifest
 // once the attempt budget is spent. Stale reports (the lease was already
-// requeued or resolved) are ignored.
+// requeued or resolved, or was granted by an earlier incarnation) are
+// ignored and release nothing.
 func (q *Queue) Fail(ref LeaseRef, msg string) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -462,35 +505,28 @@ func (q *Queue) Fail(ref LeaseRef, msg string) error {
 		return fmt.Errorf("jobqueue: job %q has no point %s/%s", ref.Job, ref.Point.Campaign, ref.Point.Key)
 	}
 	if t.lease == nil || t.lease.id != ref.ID || t.state != taskLeased {
-		q.releaseLease(ref.ID)
 		return nil // stale: the point moved on without this worker
 	}
 	j.retries++
-	q.failLocked(j, t, ref.ID, msg, "report")
-	q.releaseLease(ref.ID)
+	q.failLocked(j, t, msg)
 	return nil
 }
 
-// failLocked applies failure bookkeeping to a leased task and logs the
-// transition to the WAL (caller holds the lock and releases the reporting
-// lease; cause is "report" or "sweep" for the recovery counters).
-func (q *Queue) failLocked(j *qjob, t *qtask, leaseID uint64, msg, cause string) {
+// failLocked applies failure bookkeeping to a leased task and releases its
+// lease (caller holds the lock).
+func (q *Queue) failLocked(j *qjob, t *qtask, msg string) {
 	q.dropTaskLease(t)
 	t.lastErr = msg
 	if t.attempts >= q.opts.MaxAttempts {
 		t.state = taskFailed
 		j.failed++
 		q.logf("job %s: point %s/%s exhausted %d attempts: %s", j.spec.ID, t.ref.Campaign, t.ref.Key, t.attempts, msg)
-		q.walAppend(walRecord{Type: "fail", Job: j.spec.ID, Point: &t.ref, Lease: leaseID,
-			Attempt: t.attempts, Outcome: "exhausted", Cause: cause, Err: msg})
 		q.maybeFinish(j)
 		return
 	}
 	d := q.backoff(t.attempts)
 	t.state = taskPending
 	t.notBefore = q.opts.Now().Add(d)
-	q.walAppend(walRecord{Type: "fail", Job: j.spec.ID, Point: &t.ref, Lease: leaseID,
-		Attempt: t.attempts, Outcome: "retry", Cause: cause, NotBefore: t.notBefore, Err: msg})
 	q.logf("job %s: point %s/%s attempt %d failed (%s); retrying in %v", j.spec.ID, t.ref.Campaign, t.ref.Key, t.attempts, msg, d)
 }
 
@@ -560,23 +596,21 @@ func (q *Queue) Sweep() int {
 			t.state = taskFailed
 			j.failed++
 			q.logf("job %s: point %s/%s exhausted %d attempts: %s", j.spec.ID, t.ref.Campaign, t.ref.Key, t.attempts, reason)
-			q.walAppend(walRecord{Type: "fail", Job: j.spec.ID, Point: &t.ref, Lease: l.id,
-				Attempt: t.attempts, Outcome: "exhausted", Cause: "sweep", Err: reason})
 			q.maybeFinish(j)
 			continue
 		}
 		// Requeue immediately: the point is presumed fine, the worker dead.
 		t.state = taskPending
 		t.notBefore = now
-		q.walAppend(walRecord{Type: "fail", Job: j.spec.ID, Point: &t.ref, Lease: l.id,
-			Attempt: t.attempts, Outcome: "retry", Cause: "sweep", NotBefore: t.notBefore, Err: reason})
 		q.logf("job %s: requeued %s/%s (%s, attempt %d)", j.spec.ID, t.ref.Campaign, t.ref.Key, reason, t.attempts)
 	}
 	return len(victims)
 }
 
 // maybeFinish finalises a job whose every point is done or failed: closes
-// the sink and writes the failure manifest (caller holds the lock).
+// the sink and writes the failure manifest (caller holds the lock). The
+// manifest is the only durable record of the job's holes, so it is
+// fsync'd before it replaces any earlier one.
 func (q *Queue) maybeFinish(j *qjob) {
 	if j.complete || j.done+j.failed < len(j.tasks) {
 		return
@@ -594,11 +628,21 @@ func (q *Queue) maybeFinish(j *qjob) {
 		m.Failures = []FailureEntry{}
 	}
 	data, err := json.MarshalIndent(m, "", "  ")
+	var f *os.File
 	if err == nil {
-		tmp := j.manifest + ".tmp"
-		if err = os.WriteFile(tmp, append(data, '\n'), 0o644); err == nil {
-			err = os.Rename(tmp, j.manifest)
+		f, err = os.Create(j.manifest + ".tmp")
+	}
+	if err == nil {
+		_, err = f.Write(append(data, '\n'))
+		if err == nil {
+			err = f.Sync()
 		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err == nil {
+		err = os.Rename(j.manifest+".tmp", j.manifest)
 	}
 	if err != nil {
 		q.logf("job %s: write manifest: %v", j.spec.ID, err)
@@ -732,37 +776,35 @@ func (q *Queue) ManifestOf(jobID string) (Manifest, bool) {
 	return m, true
 }
 
-// Close flushes and closes the queue's files (daemon shutdown). A durable
-// queue (Options.StateDir) folds its state into a final snapshot and
-// leaves incomplete jobs incomplete — a daemon reopened over the same
-// state dir resumes them exactly. A non-durable queue marks incomplete
-// jobs complete as it closes their sinks; a restarted daemon resubmits
-// with Resume to continue.
+// Drain stops granting new leases (Acquire answers "nothing runnable")
+// while completions, failures and heartbeats keep flowing — the first
+// phase of a graceful shutdown. Healthz reports "draining".
+func (q *Queue) Drain() {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.draining = true
+	q.logf("state: draining — no new leases will be granted")
+}
+
+// Close closes the queue's files (daemon shutdown) and marks incomplete
+// jobs complete as it closes their sinks. A queue reopened over the same
+// StateDir rebuilds them from their records; without one, a restarted
+// daemon resubmits with Resume to continue.
 func (q *Queue) Close() error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	var first error
-	if q.wal != nil {
-		if err := q.compactLocked(); err != nil {
-			first = err
-		}
-		if q.wal != nil {
-			if err := q.wal.Close(); err != nil && first == nil {
-				first = err
-			}
-			q.wal = nil
-		}
+	if q.jobLog != nil {
+		first = q.jobLog.Close()
+		q.jobLog = nil
 	}
-	durable := q.opts.StateDir != ""
 	for _, j := range q.jobs {
 		if !j.complete && j.sink != nil {
 			if err := j.sink.Close(); err != nil && first == nil {
 				first = err
 			}
 			j.sink = nil
-			if !durable {
-				j.complete = true
-			}
+			j.complete = true
 		}
 	}
 	return first

@@ -160,13 +160,13 @@ func TestHeartbeatExtendsLeaseDeadline(t *testing.T) {
 	clk := newFakeClock()
 	q := newTestQueue(t, clk, 1, nil)
 	mustSubmit(t, q, JobSpec{ID: "j", Experiments: []string{"all"}, Seed: 7})
-	mustAcquire(t, q, "w1")
+	l := mustAcquire(t, q, "w1")
 
 	// Heartbeat every 4s; by t0+14 the original t0+10 deadline has long
 	// passed, but each beat pushed it out — the lease must survive.
 	for i := 0; i < 3; i++ {
 		clk.advance(4 * time.Second)
-		if err := q.Heartbeat("w1"); err != nil {
+		if err := q.HeartbeatLeases("w1", []uint64{l.ID}); err != nil {
 			t.Fatalf("Heartbeat: %v", err)
 		}
 		if n := q.Sweep(); n != 0 {
@@ -191,7 +191,7 @@ func TestHeartbeatTimeoutRequeuesOnlySilentWorker(t *testing.T) {
 	lLive := mustAcquire(t, q, "live")
 
 	clk.advance(4 * time.Second)
-	if err := q.Heartbeat("live"); err != nil {
+	if err := q.HeartbeatLeases("live", []uint64{lLive.ID}); err != nil {
 		t.Fatal(err)
 	}
 	clk.advance(2 * time.Second) // dead silent 6s > 5s window; deadlines (t0+10) unexpired
@@ -204,6 +204,34 @@ func TestHeartbeatTimeoutRequeuesOnlySilentWorker(t *testing.T) {
 	}
 	if len(st.Leases) != 1 || st.Leases[0].Worker != "live" {
 		t.Fatalf("surviving lease = %+v, want live's %v (dead's was %v)", st.Leases, lLive.Point, lDead.Point)
+	}
+}
+
+// TestZombieLeaseExpiresDespiteHeartbeats pins the lost-grant hazard: the
+// daemon grants a lease but the response never reaches the worker (severed
+// mid-body by a crash). The worker keeps heartbeating with its manifest of
+// known leases, which must NOT keep the orphan alive — it runs out its
+// deadline and the sweeper requeues the point.
+func TestZombieLeaseExpiresDespiteHeartbeats(t *testing.T) {
+	clk := newFakeClock()
+	q := newTestQueue(t, clk, 4, nil)
+	mustSubmit(t, q, JobSpec{ID: "j", Experiments: []string{"all"}, Seed: 9})
+	known := mustAcquire(t, q, "w1")  // the worker got this response
+	zombie := mustAcquire(t, q, "w1") // this response was lost in transit
+	clk.advance(6 * time.Second)
+	if err := q.HeartbeatLeases("w1", []uint64{known.ID}); err != nil {
+		t.Fatal(err)
+	}
+	clk.advance(5 * time.Second) // t=11s: known renewed to 16s, zombie expired at 10s
+	if n := q.Sweep(); n != 1 {
+		t.Fatalf("sweep requeued %d lease(s), want 1 (the zombie)", n)
+	}
+	st, _ := q.Status("j")
+	if st.Leased != 1 || st.Requeues != 1 {
+		t.Fatalf("after zombie sweep: %+v", st)
+	}
+	if len(st.Leases) != 1 || st.Leases[0].Point != known.Point {
+		t.Fatalf("wrong lease survived: %+v (zombie was %s)", st.Leases, zombie.Point.Key)
 	}
 }
 
@@ -605,6 +633,49 @@ func TestResumeIgnoresMismatchedSeedRecords(t *testing.T) {
 	}
 }
 
+// TestResumeKeepsManifestHoles: resuming a degraded job keeps the holes of
+// its manifest failed instead of running them again, unless the manifest
+// was written for another seed.
+func TestResumeKeepsManifestHoles(t *testing.T) {
+	clk := newFakeClock()
+	opts := testOptions(t, clk, 2)
+	opts.MaxAttempts = 1
+	q1, err := NewQueue(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustSubmit(t, q1, JobSpec{ID: "r", Experiments: []string{"all"}, Seed: 1})
+	l := mustAcquire(t, q1, "w1")
+	if err := q1.Complete(l.Ref(), recFor(l)); err != nil {
+		t.Fatal(err)
+	}
+	if err := q1.Fail(mustAcquire(t, q1, "w1").Ref(), "poison point"); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		seed                  uint64
+		state                 string
+		done, failed, pending int
+	}{
+		{1, "complete", 1, 1, 0}, // the hole stays; nothing is left to run
+		{2, "running", 0, 0, 2},  // neither records nor holes carry over
+	} {
+		q, err := NewQueue(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := mustSubmit(t, q, JobSpec{ID: "r", Experiments: []string{"all"}, Seed: c.seed, Resume: true})
+		if st.State != c.state || st.Done != c.done || st.Failed != c.failed || st.Pending != c.pending {
+			t.Errorf("resume under seed %d: %+v, want %s with %d done, %d failed, %d pending",
+				c.seed, st, c.state, c.done, c.failed, c.pending)
+		}
+		if err := q.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestHealthzCountsLiveWorkers(t *testing.T) {
 	clk := newFakeClock()
 	q := newTestQueue(t, clk, 1, nil)
@@ -616,7 +687,7 @@ func TestHealthzCountsLiveWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk.advance(4 * time.Second)
-	if err := q.Heartbeat("w2"); err != nil {
+	if err := q.HeartbeatLeases("w2", nil); err != nil { // w2 holds no lease
 		t.Fatal(err)
 	}
 	clk.advance(3 * time.Second) // w1 silent 7s > 5s window

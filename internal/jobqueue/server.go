@@ -24,7 +24,7 @@ import (
 // Worker API:
 //
 //	POST /api/v1/workers/register     {"id": ...}; 200 {"lease_ttl_ms", "heartbeat_ms"}
-//	POST /api/v1/workers/heartbeat    {"id": ...}
+//	POST /api/v1/workers/heartbeat    {"id": ..., "leases": [held lease IDs]}
 //	POST /api/v1/lease                {"worker": ...}; 200 Lease or 204 when nothing is runnable
 //	POST /api/v1/complete             {"lease": LeaseRef, "record": Record}
 //	POST /api/v1/fail                 {"lease": LeaseRef, "error": "..."}
@@ -178,8 +178,8 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		ID string `json:"id"`
-		// Leases is the worker's own view of what it holds; absent means
-		// "renew everything" (legacy), present renews exactly that set.
+		// Leases is the worker's own view of what it holds: exactly that set
+		// is renewed, and none when it is absent.
 		Leases []uint64 `json:"leases"`
 	}
 	if !decodeBody(w, r, &req) {

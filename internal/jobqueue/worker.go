@@ -64,10 +64,11 @@ type WorkerOptions struct {
 // acquire and report delivery all retry transient failures with the
 // shared capped exponential backoff, completions and failure reports are
 // never abandoned while the context lives (a computed record is delivered
-// through arbitrary daemon downtime — the WAL-restored daemon will accept
-// or dup-discard it), and the heartbeat goroutine re-registers after an
-// outage ends. Only a permanent refusal (4xx — the daemon understood and
-// said no) drops a report, because resending it cannot change the answer.
+// through arbitrary daemon downtime — a restarted daemon rebuilds the job
+// from its records and will accept or dup-discard it), and the heartbeat
+// goroutine re-registers after an outage ends. Only a permanent refusal
+// (4xx — the daemon understood and said no) drops a report, because
+// resending it cannot change the answer.
 func RunWorker(ctx context.Context, c *Client, r Runner, o WorkerOptions) error {
 	if o.ID == "" {
 		return fmt.Errorf("jobqueue: WorkerOptions.ID is required")

@@ -124,9 +124,10 @@ echo "chaos smoke: PASS leg 1 — ${n} records identical across worker death"
 # Leg 2: kill the DAEMON. A fresh campaignd (own -data/-state) runs a second
 # campaign across two slow workers; mid-campaign — after at least two worker
 # completions, with more in flight — the daemon takes SIGKILL. Restarted over
-# the same address and state directory, it must replay its WAL, pick the
-# fleet back up (the workers are never restarted), and finish with records
-# byte-identical to the same single-process truth.
+# the same address and directories, it must rebuild the campaign from its
+# job log (state2/jobs.jsonl) and records, rerun the points that were in
+# flight, pick the fleet back up (the workers are never restarted), and
+# finish with records byte-identical to the same single-process truth.
 # ---------------------------------------------------------------------------
 kill "${w2_pid}" 2>/dev/null || true
 kill "${daemon_pid}" 2>/dev/null || true
@@ -190,7 +191,7 @@ sleep 0.5
 kill -0 "${daemon2_pid}" 2>/dev/null || die "restarted campaignd died (port not rebindable?)"
 
 grep -q "restored" "${work}/campaignd2.log" \
-  || die "restarted daemon never logged a state restore — WAL not replayed"
+  || die "restarted daemon never logged a state restore — job log not read"
 
 echo "chaos smoke: waiting for completion through the restart"
 if ! "${work}/campaignctl" -daemon "${daemon2}" wait -timeout 5m -poll 1s smoke2 \
