@@ -31,6 +31,9 @@ func main() {
 		csv       = flag.Bool("csv", false, "emit CSV instead of markdown")
 	)
 	flag.Parse()
+	if err := checkFlags(*trials); err != nil {
+		fatal(err)
+	}
 
 	topo, err := cliutil.ParseTopology(*topoSpec)
 	if err != nil {
@@ -87,6 +90,15 @@ func main() {
 	} else {
 		fmt.Print(table.Markdown())
 	}
+}
+
+// checkFlags rejects flag values the trials cannot run with, before any
+// trial starts.
+func checkFlags(trials int) error {
+	if trials < 1 {
+		return fmt.Errorf("-trials %d: need at least one trial", trials)
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -77,8 +77,9 @@
 // that iterates only the uninformed frontier's in-edges
 // (Σ deg(uninformed), the late-phase winner; its collision count covers
 // uninformed receivers only — Options.ExactCollisions pins the
-// transmitter-side count), and a word-parallel dense kernel for the
-// mid-phase (Σ deg(tx) ≥ n on a binary-decidable channel): carry-save
+// transmitter-side count), and a word-parallel dense kernel for every
+// round with Σ deg(tx) ≥ ⌈n/64⌉ — the word count of its resolution pass —
+// on a materialized graph and a binary-decidable channel: carry-save
 // hit accumulation into two Bitset planes and 64-receivers-at-a-time
 // resolution, branch-free and transmitter-side exact. The cores go to
 // trials: each grid point fans its trials over Config.Workers goroutines

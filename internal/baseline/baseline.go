@@ -83,7 +83,7 @@ func (f *FixedProb) Name() string { return fmt.Sprintf("fixed(q=%.4g)", f.Q) }
 
 // Begin implements radio.Broadcaster.
 func (f *FixedProb) Begin(n int, src graph.NodeID, r *rng.RNG) {
-	if f.Q < 0 || f.Q > 1 {
+	if !(f.Q >= 0 && f.Q <= 1) { // NaN fails too
 		panic("baseline: FixedProb needs q in [0,1]")
 	}
 	f.informedAt = make([]int, n)
@@ -314,7 +314,7 @@ func (e *ElsasserGasieniec) Name() string { return "elsasser-gasieniec" }
 
 // Begin implements radio.Broadcaster.
 func (e *ElsasserGasieniec) Begin(n int, src graph.NodeID, r *rng.RNG) {
-	if e.P <= 0 || e.P > 1 {
+	if !(e.P > 0 && e.P <= 1) { // NaN fails too
 		panic("baseline: ElsasserGasieniec needs 0 < p <= 1")
 	}
 	e.n = n
@@ -472,7 +472,7 @@ func (u *UniformGossip) Name() string { return fmt.Sprintf("uniform-gossip(q=%.4
 
 // Begin implements radio.Gossiper.
 func (u *UniformGossip) Begin(n int, r *rng.RNG) {
-	if u.Q < 0 || u.Q > 1 {
+	if !(u.Q >= 0 && u.Q <= 1) { // NaN fails too
 		panic("baseline: UniformGossip needs q in [0,1]")
 	}
 	u.n = n

@@ -313,23 +313,13 @@ func ParseTopology(spec string) (*Topology, error) {
 	if err := p.checkUnused(); err != nil {
 		return nil, err
 	}
-	// Probe the builder once so invalid parameters surface as errors here
-	// rather than panics later in a sweep.
-	var probe *graph.Digraph
-	if buildErr := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("%q: %v", spec, r)
-			}
-		}()
-		probe = topo.Build(0)
-		return nil
-	}(); buildErr != nil {
-		return nil, buildErr
+	var g *graph.Digraph
+	if err := probe(spec, func() { g = topo.Build(0) }); err != nil {
+		return nil, err
 	}
-	topo.N = probe.N()
+	topo.N = g.N()
 	topo.Source = 0
-	ecc, _ := graph.Eccentricity(probe, topo.Source)
+	ecc, _ := graph.Eccentricity(g, topo.Source)
 	if ecc < 1 {
 		ecc = 1
 	}
@@ -428,6 +418,9 @@ func ParseBroadcaster(spec string, n, D int) (func() radio.Broadcaster, error) {
 	if err := p.checkUnused(); err != nil {
 		return nil, err
 	}
+	if err := probe(spec, func() { factory().Begin(n, 0, rng.New(0)) }); err != nil {
+		return nil, err
+	}
 	return factory, nil
 }
 
@@ -438,6 +431,8 @@ func ParseGossiper(spec string, n int) (func() radio.Gossiper, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	var factory func() radio.Gossiper
+	var budget int
 	switch name {
 	case "algorithm2":
 		prob, err1 := p.floatOr("p", 0)
@@ -448,38 +443,53 @@ func ParseGossiper(spec string, n int) (func() radio.Gossiper, int, error) {
 		if prob == 0 {
 			return nil, 0, fmt.Errorf("algorithm2 needs p= (the G(n,p) edge probability)")
 		}
-		if err := p.checkUnused(); err != nil {
-			return nil, 0, err
-		}
-		probe := core.NewAlgorithm2(prob)
-		probe.Gamma = gamma
-		return func() radio.Gossiper {
+		factory = func() radio.Gossiper {
 			a := core.NewAlgorithm2(prob)
 			a.Gamma = gamma
 			return a
-		}, probe.RoundBudget(n), nil
+		}
+		budget = factory().(*core.Algorithm2).RoundBudget(n)
 	case "tdma":
 		sweeps, err1 := p.intOr("sweeps", 2*n)
 		if err1 != nil {
 			return nil, 0, err1
 		}
-		if err := p.checkUnused(); err != nil {
-			return nil, 0, err
-		}
-		return func() radio.Gossiper { return &baseline.TDMAGossip{} }, n * sweeps, nil
+		factory = func() radio.Gossiper { return &baseline.TDMAGossip{} }
+		budget = n * sweeps
 	case "uniform":
 		q, err1 := p.floatOr("q", 0.05)
 		rounds, err2 := p.intOr("rounds", 100000)
 		if err := firstErr(err1, err2); err != nil {
 			return nil, 0, err
 		}
-		if err := p.checkUnused(); err != nil {
-			return nil, 0, err
-		}
-		return func() radio.Gossiper { return &baseline.UniformGossip{Q: q} }, rounds, nil
+		factory = func() radio.Gossiper { return &baseline.UniformGossip{Q: q} }
+		budget = rounds
 	default:
 		return nil, 0, fmt.Errorf("unknown gossip protocol %q (have algorithm2, tdma, uniform)", name)
 	}
+	if err := p.checkUnused(); err != nil {
+		return nil, 0, err
+	}
+	if budget < 1 {
+		return nil, 0, fmt.Errorf("%q: round budget %d: need at least one round", spec, budget)
+	}
+	if err := probe(spec, func() { factory().Begin(n, rng.New(0)) }); err != nil {
+		return nil, 0, err
+	}
+	return factory, budget, nil
+}
+
+// probe runs build once under recover, so a parameter a generator or
+// protocol rejects surfaces as an error at parse time instead of as a panic
+// later inside a sweep.
+func probe(spec string, build func()) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%q: %v", spec, r)
+		}
+	}()
+	build()
+	return nil
 }
 
 func firstErr(errs ...error) error {

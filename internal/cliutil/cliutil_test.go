@@ -300,3 +300,50 @@ func TestParseGossiperPerKeyErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestProtocolSpecsFailAsErrors covers specs whose protocol panics in Begin
+// or whose round budget is empty: each must come back from the parser as an
+// error, before any trial runs, instead of crashing the command later.
+func TestProtocolSpecsFailAsErrors(t *testing.T) {
+	broadcast := []struct {
+		spec string
+		n, D int
+	}{
+		{"algorithm1:p=2", 1024, 62},
+		{"algorithm1:p=0.0001", 256, 8}, // d = np ≤ 1
+		{"algorithm1:p=NaN", 1024, 62},
+		{"fixed:q=2", 1024, 62},
+		{"fixed:q=-0.5", 1024, 62},
+		{"fixed:q=NaN", 1024, 62},
+		{"eg:p=2", 1024, 62},
+		{"eg:p=0.0001", 256, 8},
+		{"decay:phases=0", 64, 4},
+		{"tradeoff:lambda=1000", 1024, 62},
+	}
+	for _, c := range broadcast {
+		if _, err := ParseBroadcaster(c.spec, c.n, c.D); err == nil {
+			t.Errorf("ParseBroadcaster(%q, n=%d) accepted", c.spec, c.n)
+		} else if !strings.Contains(err.Error(), c.spec) {
+			t.Errorf("ParseBroadcaster(%q): error %q does not name the spec", c.spec, err)
+		}
+	}
+	gossip := []struct {
+		spec string
+		n    int
+		want string // substring of the error
+	}{
+		{"uniform:q=0.02,rounds=0", 256, "round budget 0"},
+		{"uniform:rounds=-5", 256, "round budget -5"},
+		{"tdma:sweeps=0", 8, "round budget 0"},
+		{"algorithm2:p=0.1,gamma=-1", 256, "round budget"},
+		{"algorithm2:p=2", 256, "Algorithm2"},
+		{"uniform:q=-1", 256, "UniformGossip"},
+		{"uniform:q=NaN", 256, "UniformGossip"},
+	}
+	for _, c := range gossip {
+		_, _, err := ParseGossiper(c.spec, c.n)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("ParseGossiper(%q, n=%d) = %v, want an error containing %q", c.spec, c.n, err, c.want)
+		}
+	}
+}

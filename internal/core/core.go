@@ -26,17 +26,6 @@ import (
 	"repro/internal/rng"
 )
 
-// nodeStatus tracks the §2 node life cycle: a node is uninformed until it
-// first receives the message, active while it may still transmit, and
-// passive once it will never transmit again.
-type nodeStatus uint8
-
-const (
-	statusUninformed nodeStatus = iota
-	statusActive
-	statusPassive // informed, will never transmit
-)
-
 // Algorithm1 is the paper's Algorithm 1: an energy-efficient broadcasting
 // protocol for the random network G(n,p) in which every node transmits at
 // most once.
@@ -81,8 +70,7 @@ type Algorithm1 struct {
 	phase3To    int // last Phase-3 round (inclusive)
 	p2prob      float64
 	p3prob      float64
-	status      []nodeStatus
-	active      []graph.NodeID // active nodes in informing order
+	active      []graph.NodeID // active nodes in informing order; other informed nodes are passive
 	txs         radio.TxSet    // this round's transmitters (shared-draw set)
 	r           *rng.RNG
 }
@@ -124,7 +112,7 @@ func (a *Algorithm1) TotalRounds() int { return a.phase3To }
 
 // Begin implements radio.Broadcaster.
 func (a *Algorithm1) Begin(n int, src graph.NodeID, r *rng.RNG) {
-	if a.P <= 0 || a.P > 1 {
+	if !(a.P > 0 && a.P <= 1) { // NaN fails too
 		panic(fmt.Sprintf("core: Algorithm1 needs 0 < p <= 1, got %v", a.P))
 	}
 	a.n = n
@@ -169,20 +157,16 @@ func (a *Algorithm1) Begin(n int, src graph.NodeID, r *rng.RNG) {
 		a.p3prob = clampProb(1 / (a.d * a.P))
 	}
 	a.phase3To = a.phase3From + p3len - 1
-	a.status = make([]nodeStatus, n)
 	a.active = a.active[:0]
 	a.txs.Reset(n)
 }
 
 // OnInformed implements radio.Broadcaster: nodes informed during Phases 1
 // and 2 (and the source at round 0) become active; nodes informed during
-// Phase 3 stay silent forever ("no node gets activated in Phase 3").
+// Phase 3 stay passive forever ("no node gets activated in Phase 3").
 func (a *Algorithm1) OnInformed(round int, v graph.NodeID) {
 	if round < a.phase3From {
-		a.status[v] = statusActive
 		a.active = append(a.active, v)
-	} else {
-		a.status[v] = statusPassive
 	}
 }
 
@@ -197,29 +181,18 @@ func (a *Algorithm1) BeginRound(round int) {
 	case round <= a.t:
 		// Phase 1: every active node transmits once, then retires.
 		a.txs.AddAll(a.active, round)
-		a.retireAll()
+		a.active = a.active[:0]
 	case round == a.phase2Round:
 		// Phase 2: one shot with probability 1/(d^T p); retire either way.
 		a.txs.DrawList(a.r, a.active, a.p2prob, round)
-		a.retireAll()
+		a.active = a.active[:0]
 	case round >= a.phase3From && round <= a.phase3To:
 		// Phase 3: geometric trickle under the cross-round stream contract
 		// (radio.UniformRound): a silent round consumes no randomness, which
 		// is what lets the engine skip silent spans in O(1). Transmitters
-		// retire; the active list only shrinks on transmitting rounds.
-		a.txs.DrawListStream(a.r, a.active, a.p3prob, round)
-		if sel := a.txs.Pending(); len(sel) > 0 {
-			for _, v := range sel {
-				a.status[v] = statusPassive
-			}
-			keep := a.active[:0]
-			for _, v := range a.active {
-				if a.status[v] == statusActive {
-					keep = append(keep, v)
-				}
-			}
-			a.active = keep
-		}
+		// retire during the draw, so the active list only shrinks on
+		// transmitting rounds and keeps its informing order.
+		a.active = a.txs.RetireListStream(a.r, a.active, a.p3prob, round)
 	}
 }
 
@@ -250,13 +223,6 @@ func (a *Algorithm1) SkipSilent(from, to int) int {
 		return from
 	}
 	return from + a.txs.StreamSilentRounds(a.r, k, a.p3prob, to-from+1)
-}
-
-func (a *Algorithm1) retireAll() {
-	for _, v := range a.active {
-		a.status[v] = statusPassive
-	}
-	a.active = a.active[:0]
 }
 
 // ShouldTransmit implements radio.Broadcaster: membership in the round's
@@ -314,7 +280,7 @@ func (a *Algorithm2) Name() string { return "algorithm2-gossip" }
 
 // Begin implements radio.Gossiper.
 func (a *Algorithm2) Begin(n int, r *rng.RNG) {
-	if a.P <= 0 || a.P > 1 {
+	if !(a.P > 0 && a.P <= 1) { // NaN fails too
 		panic(fmt.Sprintf("core: Algorithm2 needs 0 < p <= 1, got %v", a.P))
 	}
 	a.d = float64(n) * a.P

@@ -32,6 +32,12 @@ import (
 // Both planes are zeroed in the same O(n/64) resolution pass, so the kernel
 // allocates nothing and touches no per-node state in steady state.
 //
+// Admission: under KernelAuto the engine runs this kernel once the
+// transmitters' out-degree sum reaches ⌈n/64⌉, the word count of that
+// resolution pass — from there the per-edge saving over push (no counter
+// array, no touched list, no sort of the delivered ids) pays for the pass.
+// Pull still wins first whenever its estimate is cheaper (see chooseKernel).
+//
 // Exactness: hitTwice marks every receiver with ≥ 2 hits, so the collision
 // count covers all receivers (transmitter-side exact, like push and parallel
 // push — the kernel is legal under Options.ExactCollisions). The carry

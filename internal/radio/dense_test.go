@@ -174,3 +174,75 @@ func TestDenseOK(t *testing.T) {
 		}
 	}
 }
+
+// TestChooseKernel pins the per-round kernel policy at its boundaries. The
+// dense rows sit exactly at ⌈n/64⌉, so restoring an admission threshold of
+// n (or any other) fails them; the pull rows sit exactly where the pull
+// estimate plus |tx| meets the out-degree sum. The channel rows take their
+// dense flag from the real models through denseOK.
+func TestChooseKernel(t *testing.T) {
+	denseFor := func(m ReceptionModel) bool { return denseOK(m.resolve(7)) }
+	binary, lossy := denseFor(Binary()), denseFor(LossyChannel(0.25))
+	sinr, fade := denseFor(SINRThreshold(0.5, 0.1)), denseFor(Fade(0.2))
+	const n = 262144 // ⌈n/64⌉ = 4096
+	type row struct {
+		name                                     string
+		forced                                   DeliveryKernel
+		tx                                       int
+		outSum, uninSum                          int64
+		n                                        int
+		trackUnin, materialized, parallel, dense bool
+		want                                     DeliveryKernel
+	}
+	auto := func(name string, tx int, outSum, uninSum int64, nn int, track, mat, par, dense bool, want DeliveryKernel) row {
+		return row{name, KernelAuto, tx, outSum, uninSum, nn, track, mat, par, dense, want}
+	}
+	cases := []row{
+		// The dense admission boundary, with and without pull tracking.
+		auto("push just below n/64", 40, 4095, 1<<40, n, true, true, false, binary, KernelPush),
+		auto("dense at n/64", 40, 4096, 1<<40, n, true, true, false, binary, KernelDense),
+		auto("push below n/64 untracked", 40, 4095, 0, n, false, true, false, binary, KernelPush),
+		auto("dense at n/64 untracked", 40, 4096, 0, n, false, true, false, binary, KernelDense),
+		auto("dense between n/64 and n", 400, 100000, 1<<40, n, true, true, false, binary, KernelDense),
+		auto("dense at n", 400, n, 1<<40, n, true, true, false, binary, KernelDense),
+		auto("fade rides dense", 40, 4096, 0, n, false, true, false, fade, KernelDense),
+		// ⌈n/64⌉ rounds up when n is not a multiple of 64.
+		auto("push below ceil(1000/64)", 3, 15, 0, 1000, false, true, false, binary, KernelPush),
+		auto("dense at ceil(1000/64)", 3, 16, 0, 1000, false, true, false, binary, KernelDense),
+		auto("dense at one word", 1, 1, 0, 64, false, true, false, binary, KernelDense),
+		auto("no transmitters", 0, 0, 0, n, true, true, false, binary, KernelPush),
+
+		// Pull wins first whenever its estimate plus |tx| undercuts outSum.
+		auto("pull undercuts dense", 100, 500000, 499899, n, true, true, false, binary, KernelPull),
+		auto("tie is not pull", 100, 500000, 499900, n, true, true, false, binary, KernelDense),
+		auto("tie below n/64 is push", 10, 4000, 3990, n, true, true, false, binary, KernelPush),
+		auto("pull on a lossy channel", 10, 4000, 3989, n, true, true, false, lossy, KernelPull),
+		auto("pull on an implicit graph", 10, 4000, 3989, n, true, false, false, binary, KernelPull),
+		auto("pull under Parallel", 10, 4000, 3989, n, true, true, true, binary, KernelPull),
+		auto("no pull untracked", 10, 500000, 0, n, false, true, false, lossy, KernelPush),
+
+		// Never dense on an implicit graph, a non-binary-decidable channel,
+		// or under Options.Parallel.
+		auto("implicit graph", 400, 1<<30, 1<<40, n, true, false, false, binary, KernelPush),
+		auto("lossy channel", 400, 1<<30, 1<<40, n, true, true, false, lossy, KernelPush),
+		auto("sinr channel", 400, 1<<30, 1<<40, n, true, true, false, sinr, KernelPush),
+		auto("parallel", 400, 1<<30, 1<<40, n, true, true, true, binary, KernelParallel),
+
+		// Every forcing wins over the cost model.
+		{"forced push", KernelPush, 400, 1 << 30, 0, n, true, true, false, binary, KernelPush},
+		{"forced push under Parallel", KernelPush, 400, 1 << 30, 0, n, false, true, true, binary, KernelParallel},
+		{"forced parallel", KernelParallel, 400, 1 << 30, 0, n, false, true, true, binary, KernelParallel},
+		{"forced pull", KernelPull, 400, 1, 1 << 40, n, false, true, false, binary, KernelPull},
+		{"forced pull without transmitters", KernelPull, 0, 0, 0, n, false, true, false, binary, KernelPull},
+		{"forced dense below n/64", KernelDense, 1, 1, 0, n, true, true, false, binary, KernelDense},
+		{"forced dense on an implicit graph", KernelDense, 1, 1, 0, n, false, false, false, binary, KernelDense},
+		{"forced dense falls back on sinr", KernelDense, 400, 1 << 30, 0, n, false, true, false, sinr, KernelPush},
+		{"forced dense falls back under Parallel", KernelDense, 400, 1 << 30, 0, n, false, true, true, lossy, KernelParallel},
+	}
+	for _, c := range cases {
+		got := chooseKernel(c.forced, c.tx, c.outSum, c.uninSum, c.n, c.trackUnin, c.materialized, c.parallel, c.dense)
+		if got != c.want {
+			t.Errorf("%s: chooseKernel = %d, want %d", c.name, got, c.want)
+		}
+	}
+}

@@ -35,14 +35,15 @@
 // Delivery is direction-optimizing: per round the engine compares the
 // transmitters' out-degree sum against the uninformed frontier's in-degree
 // sum (tracked incrementally) and picks the cheaper kernel — push
-// (radio.go), parallel push (parallel.go), or the receiver-centric pull
-// kernel over the frontier list (frontier.go). Protocols whose rounds are
-// uniform Bernoulli draws additionally implement UniformRound and take
-// their draws through TxSet's cross-round stream contract, letting the
-// engine skip fully silent rounds in O(1) and the energy model settle the
-// skipped span in bulk. All configurations are bit-identical on the
-// informed trajectory, per-node transmissions, rounds and energy; only
-// Result.Collisions is kernel-dependent (see its contract).
+// (radio.go), parallel push (parallel.go), the receiver-centric pull kernel
+// over the frontier list (frontier.go), or, from ⌈n/64⌉ transmitter edges
+// on a materialized graph, the word-parallel dense kernel (dense.go).
+// Protocols whose rounds are uniform Bernoulli draws additionally implement
+// UniformRound and take their draws through TxSet's cross-round stream
+// contract, letting the engine skip fully silent rounds in O(1) and the
+// energy model settle the skipped span in bulk. All configurations are
+// bit-identical on the informed trajectory, per-node transmissions, rounds
+// and energy; only Result.Collisions is kernel-dependent (see its contract).
 //
 // # The channel layer
 //
@@ -164,9 +165,10 @@ const (
 	// KernelAuto lets the engine pick per round from the cost estimates
 	// (the default): pull when the uninformed frontier's in-degree sum
 	// undercuts the transmitters' out-degree sum; the word-parallel dense
-	// kernel when the transmitters' out-degree sum reaches n on a
-	// materialized graph under a dense-capable channel model (see dense.go);
-	// push otherwise (parallel push when Options.Parallel).
+	// kernel when the transmitters' out-degree sum reaches ⌈n/64⌉ (the word
+	// count of its resolution pass) on a materialized graph under a
+	// dense-capable channel model (see dense.go); push otherwise (parallel
+	// push when Options.Parallel). See chooseKernel.
 	KernelAuto DeliveryKernel = iota
 	// KernelPush forces the serial transmitter-centric kernel.
 	KernelPush
@@ -668,48 +670,26 @@ func (s *BroadcastSession) Run(g graph.Implicit, opt Options) *Result {
 		// Delivery phase. (Half- vs full-duplex is immaterial for broadcast:
 		// every transmitter is already informed, so it can never be a first-
 		// time receiver. The distinction matters for gossip; see gossip.go.)
-		// Kernel selection is direction-optimizing: once the frontier's
-		// in-degree sum undercuts the transmitters' out-degree sum (the late
-		// phase), the receiver-centric pull kernel wins. Every kernel
+		// Kernel selection is direction-optimizing (chooseKernel): pull once
+		// the frontier's in-degree sum undercuts the transmitters' out-degree
+		// sum (the late phase), dense once that out-degree sum reaches
+		// ⌈n/64⌉ on a materialized graph, push otherwise. Every kernel
 		// resolves receptions through the same channel capabilities, so
 		// selection is model-independent. The returned slice is kernel
 		// scratch, valid until the next round.
+		var outSum int64
+		if engineOverrides.Kernel == KernelAuto && (trackUnin || dg != nil) {
+			// O(|tx|) on a CSR; implicit rows pay for it only when pull can.
+			outSum = outDegSum(g, transmitters)
+		}
 		var delivered []graph.NodeID
 		var collisions int
-		usePull, useDense := false, false
-		switch engineOverrides.Kernel {
+		switch chooseKernel(engineOverrides.Kernel, len(transmitters), outSum, s.uninSum,
+			s.n, trackUnin, dg != nil, parallel, denseOK(caps)) {
 		case KernelPull:
-			usePull = true
-		case KernelDense:
-			// Forced dense runs every round the channel supports; rounds it
-			// cannot resolve exactly fall back to serial push.
-			useDense = denseOK(caps)
-		case KernelPush, KernelParallel:
-			// forced transmitter-side kernels
-		default:
-			if len(transmitters) > 0 {
-				outSum := int64(-1) // computed at most once, shared by both estimates
-				if trackUnin {
-					outSum = outDegSum(g, transmitters)
-					usePull = s.uninSum+int64(len(transmitters)) < outSum
-				}
-				// Dense pays O(n/64) resolution regardless of density, so it
-				// only wins once the per-edge work it strips reaches ~n; the
-				// out-degree scan that prices that is only O(1)-per-node on a
-				// materialized CSR. Rounds-parallel keeps its shards instead.
-				if !usePull && !parallel && dg != nil && denseOK(caps) {
-					if outSum < 0 {
-						outSum = outDegSum(g, transmitters)
-					}
-					useDense = outSum >= int64(s.n)
-				}
-			}
-		}
-		switch {
-		case usePull:
 			s.fr.sync(s.informed, s.n)
 			delivered, collisions = s.fr.deliver(g, round, transmitters, caps)
-		case useDense:
+		case KernelDense:
 			if s.dn == nil {
 				s.dn = newDenseState(s.n)
 				if s.sc != nil {
@@ -717,7 +697,7 @@ func (s *BroadcastSession) Run(g graph.Implicit, opt Options) *Result {
 				}
 			}
 			delivered, collisions = s.dn.deliver(g, transmitters, s.informed)
-		case parallel:
+		case KernelParallel:
 			delivered, collisions = s.par.deliver(g, round, transmitters, s.informed, caps)
 		default:
 			delivered, collisions = s.st.deliver(g, round, transmitters, s.informed, caps)
@@ -831,6 +811,51 @@ func uniformProb(u UniformRound, enabled bool, round int) (float64, bool) {
 		return 0, false
 	}
 	return u.RoundProb(round)
+}
+
+// chooseKernel is the per-round delivery-kernel policy. It is a pure
+// function of work counts and capability flags and never of a machine
+// measurement such as Calibrate, so which kernel serves a round — and with
+// it Result.Collisions under pull — is the same on every host.
+//
+// forced is the EngineOverrides pin, tx the transmitter count, outSum their
+// out-degree sum, uninSum the pull estimate Σ indeg(uninformed) (read only
+// when trackUnin), and n the node count; materialized says g is a CSR
+// *graph.Digraph, parallel that rounds-parallel delivery was asked for, and
+// dense that denseOK holds for the channel. The transmitter-side fallback is
+// parallel push when parallel, serial push otherwise.
+func chooseKernel(forced DeliveryKernel, tx int, outSum, uninSum int64, n int, trackUnin, materialized, parallel, dense bool) DeliveryKernel {
+	push := KernelPush
+	if parallel {
+		push = KernelParallel
+	}
+	switch forced {
+	case KernelPull:
+		return KernelPull
+	case KernelDense:
+		// Forced dense runs every round the channel resolves exactly.
+		if dense {
+			return KernelDense
+		}
+		return push
+	case KernelPush, KernelParallel:
+		return push
+	}
+	if tx == 0 {
+		return push
+	}
+	if trackUnin && uninSum+int64(tx) < outSum {
+		return KernelPull
+	}
+	// Dense pays one resolution pass over the ⌈n/64⌉ words of its bit
+	// planes whatever the round's density, and saves per edge over push, so
+	// it is admitted once the round has that many edges. The out-degree scan
+	// that prices it is O(1) per node only on a CSR, and rounds-parallel
+	// keeps its shards.
+	if dense && materialized && !parallel && outSum >= int64(n+63)/64 {
+		return KernelDense
+	}
+	return push
 }
 
 // dropJammed removes jammed receivers from the delivered list, preserving

@@ -89,25 +89,54 @@ func (s *TxSet) ensureStream(r *rng.RNG, q float64) {
 // marginals are unchanged: every candidate is still selected independently
 // with probability q.
 func (s *TxSet) DrawListStream(r *rng.RNG, list []graph.NodeID, q float64, round int) {
+	s.drawStream(r, list, q, round, false)
+}
+
+// RetireListStream is DrawListStream for candidates that retire on
+// transmitting (Algorithm 1's Phase 3): it draws the same selection from
+// the same randomness, removes the selected candidates from list in place,
+// and returns the survivors in their original order. Only the segments
+// between selected positions are copied, so a silent round costs O(1).
+func (s *TxSet) RetireListStream(r *rng.RNG, list []graph.NodeID, q float64, round int) []graph.NodeID {
+	return s.drawStream(r, list, q, round, true)
+}
+
+// drawStream is the one stream loop behind DrawListStream and
+// RetireListStream; with retire set it compacts the unselected candidates
+// to the front of list and returns them, otherwise it returns list as is.
+func (s *TxSet) drawStream(r *rng.RNG, list []graph.NodeID, q float64, round int, retire bool) []graph.NodeID {
 	k := len(list)
 	if q >= 1 {
 		// Degenerate flood round: everyone transmits, no randomness, and the
 		// carried gap (if any) is untouched.
 		s.AddAll(list, round)
-		return
+		if retire {
+			return list[:0]
+		}
+		return list
 	}
 	if q <= 0 || k == 0 {
-		return
+		return list
 	}
 	s.ensureStream(r, q)
-	pos := 0
+	pos, keep := 0, 0 // list[:keep] are survivors; list[keep:pos] is free
 	for pos+s.gap < k {
-		pos += s.gap
-		s.Add(list[pos], round)
-		pos++
+		sel := pos + s.gap
+		if retire {
+			if keep != pos {
+				copy(list[keep:], list[pos:sel])
+			}
+			keep += sel - pos
+		}
+		s.Add(list[sel], round)
+		pos = sel + 1
 		s.gap = r.Geometric(q)
 	}
 	s.gap -= k - pos
+	if !retire || keep == pos {
+		return list
+	}
+	return list[:keep+copy(list[keep:], list[pos:])]
 }
 
 // DrawRangeStream is DrawListStream over the id range [0, n) — the gossip
