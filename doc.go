@@ -31,10 +31,11 @@
 // r_c = sqrt(ln n/(π n))), Matérn-style clustered placement, per-node
 // transmission radii (asymmetric links from heterogeneous transmit power),
 // and a mobility layer (graph.MobileNetwork: random-waypoint or resample
-// epochs emitting one CSR snapshot per epoch). Construction is O(n + m) via
-// a cell-grid spatial index into graph.Scratch storage; the G1–G6 experiment
-// battery in internal/expt maps broadcast and gossip behaviour across this
-// model class.
+// epochs emitting one CSR snapshot per epoch). Every geometric graph comes
+// from one neighbour search, the graph.ImplicitGeom cell-grid index, which
+// graph.Scratch builds into reusable storage and materializes in O(n + m);
+// the G1–G6 experiment battery in internal/expt maps broadcast and gossip
+// behaviour across this model class.
 //
 // internal/energy extends the paper's transmission-count measure to a
 // per-round radio energy model: every alive node is charged for exactly one
@@ -76,7 +77,7 @@
 // receiver-sharded parallel variant, a receiver-centric pull kernel
 // that iterates only the uninformed frontier's in-edges
 // (Σ deg(uninformed), the late-phase winner; its collision count covers
-// uninformed receivers only — Options.ExactCollisions pins the
+// uninformed receivers only — Options.RecordHistory or a Tracer pins the
 // transmitter-side count), and a word-parallel dense kernel for every
 // round with Σ deg(tx) ≥ ⌈n/64⌉ — the word count of its resolution pass —
 // on a materialized graph and a binary-decidable channel: carry-save

@@ -101,8 +101,8 @@ func TestGossipBaselineBatchDecisionEquivalence(t *testing.T) {
 	}{
 		{"tdma-gossip", func() radio.Gossiper { return &TDMAGossip{} }},
 		{"uniform-gossip", func() radio.Gossiper { return &UniformGossip{Q: 0.08} }},
-		// Dense rounds exercise the receiver-centric gossip kernel, sparse
-		// ones the cross-round silent skip.
+		// Dense rounds (most nodes transmitting) exercise the collision
+		// path, sparse ones the cross-round silent skip.
 		{"uniform-gossip-dense", func() radio.Gossiper { return &UniformGossip{Q: 0.85} }},
 		{"uniform-gossip-sparse", func() radio.Gossiper { return &UniformGossip{Q: 0.003} }},
 	} {

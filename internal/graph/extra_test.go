@@ -210,10 +210,18 @@ func TestReadEdgeListErrors(t *testing.T) {
 		"exceeds header": "# nodes 2 edges 1\n0 5\n",
 		"empty":          "",
 		"bad header n":   "# nodes 0 edges 0\n",
+		// Ids and node counts past the int32 id range.
+		"id too large":       "0 2147483648\n",
+		"id too large for n": "0 2147483647\n",
+		"header too large":   "# nodes 2147483648 edges 1\n0 1\n",
 	}
 	for name, in := range cases {
-		if _, err := ReadEdgeList(strings.NewReader(in)); err == nil {
+		_, err := ReadEdgeList(strings.NewReader(in))
+		if err == nil {
 			t.Fatalf("%s: expected error", name)
+		}
+		if strings.Contains(name, "large") && !strings.Contains(err.Error(), "line 1:") {
+			t.Fatalf("%s: error %q does not name the offending line", name, err)
 		}
 	}
 }

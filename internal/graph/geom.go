@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/rng"
 )
@@ -11,11 +10,12 @@ import (
 // This file is the geometric ad hoc topology subsystem: random geometric /
 // unit-disk graphs on the unit square or torus, density-heterogeneous
 // placement (Matérn-style clustering), and per-node transmission radii
-// (heterogeneous transmit power ⇒ asymmetric links). Construction runs in
-// O(n + m) expected time via a uniform cell-grid spatial index that writes
-// CSR adjacency directly into graph.Scratch storage, so sweep trial loops
-// regenerate topologies allocation-free — there is no O(n²) pairwise scan
-// anywhere on this path.
+// (heterogeneous transmit power ⇒ asymmetric links). Every geometric graph,
+// implicit or materialized, comes from one neighbour search: the ImplicitGeom
+// cell-grid index (implicit.go). Scratch.FromPoints builds that index into
+// reusable storage and writes its rows as CSR adjacency, so construction is
+// O(n + m) expected and sweep trial loops regenerate topologies
+// allocation-free — there is no O(n²) pairwise scan anywhere on this path.
 
 // Placement selects how node positions are sampled in the unit square.
 type Placement int
@@ -71,10 +71,11 @@ func (spec GeomSpec) check() {
 	if spec.N < 1 {
 		panic("graph: geometric spec needs N >= 1")
 	}
-	if spec.Radius <= 0 || spec.Radius > math.Sqrt2 {
+	// Negated ranges, so NaN radii are rejected too.
+	if !(spec.Radius > 0 && spec.Radius <= math.Sqrt2) {
 		panic(fmt.Sprintf("graph: geometric radius %g out of (0, sqrt(2)]", spec.Radius))
 	}
-	if spec.RadiusMax != 0 && (spec.RadiusMax < spec.Radius || spec.RadiusMax > math.Sqrt2) {
+	if spec.RadiusMax != 0 && !(spec.RadiusMax >= spec.Radius && spec.RadiusMax <= math.Sqrt2) {
 		panic(fmt.Sprintf("graph: geometric radius range [%g, %g] invalid", spec.Radius, spec.RadiusMax))
 	}
 	if spec.Placement == PlaceCluster && spec.Clusters < 0 {
@@ -173,143 +174,16 @@ func (s *Scratch) Geometric(spec GeomSpec, r *rng.RNG) (*Digraph, []GeometricPoi
 }
 
 // FromPoints builds the geometric digraph for a fixed point set (u → v iff
-// dist(u, v) ≤ pts[u].Radius) into the scratch's reusable storage, using a
-// cell-grid spatial index: points are bucketed into a uniform grid with cell
-// width ≥ the maximum radius, so each node only tests candidates in its 3×3
-// cell neighbourhood — O(n + m) expected for radii near the connectivity
-// threshold. The returned graph aliases scratch storage (valid until the
-// next generation call); pts may be external (e.g. a mobility model's) and
-// is not retained.
+// dist(u, v) ≤ pts[u].Radius) into the scratch's reusable storage: it
+// indexes the points in the scratch's ImplicitGeom cell grid and
+// materializes the index's out-rows — O(n + m) expected for radii near the
+// connectivity threshold. The returned graph aliases scratch storage (valid
+// until the next generation call); pts may be external (e.g. a mobility
+// model's) and is not retained.
 func (s *Scratch) FromPoints(pts []GeometricPoint, torus bool) *Digraph {
-	n := len(pts)
-	if n < 1 {
-		panic("graph: geometric needs at least one point")
-	}
-	if n > 1<<31-1 {
-		panic("graph: too many nodes for int32 ids")
-	}
-	rmax := 0.0
-	for i := range pts {
-		if pts[i].Radius > rmax {
-			rmax = pts[i].Radius
-		}
-	}
-	if rmax <= 0 {
-		panic("graph: all radii must be positive")
-	}
-
-	// Grid resolution: cells must be at least rmax wide (so a disk of radius
-	// rmax is covered by the 3×3 neighbourhood), and we cap the cell count
-	// at ~n so the index arrays stay O(n) even for tiny radii.
-	cols := int(1 / rmax)
-	if maxCols := int(math.Sqrt(float64(n))) + 1; cols > maxCols {
-		cols = maxCols
-	}
-	if cols < 1 {
-		cols = 1
-	}
-	cellW := 1.0 / float64(cols)
-	cellOf := func(x float64) int {
-		c := int(x / cellW)
-		if c >= cols {
-			c = cols - 1
-		}
-		if c < 0 {
-			c = 0
-		}
-		return c
-	}
-
-	// Bucket points by cell with a counting sort into CSR-style buckets.
-	nCells := cols * cols
-	s.cellOff = growOffsets(s.cellOff, nCells+1)
-	for i := range s.cellOff {
-		s.cellOff[i] = 0
-	}
-	s.cellIDs = growIDs(s.cellIDs, n)
-	for i := range pts {
-		s.cellOff[cellOf(pts[i].Y)*cols+cellOf(pts[i].X)+1]++
-	}
-	for c := 0; c < nCells; c++ {
-		s.cellOff[c+1] += s.cellOff[c]
-	}
-	if cap(s.pos) < nCells {
-		s.pos = make([]int32, nCells)
-	} else {
-		s.pos = s.pos[:nCells]
-		for i := range s.pos {
-			s.pos[i] = 0
-		}
-	}
-	for i := range pts {
-		c := cellOf(pts[i].Y)*cols + cellOf(pts[i].X)
-		s.cellIDs[s.cellOff[c]+int(s.pos[c])] = NodeID(i)
-		s.pos[c]++
-	}
-
-	g := &s.g
-	g.n = n
-	g.outOff = growOffsets(g.outOff, n+1)
-	g.inOff = growOffsets(g.inOff, n+1)
-	g.outTo = g.outTo[:0]
-	g.outOff[0] = 0
-
-	// For each node, scan its 3×3 cell neighbourhood (deduplicated, so tiny
-	// grids and torus wrap-around never double-count a cell) and keep the
-	// candidates inside the node's own radius.
-	var nbr [9]int
-	for u := 0; u < n; u++ {
-		p := pts[u]
-		cx, cy := cellOf(p.X), cellOf(p.Y)
-		rr := p.Radius * p.Radius
-		cells := nbr[:0]
-		for dy := -1; dy <= 1; dy++ {
-			for dx := -1; dx <= 1; dx++ {
-				nx, ny := cx+dx, cy+dy
-				if torus {
-					nx, ny = (nx+cols)%cols, (ny+cols)%cols
-				} else if nx < 0 || ny < 0 || nx >= cols || ny >= cols {
-					continue
-				}
-				key := ny*cols + nx
-				if !slices.Contains(cells, key) {
-					cells = append(cells, key)
-				}
-			}
-		}
-		start := len(g.outTo)
-		for _, c := range cells {
-			for _, v := range s.cellIDs[s.cellOff[c]:s.cellOff[c+1]] {
-				if int(v) == u {
-					continue
-				}
-				ddx := pts[v].X - p.X
-				ddy := pts[v].Y - p.Y
-				if torus {
-					if ddx < 0 {
-						ddx = -ddx
-					}
-					if ddx > 0.5 {
-						ddx = 1 - ddx
-					}
-					if ddy < 0 {
-						ddy = -ddy
-					}
-					if ddy > 0.5 {
-						ddy = 1 - ddy
-					}
-				}
-				if ddx*ddx+ddy*ddy <= rr {
-					g.outTo = append(g.outTo, v)
-				}
-			}
-		}
-		// Cells are visited in grid order, not id order; restore the CSR
-		// sorted-adjacency invariant per node.
-		slices.Sort(g.outTo[start:])
-		g.outOff[u+1] = len(g.outTo)
-	}
-	s.finishIn()
+	s.geo.index(pts, torus)
+	g := s.fromRows(&s.geo)
+	s.geo.pts = nil
 	return g
 }
 

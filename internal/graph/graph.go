@@ -11,8 +11,10 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -101,52 +103,27 @@ func (b *Builder) AddBoth(u, v NodeID) {
 }
 
 // Build produces the immutable CSR digraph. Duplicate edges are collapsed.
+// Sorting the edges by (u, v) lays out the out-CSR row by row; the
+// in-adjacency follows from the shared counting transpose.
 func (b *Builder) Build() *Digraph {
-	n := b.n
-	// Sort edges by (u, v) and dedupe.
-	sort.Slice(b.edges, func(i, j int) bool {
-		if b.edges[i].u != b.edges[j].u {
-			return b.edges[i].u < b.edges[j].u
+	slices.SortFunc(b.edges, func(x, y edge) int {
+		if c := cmp.Compare(x.u, y.u); c != 0 {
+			return c
 		}
-		return b.edges[i].v < b.edges[j].v
+		return cmp.Compare(x.v, y.v)
 	})
-	uniq := b.edges[:0]
-	var prev edge
+	b.edges = slices.Compact(b.edges)
+	s := &Scratch{}
+	g := s.begin(b.n)
+	g.outTo = make([]NodeID, len(b.edges))
 	for i, e := range b.edges {
-		if i == 0 || e != prev {
-			uniq = append(uniq, e)
-			prev = e
-		}
-	}
-	g := &Digraph{
-		n:      n,
-		outOff: make([]int, n+1),
-		outTo:  make([]NodeID, len(uniq)),
-		inOff:  make([]int, n+1),
-		inTo:   make([]NodeID, len(uniq)),
-	}
-	for _, e := range uniq {
 		g.outOff[e.u+1]++
-		g.inOff[e.v+1]++
+		g.outTo[i] = e.v
 	}
-	for i := 0; i < n; i++ {
-		g.outOff[i+1] += g.outOff[i]
-		g.inOff[i+1] += g.inOff[i]
+	for u := 0; u < b.n; u++ {
+		g.outOff[u+1] += g.outOff[u]
 	}
-	outPos := make([]int, n)
-	inPos := make([]int, n)
-	for _, e := range uniq {
-		g.outTo[g.outOff[e.u]+outPos[e.u]] = e.v
-		outPos[e.u]++
-		g.inTo[g.inOff[e.v]+inPos[e.v]] = e.u
-		inPos[e.v]++
-	}
-	// Out lists are sorted because edges were sorted by (u,v). In lists need
-	// their own sort for deterministic iteration and binary-search support.
-	for v := 0; v < n; v++ {
-		in := g.inTo[g.inOff[v]:g.inOff[v+1]]
-		sort.Slice(in, func(i, j int) bool { return in[i] < in[j] })
-	}
+	s.finishIn()
 	return g
 }
 

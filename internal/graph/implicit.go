@@ -63,34 +63,9 @@ var _ Implicit = (*ImplicitGeom)(nil)
 // set g serves — the overlap-size bridge for the equivalence tests and for
 // campaign points that compare the two representations. Rows arrive sorted
 // (the Implicit contract), so the out-CSR assembles by concatenation and the
-// in-adjacency by one counting transpose, matching the Builder invariants.
+// in-adjacency by the shared counting transpose.
 func MaterializeImplicit(g Implicit) *Digraph {
-	n := g.N()
-	d := &Digraph{
-		n:      n,
-		outOff: make([]int, n+1),
-		inOff:  make([]int, n+1),
-	}
-	for u := 0; u < n; u++ {
-		d.outTo = g.AppendOut(NodeID(u), d.outTo)
-		d.outOff[u+1] = len(d.outTo)
-	}
-	m := len(d.outTo)
-	d.inTo = make([]NodeID, m)
-	for _, v := range d.outTo {
-		d.inOff[v+1]++
-	}
-	for v := 0; v < n; v++ {
-		d.inOff[v+1] += d.inOff[v]
-	}
-	pos := make([]int32, n)
-	for u := 0; u < n; u++ {
-		for _, v := range d.outTo[d.outOff[u]:d.outOff[u+1]] {
-			d.inTo[d.inOff[v]+int(pos[v])] = NodeID(u)
-			pos[v]++
-		}
-	}
-	return d
+	return NewScratch().fromRows(g)
 }
 
 // ImplicitGNP is the directed G(n,p) random digraph served implicitly: row u
@@ -100,11 +75,12 @@ func MaterializeImplicit(g Implicit) *Digraph {
 // memory until in-side queries are made.
 //
 // The out side is the native direction. In-side queries (AppendIn, InDegree)
-// lazily build a full O(n + m) transpose index on first use — cheap implicit
+// lazily materialize the whole graph on first use — cheap implicit
 // enumeration of "who hears me" would require inverting n-1 independent
-// row streams, so CheapIn reports false until the index exists and the
-// engine keeps planet-scale runs on push-only kernels. Forced-pull
-// equivalence tests at small n pay the transpose once and then run normally.
+// row streams, so CheapIn reports false until the materialized in-index
+// exists and the engine keeps planet-scale runs on push-only kernels.
+// Forced-pull equivalence tests at small n pay the materialization once and
+// then run normally.
 //
 // Note the edge set differs from Scratch.GNPDirected at equal seeds: that
 // generator draws ONE skip stream over the linear index of all ordered
@@ -118,8 +94,7 @@ type ImplicitGNP struct {
 	seed uint64
 
 	inOnce sync.Once
-	inOff  []int
-	inTo   []NodeID
+	in     *Digraph // MaterializeImplicit(g), built by the first in-side query
 }
 
 // NewImplicitGNP returns the implicit G(n,p) instance identified by seed.
@@ -173,70 +148,39 @@ func (g *ImplicitGNP) OutDegree(u NodeID) int {
 	return deg
 }
 
-// buildIn materialises the transpose index: two full enumeration passes
-// (count, then fill in u order, which leaves every in-row sorted).
+// buildIn materializes the graph once; its CSR in-rows then serve the
+// in-side queries.
 func (g *ImplicitGNP) buildIn() {
-	g.inOnce.Do(func() {
-		off := make([]int, g.n+1)
-		var r rng.RNG
-		for u := 0; u < g.n; u++ {
-			r.Reseed(rng.SubSeed(g.seed, uint64(u)))
-			s := r.SkipSample(g.n-1, g.p)
-			for i, ok := s.Next(); ok; i, ok = s.Next() {
-				v := i
-				if v >= u {
-					v++
-				}
-				off[v+1]++
-			}
-		}
-		for v := 0; v < g.n; v++ {
-			off[v+1] += off[v]
-		}
-		to := make([]NodeID, off[g.n])
-		pos := make([]int32, g.n)
-		for u := 0; u < g.n; u++ {
-			r.Reseed(rng.SubSeed(g.seed, uint64(u)))
-			s := r.SkipSample(g.n-1, g.p)
-			for i, ok := s.Next(); ok; i, ok = s.Next() {
-				v := i
-				if v >= u {
-					v++
-				}
-				to[off[v]+int(pos[v])] = NodeID(u)
-				pos[v]++
-			}
-		}
-		g.inOff, g.inTo = off, to
-	})
+	g.inOnce.Do(func() { g.in = MaterializeImplicit(g) })
 }
 
-// InDegree returns the in-degree of v, building the transpose index on
-// first use (see CheapIn).
+// InDegree returns the in-degree of v, materializing the graph on first use
+// (see CheapIn).
 func (g *ImplicitGNP) InDegree(v NodeID) int {
 	g.buildIn()
-	return g.inOff[v+1] - g.inOff[v]
+	return g.in.InDegree(v)
 }
 
-// AppendIn appends the in-row of v, building the transpose index on first
-// use (see CheapIn).
+// AppendIn appends the in-row of v, materializing the graph on first use
+// (see CheapIn).
 func (g *ImplicitGNP) AppendIn(v NodeID, dst []NodeID) []NodeID {
 	g.buildIn()
-	return append(dst, g.inTo[g.inOff[v]:g.inOff[v+1]]...)
+	return g.in.AppendIn(v, dst)
 }
 
-// CheapIn reports whether the O(n + m) transpose index already exists;
-// until then in-side queries would have to build it, so the engine treats
+// CheapIn reports whether the in-side index already exists; until then
+// in-side queries would have to build it in O(n + m), so the engine treats
 // the graph as push-only.
-func (g *ImplicitGNP) CheapIn() bool { return g.inOff != nil }
+func (g *ImplicitGNP) CheapIn() bool { return g.in != nil }
 
 // ImplicitGeom serves a geometric (RGG/UDG, optionally heterogeneous-radius)
-// digraph from a coordinates-only index: the sampled points plus the same
-// uniform cell grid Scratch.FromPoints uses, but holding node ids only —
-// no edge lists. Both edge directions are O(row) expected: the grid's cell
-// width is at least the maximum radius, so out-rows (dist(u,v) ≤ r_u) and
-// in-rows (dist(u,v) ≤ r_v) of a node both live in its 3×3 cell
-// neighbourhood. Memory is O(n) regardless of density.
+// digraph from a coordinates-only index: the points bucketed into a uniform
+// cell grid whose cells are at least the maximum radius wide, holding node
+// ids only — no edge lists. It is the package's one geometric neighbour
+// search: Scratch.FromPoints builds the same index into reusable storage and
+// materializes its out-rows. Both edge directions are O(row) expected:
+// out-rows (dist(u,v) ≤ r_u) and in-rows (dist(u,v) ≤ r_v) of a node both
+// live in its 3×3 cell neighbourhood. Memory is O(n) regardless of density.
 type ImplicitGeom struct {
 	pts     []GeometricPoint
 	torus   bool
@@ -255,10 +199,18 @@ func NewImplicitGeom(spec GeomSpec, r *rng.RNG) *ImplicitGeom {
 }
 
 // ImplicitFromPoints indexes a fixed point set (u → v iff dist(u, v) ≤
-// pts[u].Radius) without building adjacency. pts is retained (not copied);
-// the grid parameters replicate Scratch.FromPoints exactly so the served
-// edge set matches the materialized generator for the same points.
+// pts[u].Radius) without building adjacency. pts is retained (not copied).
 func ImplicitFromPoints(pts []GeometricPoint, torus bool) *ImplicitGeom {
+	ig := &ImplicitGeom{}
+	ig.index(pts, torus)
+	return ig
+}
+
+// index points ig at pts and buckets them by cell, reusing ig's storage when
+// it is large enough. Cells are at least rmax wide, so a disk of radius rmax
+// is covered by the 3×3 neighbourhood, and the cell count is capped at ~n so
+// the index stays O(n) even for tiny radii.
+func (ig *ImplicitGeom) index(pts []GeometricPoint, torus bool) {
 	n := len(pts)
 	if n < 1 {
 		panic("graph: geometric needs at least one point")
@@ -282,28 +234,26 @@ func ImplicitFromPoints(pts []GeometricPoint, torus bool) *ImplicitGeom {
 	if cols < 1 {
 		cols = 1
 	}
-	ig := &ImplicitGeom{
-		pts:   pts,
-		torus: torus,
-		cols:  cols,
-		cellW: 1.0 / float64(cols),
-	}
+	ig.pts, ig.torus, ig.cols, ig.cellW = pts, torus, cols, 1.0/float64(cols)
+
+	// Counting sort into CSR-style buckets; each bucket's start offset is its
+	// fill cursor, and one shift restores the offsets afterwards.
 	nCells := cols * cols
-	ig.cellOff = make([]int, nCells+1)
-	ig.cellIDs = make([]NodeID, n)
+	ig.cellOff = growOffsets(ig.cellOff, nCells+1)
+	ig.cellIDs = growIDs(ig.cellIDs, n)
 	for i := range pts {
 		ig.cellOff[ig.cellOf(pts[i].Y)*cols+ig.cellOf(pts[i].X)+1]++
 	}
 	for c := 0; c < nCells; c++ {
 		ig.cellOff[c+1] += ig.cellOff[c]
 	}
-	pos := make([]int32, nCells)
 	for i := range pts {
 		c := ig.cellOf(pts[i].Y)*cols + ig.cellOf(pts[i].X)
-		ig.cellIDs[ig.cellOff[c]+int(pos[c])] = NodeID(i)
-		pos[c]++
+		ig.cellIDs[ig.cellOff[c]] = NodeID(i)
+		ig.cellOff[c]++
 	}
-	return ig
+	copy(ig.cellOff[1:], ig.cellOff[:nCells])
+	ig.cellOff[0] = 0
 }
 
 func (ig *ImplicitGeom) cellOf(x float64) int {
@@ -330,10 +280,10 @@ func (ig *ImplicitGeom) Torus() bool { return ig.torus }
 // appendRow appends v's neighbours in one direction: out-rows keep
 // candidates inside v's own radius, in-rows keep candidates whose radius
 // reaches v. Every qualifying candidate is within rmax ≤ cellW of v, so the
-// deduplicated 3×3 cell neighbourhood (identical to FromPoints, torus wrap
-// included) covers both directions. Candidates arrive in grid order; sort
-// restores the contract's increasing-id order. When count is true nothing
-// is appended and only the row length is returned.
+// 3×3 cell neighbourhood covers both directions; it is deduplicated, so tiny
+// grids and torus wrap-around never double-count a cell. Candidates arrive
+// in grid order; sort restores the contract's increasing-id order. When
+// count is true nothing is appended and only the row length is returned.
 func (ig *ImplicitGeom) appendRow(v NodeID, dst []NodeID, in, count bool) ([]NodeID, int) {
 	p := ig.pts[v]
 	cols := ig.cols
@@ -362,25 +312,20 @@ func (ig *ImplicitGeom) appendRow(v NodeID, dst []NodeID, in, count bool) ([]Nod
 			if w == v {
 				continue
 			}
-			ddx := ig.pts[w].X - p.X
-			ddy := ig.pts[w].Y - p.Y
+			q := ig.pts[w]
+			lim := rr
+			if in {
+				lim = q.Radius * q.Radius
+			}
+			ddx := math.Abs(q.X - p.X)
+			ddy := math.Abs(q.Y - p.Y)
 			if ig.torus {
-				if ddx < 0 {
-					ddx = -ddx
-				}
 				if ddx > 0.5 {
 					ddx = 1 - ddx
-				}
-				if ddy < 0 {
-					ddy = -ddy
 				}
 				if ddy > 0.5 {
 					ddy = 1 - ddy
 				}
-			}
-			lim := rr
-			if in {
-				lim = ig.pts[w].Radius * ig.pts[w].Radius
 			}
 			if ddx*ddx+ddy*ddy <= lim {
 				if count {

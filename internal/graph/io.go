@@ -27,6 +27,9 @@ func WriteEdgeList(w io.Writer, g *Digraph) error {
 	return bw.Flush()
 }
 
+// maxNodes is the largest node count NodeID can index.
+const maxNodes = 1<<31 - 1
+
 // ReadEdgeList parses the WriteEdgeList format (and tolerates missing
 // headers if every node id appears on some edge). Lines starting with '#'
 // other than the header are comments. Returns a descriptive error on
@@ -47,7 +50,7 @@ func ReadEdgeList(r io.Reader) (*Digraph, error) {
 		if strings.HasPrefix(line, "#") {
 			var hn, hm int
 			if _, err := fmt.Sscanf(line, "# nodes %d edges %d", &hn, &hm); err == nil {
-				if hn < 1 {
+				if hn < 1 || hn > maxNodes {
 					return nil, fmt.Errorf("graph: line %d: invalid node count %d", lineNo, hn)
 				}
 				n = hn
@@ -58,17 +61,19 @@ func ReadEdgeList(r io.Reader) (*Digraph, error) {
 		if len(fields) != 2 {
 			return nil, fmt.Errorf("graph: line %d: want 'u v', got %q", lineNo, line)
 		}
-		u, err := strconv.Atoi(fields[0])
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: %v", lineNo, err)
+		var ids [2]int
+		for i, f := range fields {
+			id, err := strconv.Atoi(f)
+			if err != nil {
+				return nil, fmt.Errorf("graph: line %d: %v", lineNo, err)
+			}
+			// Ids index n ≤ maxNodes nodes, so the largest is maxNodes-1.
+			if id < 0 || id >= maxNodes {
+				return nil, fmt.Errorf("graph: line %d: node id %d outside [0, %d)", lineNo, id, maxNodes)
+			}
+			ids[i] = id
 		}
-		v, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: %v", lineNo, err)
-		}
-		if u < 0 || v < 0 {
-			return nil, fmt.Errorf("graph: line %d: negative node id", lineNo)
-		}
+		u, v := ids[0], ids[1]
 		if u == v {
 			return nil, fmt.Errorf("graph: line %d: self-loop %d", lineNo, u)
 		}

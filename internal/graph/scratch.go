@@ -8,16 +8,13 @@ import "repro/internal/rng"
 // generation call aliases the Scratch's storage and is valid only until the
 // next call.
 type Scratch struct {
-	g   Digraph
-	pos []int32 // per-node fill cursor for the in-adjacency pass
+	g Digraph
 
 	// Geometric-generation storage (see geom.go): sampled points, clustered-
-	// placement parent sites, and the cell-grid spatial index (CSR buckets of
-	// node ids grouped by cell).
+	// placement parent sites, and the cell-grid neighbour index.
 	pts     []GeometricPoint
 	parents []float64
-	cellOff []int
-	cellIDs []NodeID
+	geo     ImplicitGeom
 }
 
 // NewScratch returns an empty scratch; storage is sized on first use.
@@ -27,7 +24,9 @@ func growOffsets(s []int, n int) []int {
 	if cap(s) < n {
 		return make([]int, n)
 	}
-	return s[:n]
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 func growIDs(s []NodeID, n int) []NodeID {
@@ -35,6 +34,30 @@ func growIDs(s []NodeID, n int) []NodeID {
 		return make([]NodeID, n)
 	}
 	return s[:n]
+}
+
+// begin resets the scratch graph to n nodes with zeroed out-offsets and an
+// empty out-adjacency, ready for a generator to fill the out-CSR row by row
+// and call finishIn.
+func (s *Scratch) begin(n int) *Digraph {
+	g := &s.g
+	g.n = n
+	g.outOff = growOffsets(g.outOff, n+1)
+	g.outTo = g.outTo[:0]
+	return g
+}
+
+// fromRows assembles the out-CSR by concatenating g's rows, which the
+// Implicit contract delivers sorted, and derives the in-adjacency.
+func (s *Scratch) fromRows(g Implicit) *Digraph {
+	n := g.N()
+	d := s.begin(n)
+	for u := 0; u < n; u++ {
+		d.outTo = g.AppendOut(NodeID(u), d.outTo)
+		d.outOff[u+1] = len(d.outTo)
+	}
+	s.finishIn()
+	return d
 }
 
 // GNPDirected is graph.GNPDirected writing into the scratch's reusable
@@ -52,18 +75,12 @@ func (s *Scratch) GNPDirected(n int, p float64, r *rng.RNG) *Digraph {
 	if n > 1<<31-1 {
 		panic("graph: too many nodes for int32 ids")
 	}
-	g := &s.g
-	g.n = n
-	g.outOff = growOffsets(g.outOff, n+1)
-	g.inOff = growOffsets(g.inOff, n+1)
-	g.outTo = g.outTo[:0]
-
+	g := s.begin(n)
 	if p > 0 && n > 1 {
 		// Geometric skipping over the linear index of ordered non-diagonal
 		// pairs; indices arrive in increasing order, i.e. sorted by (u, v).
 		total := uint64(n) * uint64(n-1)
 		cur := 0
-		g.outOff[0] = 0
 		idx := uint64(r.Geometric(p))
 		for idx < total {
 			u := int(idx / uint64(n-1))
@@ -82,10 +99,6 @@ func (s *Scratch) GNPDirected(n int, p float64, r *rng.RNG) *Digraph {
 			cur++
 			g.outOff[cur] = len(g.outTo)
 		}
-	} else {
-		for i := range g.outOff {
-			g.outOff[i] = 0
-		}
 	}
 
 	s.finishIn()
@@ -93,36 +106,28 @@ func (s *Scratch) GNPDirected(n int, p float64, r *rng.RNG) *Digraph {
 }
 
 // finishIn derives the in-adjacency of s.g from its completed out-adjacency
-// by counting sort: count in-degrees, prefix-sum, then fill by walking the
-// out-lists in u order — which leaves every in-list sorted, matching the
-// Builder invariant.
+// by counting sort — the one transpose every CSR construction goes through:
+// count in-degrees, prefix-sum, then fill by walking the out-lists in u
+// order, which leaves every in-list sorted. The fill advances each inOff[v]
+// as its cursor, so afterwards inOff[v] holds the start of row v+1 and one
+// shift restores the offsets.
 func (s *Scratch) finishIn() {
 	g := &s.g
 	n := g.n
-	m := len(g.outTo)
-	g.inTo = growIDs(g.inTo, m)
-	for i := range g.inOff {
-		g.inOff[i] = 0
-	}
+	g.inOff = growOffsets(g.inOff, n+1)
+	g.inTo = growIDs(g.inTo, len(g.outTo))
 	for _, v := range g.outTo {
 		g.inOff[v+1]++
 	}
 	for i := 0; i < n; i++ {
 		g.inOff[i+1] += g.inOff[i]
 	}
-	if cap(s.pos) < n {
-		s.pos = make([]int32, n)
-	} else {
-		s.pos = s.pos[:n]
-		for i := range s.pos {
-			s.pos[i] = 0
-		}
-	}
 	for u := 0; u < n; u++ {
-		for i := g.outOff[u]; i < g.outOff[u+1]; i++ {
-			v := g.outTo[i]
-			g.inTo[g.inOff[v]+int(s.pos[v])] = NodeID(u)
-			s.pos[v]++
+		for _, v := range g.outTo[g.outOff[u]:g.outOff[u+1]] {
+			g.inTo[g.inOff[v]] = NodeID(u)
+			g.inOff[v]++
 		}
 	}
+	copy(g.inOff[1:], g.inOff[:n])
+	g.inOff[0] = 0
 }

@@ -40,7 +40,7 @@ import (
 //
 // Exactness: hitTwice marks every receiver with ≥ 2 hits, so the collision
 // count covers all receivers (transmitter-side exact, like push and parallel
-// push — the kernel is legal under Options.ExactCollisions). The carry
+// push — the kernel stays legal under RecordHistory and Tracer). The carry
 // saturates at two, which is only correct when "two hits" already decides
 // the round; the engine therefore restricts this kernel to channel models
 // with maxHits == 1 and no per-edge filter (Binary, Fade, Jam — receiver

@@ -131,7 +131,7 @@ func TestDenseForcingBitIdentical(t *testing.T) {
 // be bit-identical to forced push *including per-round collision counts* —
 // the dense kernel's popcount(hitTwice) is the same transmitter-side exact
 // count the push kernel maintains, so KernelDense stays legal under
-// Options.ExactCollisions.
+// Options.RecordHistory.
 func TestDenseForcingPreservesHistory(t *testing.T) {
 	defer SetEngineOverrides(EngineOverrides{})
 

@@ -20,7 +20,7 @@ import (
 // The collision count, however, covers only the receivers the kernel
 // examines — the uninformed frontier — so informed-side collisions are not
 // counted. The engine therefore only selects this kernel when no consumer
-// needs transmitter-side collision counts (see Options.ExactCollisions and
+// needs transmitter-side collision counts (no RecordHistory, no Tracer; see
 // the Result.Collisions contract).
 type frontierState struct {
 	txMark Bitset         // transmitter membership, set/cleared per round

@@ -61,12 +61,12 @@ type GossipRoundStat struct {
 // GossipResult summarises one gossip run (one Run segment of a session).
 type GossipResult struct {
 	Protocol      string
-	Rounds        int   // rounds executed in this segment
-	CompleteRound int   // session-absolute round at which gossip completed; -1 if not yet
-	KnownPairs    int64 // session-cumulative
-	TotalTx       int64 // this segment
-	MaxNodeTx     int   // session-cumulative
-	PerNodeTx     []int32
+	Rounds        int     // rounds executed in this segment
+	CompleteRound int     // session-absolute round at which gossip completed; -1 if not yet
+	KnownPairs    int64   // session-cumulative
+	TotalTx       int64   // this segment
+	MaxNodeTx     int     // this segment: the maximum over PerNodeTx
+	PerNodeTx     []int32 // this segment
 	History       []GossipRoundStat
 }
 
@@ -287,101 +287,52 @@ func (s *GossipSession) Run(g *graph.Digraph, p Gossiper, protoRNG *rng.RNG, opt
 		}
 		res.TotalTx += int64(len(transmitters))
 
-		// Delivery. Direction-optimizing under half-duplex: when most nodes
-		// transmit (dense gossip rounds), iterating the NON-transmitters'
-		// in-edges against the transmitter marks costs M - Σ indeg(tx) + n
-		// instead of the sender-centric Σ outdeg(tx). Under full duplex
-		// transmitters can receive too (and need start-of-round snapshots),
-		// so delivery stays sender-centric there.
-		usePull := false
-		if !opt.FullDuplex && len(transmitters) > 0 {
-			switch engineOverrides.Kernel {
-			case KernelPull:
-				usePull = true
-			case KernelPush, KernelParallel, KernelDense:
-				// forced sender-centric (gossip exchanges rumor sets per
-				// edge, so the broadcast-only dense bitset kernel degrades
-				// to push here)
-			default:
-				var inTx, outTx int64
-				for _, u := range transmitters {
-					inTx += int64(g.InDegree(u))
-					outTx += int64(g.OutDegree(u))
+		// Delivery: every transmitter pushes along its out-edges, counting
+		// hits per receiver and remembering the last sender.
+		touched = touched[:0]
+		for _, u := range transmitters {
+			for _, w := range g.Out(u) {
+				if s.hits[w] == 0 {
+					touched = append(touched, w)
 				}
-				usePull = int64(g.M())-inTx+int64(n) < outTx
+				s.hits[w]++
+				s.lastFrom[w] = u
 			}
 		}
-		if usePull {
-			// Receiver-centric: each non-transmitter counts its transmitting
-			// in-neighbours (early exit at two); exactly one means reception.
-			// Senders' sets never change mid-round under half-duplex, so the
-			// merge order across receivers is immaterial and the result is
-			// identical to the sender-centric pass.
-			for v := 0; v < n; v++ {
-				if s.isTx[v] {
-					continue // half-duplex: a transmitting node hears nothing
-				}
-				hits := 0
-				var from graph.NodeID
-				for _, u := range g.In(graph.NodeID(v)) {
-					if s.isTx[u] {
-						hits++
-						if hits == 2 {
-							break
-						}
-						from = u
-					}
-				}
-				if hits == 1 {
-					s.knownPairs += int64(s.know[v].union(s.know[from]))
-				}
-			}
-		} else {
-			touched = touched[:0]
-			for _, u := range transmitters {
-				for _, w := range g.Out(u) {
-					if s.hits[w] == 0 {
-						touched = append(touched, w)
-					}
-					s.hits[w]++
-					s.lastFrom[w] = u
-				}
-			}
 
-			// Under full duplex a transmitter can also receive, so its rumor
-			// set may be extended during this round's merge loop. Snapshot
-			// the sets of all such sender-receivers before merging, so that
-			// receivers of their transmissions see the start-of-round set.
-			// Under half-duplex no transmitter receives, so no snapshots are
-			// needed.
-			var snapshots map[graph.NodeID]rumorSet
-			if opt.FullDuplex {
-				for _, w := range touched {
-					if s.hits[w] == 1 && s.isTx[w] {
-						if snapshots == nil {
-							snapshots = make(map[graph.NodeID]rumorSet)
-						}
-						snapshots[w] = s.know[w].clone()
-					}
-				}
-			}
-
+		// Under full duplex a transmitter can also receive, so its rumor
+		// set may be extended during this round's merge loop. Snapshot
+		// the sets of all such sender-receivers before merging, so that
+		// receivers of their transmissions see the start-of-round set.
+		// Under half-duplex no transmitter receives, so no snapshots are
+		// needed.
+		var snapshots map[graph.NodeID]rumorSet
+		if opt.FullDuplex {
 			for _, w := range touched {
-				h := s.hits[w]
-				s.hits[w] = 0
-				if h != 1 {
-					continue
+				if s.hits[w] == 1 && s.isTx[w] {
+					if snapshots == nil {
+						snapshots = make(map[graph.NodeID]rumorSet)
+					}
+					snapshots[w] = s.know[w].clone()
 				}
-				if !opt.FullDuplex && s.isTx[w] {
-					continue // half-duplex: a transmitting node hears nothing
-				}
-				u := s.lastFrom[w]
-				src := s.know[u]
-				if snap, ok := snapshots[u]; ok {
-					src = snap
-				}
-				s.knownPairs += int64(s.know[w].union(src))
 			}
+		}
+
+		for _, w := range touched {
+			h := s.hits[w]
+			s.hits[w] = 0
+			if h != 1 {
+				continue
+			}
+			if !opt.FullDuplex && s.isTx[w] {
+				continue // half-duplex: a transmitting node hears nothing
+			}
+			u := s.lastFrom[w]
+			src := s.know[u]
+			if snap, ok := snapshots[u]; ok {
+				src = snap
+			}
+			s.knownPairs += int64(s.know[w].union(src))
 		}
 		for _, u := range transmitters {
 			s.isTx[u] = false

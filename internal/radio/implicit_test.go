@@ -98,7 +98,7 @@ func TestImplicitGNPAutoRunStaysPushOnly(t *testing.T) {
 
 // TestImplicitLossyEquivalence covers the lossy channel on implicit rows:
 // hashed per-edge draws are order-independent, so implicit row enumeration
-// must reach exactly the verdicts CSR iteration does. ExactCollisions pins
+// must reach exactly the verdicts CSR iteration does. RecordHistory pins
 // both runs to transmitter-side kernels so the collision counts are
 // comparable too (without it the CSR run may adaptively pull, which counts
 // uninformed receivers only).
@@ -106,7 +106,7 @@ func TestImplicitLossyEquivalence(t *testing.T) {
 	for gname, pair := range implicitTestGraphs(t) {
 		run := func(g graph.Implicit) *Result {
 			return RunBroadcast(g, 0, &sbern{q: 0.05}, rng.New(11),
-				Options{MaxRounds: 1200, Reception: LossyChannel(0.2), ExactCollisions: true})
+				Options{MaxRounds: 1200, Reception: LossyChannel(0.2), RecordHistory: true})
 		}
 		want := run(pair.mat)
 		got := run(pair.imp)

@@ -191,9 +191,10 @@ type EngineOverrides struct {
 	// ScalarDecisions disables the batch decision fast path even for
 	// BatchBroadcasters / BatchGossipers.
 	ScalarDecisions bool
-	// Kernel pins the delivery kernel instead of the per-round cost model.
-	// Every reception model is served by every kernel (channel draws are
-	// hashed, not streamed — see reception.go), so the pin is total.
+	// Kernel pins the broadcast delivery kernel instead of the per-round
+	// cost model. Every reception model is served by every kernel (channel
+	// draws are hashed, not streamed — see reception.go), so the pin is
+	// total. Gossip always pushes and ignores it.
 	Kernel DeliveryKernel
 	// DisableSkip forces round-by-round execution even for UniformRound
 	// protocols.
@@ -236,14 +237,6 @@ type Options struct {
 	// by external interference in the given round: a jammed node cannot
 	// receive that round (the noise collides with any transmission).
 	Jammed func(round int) []graph.NodeID
-	// ExactCollisions forces transmitter-side delivery kernels so that
-	// Result.Collisions counts collisions at every receiver, informed or
-	// not. Without it the engine may select the receiver-centric pull
-	// kernel for late-phase rounds, whose collision count covers only
-	// uninformed receivers (the informed trajectory, transmissions, rounds
-	// and energy are identical either way). RecordHistory and Tracer imply
-	// exact collisions.
-	ExactCollisions bool
 	// Energy, when non-nil, enables the per-round radio energy model (see
 	// internal/energy): every alive node is charged for exactly one state
 	// per round (transmit / receive / listen / sleep), depleted nodes stop
@@ -304,8 +297,8 @@ type Result struct {
 	// summed over rounds. Contract: rounds delivered by the receiver-centric
 	// pull kernel count collisions at UNINFORMED receivers only (the only
 	// ones the kernel examines). The engine uses pull only when no consumer
-	// needs the transmitter-side count — set Options.ExactCollisions (or
-	// RecordHistory, or a Tracer) to force exact counting at every receiver.
+	// needs the transmitter-side count — set RecordHistory or a Tracer to
+	// force exact counting at every receiver.
 	Collisions int64
 	History    []RoundStat    // non-nil iff Options.RecordHistory
 	Energy     *energy.Report // non-nil iff the session ran with Options.Energy
@@ -548,7 +541,7 @@ func (s *BroadcastSession) Run(g graph.Implicit, opt Options) *Result {
 	useBatch := s.batch != nil && !engineOverrides.ScalarDecisions
 	// Collision-exactness consumers pin transmitter-side kernels (see the
 	// Result.Collisions contract); an explicit override forcing wins.
-	exactCollisions := opt.ExactCollisions || opt.RecordHistory || opt.Tracer != nil
+	exactCollisions := opt.RecordHistory || opt.Tracer != nil
 	// The pull kernel's cost estimate: Σ in-degree over uninformed nodes,
 	// recomputed per segment whenever adaptive pull is reachable — callers
 	// may rebuild the SAME *Digraph in place between segments (graph.Scratch

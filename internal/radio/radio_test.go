@@ -697,4 +697,10 @@ func TestGossipSessionCarriesKnowledge(t *testing.T) {
 	if !sess.Complete() {
 		t.Fatal("session should report complete")
 	}
+	// MaxNodeTx is the maximum over the segment's own PerNodeTx, not a
+	// session total: every node transmits twice in the pair phase, and the
+	// merge phase completes before any node's second turn.
+	if r1.MaxNodeTx != 2 || r2.MaxNodeTx != 1 {
+		t.Fatalf("per-segment MaxNodeTx = %d, %d; want 2, 1", r1.MaxNodeTx, r2.MaxNodeTx)
+	}
 }

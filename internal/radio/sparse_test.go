@@ -366,12 +366,12 @@ func TestUninformedSumRecomputedPerSegment(t *testing.T) {
 	}
 }
 
-// TestExactCollisionsOptionPinsTransmitterSideCount: with
-// Options.ExactCollisions the adaptive engine must never hand a round to
-// the pull kernel, so the collision totals match the forced-push engine
-// exactly even on a late-phase-heavy run where the default engine would
-// choose pull (and report the smaller uninformed-side count).
-func TestExactCollisionsOptionPinsTransmitterSideCount(t *testing.T) {
+// TestRecordHistoryPinsTransmitterSideCount: with Options.RecordHistory the
+// adaptive engine must never hand a round to the pull kernel, so the
+// collision totals match the forced-push engine exactly even on a
+// late-phase-heavy run where the default engine would choose pull (and
+// report the smaller uninformed-side count).
+func TestRecordHistoryPinsTransmitterSideCount(t *testing.T) {
 	defer SetEngineOverrides(EngineOverrides{})
 
 	g := graph.GNPDirected(1024, 0.03, rng.New(13))
@@ -381,10 +381,10 @@ func TestExactCollisionsOptionPinsTransmitterSideCount(t *testing.T) {
 	SetEngineOverrides(EngineOverrides{Kernel: KernelPush})
 	push := run(Options{MaxRounds: 800})
 	SetEngineOverrides(EngineOverrides{})
-	exact := run(Options{MaxRounds: 800, ExactCollisions: true})
+	exact := run(Options{MaxRounds: 800, RecordHistory: true})
 	loose := run(Options{MaxRounds: 800})
 	if exact.Collisions != push.Collisions {
-		t.Fatalf("ExactCollisions run counted %d collisions, forced push %d",
+		t.Fatalf("RecordHistory run counted %d collisions, forced push %d",
 			exact.Collisions, push.Collisions)
 	}
 	// The workload runs long past full informing, so the adaptive engine
