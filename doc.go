@@ -86,16 +86,17 @@
 // trials: each grid point fans its trials over Config.Workers goroutines
 // (0 = GOMAXPROCS), and trial seeds depend only on (seed, index), so the
 // worker count changes the wall clock, never a result. Orthogonally,
-// uniform-Bernoulli phases opt into the cross-round stream contract
-// (radio.UniformRound / radio.UniformGossipRound over radio.TxSet's
-// stream draws): the rounds of one phase form a single Bernoulli stream
-// whose geometric overshoot carries across round boundaries, so a fully
-// silent round consumes no randomness and whole silent spans are skipped
-// in O(1), with energy.State.AdvanceIdle settling idle-listen charges and
-// the death-prediction heap across the span in bulk. Every engine
-// configuration (radio.SetEngineOverrides) is pinned bit-identical on
-// informed trajectory, per-node transmissions, rounds and energy. See
-// README.md ("The sparse round engine").
+// uniform-Bernoulli phases draw through radio.TxSet's cross-round stream
+// contract: the rounds of one phase form a single Bernoulli stream whose
+// geometric overshoot carries across round boundaries, so a fully silent
+// round consumes no randomness and every round's randomness is fixed by
+// the stream alone. The engine executes every round; only an energy-free
+// baseline.FixedProb run still skips silent spans in O(1)
+// (radio.UniformRound), until the next change to the benchmark (ROADMAP
+// item 10). Every engine configuration (radio.SetEngineOverrides) is
+// pinned bit-identical on informed trajectory, per-node transmissions,
+// rounds and energy; gossip has one decision path and reads no override.
+// See README.md ("The sparse round engine").
 //
 // The reception rule itself is pluggable: radio.Options.Reception takes a
 // radio.ReceptionModel — Binary (the paper's rule and the default, which
@@ -104,13 +105,12 @@
 // simultaneous transmitters decode), and Jam (stationary random jamming).
 // Channel randomness is hashed per (seed, round, receiver[, transmitter]),
 // not streamed, so every kernel iteration order produces bit-identical
-// results, silent rounds consume no channel randomness (cross-round
-// skipping stays exact), and resumed sessions reproduce uninterrupted
-// ones. Listener duty cycles compose from the energy side:
-// energy.DutyCycle schedules uninformed listeners into on/off windows
-// (sleeping listeners cannot receive and pay the sleep rate), with
-// closed-form span accounting that keeps bulk idle settlement and death
-// prediction exact. The C1–C5 battery in internal/expt measures the
+// results, silent rounds consume no channel randomness, and resumed
+// sessions reproduce uninterrupted ones. Listener duty cycles compose
+// from the energy side: energy.DutyCycle schedules uninformed listeners
+// into on/off windows (sleeping listeners cannot receive and pay the
+// sleep rate), with closed-form span accounting that keeps the lazy
+// per-node folds and death prediction exact. The C1–C5 battery in internal/expt measures the
 // consequences, with the channel exposed as a shardable campaign axis
 // (campaign.Config.Channel, cmd/experiments -channel). See README.md
 // ("Channel models & duty cycles").

@@ -98,8 +98,8 @@ func (f *FixedProb) Begin(n int, src graph.NodeID, r *rng.RNG) {
 
 // BeginRound implements radio.Broadcaster: expire windows at the queue head
 // and draw the round's Bernoulli(Q) transmitter set once, shared by the
-// scalar and batch decision paths. The draw follows the cross-round stream
-// contract (radio.UniformRound), so a silent round consumes no randomness.
+// scalar and batch decision paths. The draw follows radio.TxSet's stream
+// contract, so a silent round consumes no randomness.
 func (f *FixedProb) BeginRound(round int) {
 	if f.Window > 0 {
 		f.retiredN += f.queue.Expire(f.informedAt, f.Window, round)
@@ -109,15 +109,17 @@ func (f *FixedProb) BeginRound(round int) {
 }
 
 // RoundProb implements radio.UniformRound: every round is a Bernoulli(Q)
-// draw over the live window queue.
+// draw over the live window queue. FixedProb is the last UniformRound; it
+// stops skipping in ROADMAP item 10 (the next change to bench/).
 func (f *FixedProb) RoundProb(int) (float64, bool) { return f.Q, true }
 
-// SkipSilent implements radio.UniformRound. The candidate list shrinks only
-// at window expiries during silence (nothing is informed in a silent
-// round), so the skip walks the expiry breakpoints: within each stretch of
-// constant candidate count the silent rounds come off the stream gap in
-// O(1). It stops at the round where the queue empties — Quiesced first
-// reports true there, and the engine must observe it normally.
+// SkipSilent implements radio.UniformRound, which the engine consults only
+// for runs without energy accounting, until ROADMAP item 10. The candidate
+// list shrinks only at window expiries during silence (nothing is informed
+// in a silent round), so the skip walks the expiry breakpoints: within each
+// stretch of constant candidate count the silent rounds come off the stream
+// gap in O(1). It stops at the round where the queue empties — Quiesced
+// first reports true there, and the engine must observe it normally.
 func (f *FixedProb) SkipSilent(from, to int) int {
 	round := from
 	for round <= to {
@@ -362,37 +364,9 @@ func (e *ElsasserGasieniec) BeginRound(round int) {
 	case round <= e.phase3To:
 		// Phase 3: only nodes informed during Phases 1–2 participate
 		// (Phase 2 is round e.diam, so informedAt <= e.diam qualifies).
-		// Stream-drawn so silent trickle rounds consume no randomness and
-		// the engine can skip them (radio.UniformRound).
+		// Stream-drawn, so silent trickle rounds consume no randomness.
 		e.txs.DrawListStream(e.r, e.eligible, e.p3prob, round)
 	}
-}
-
-// RoundProb implements radio.UniformRound: the Phase-3 trickle is the
-// uniform Bernoulli phase (Phase 1 floods, Phase 2 is a one-shot).
-func (e *ElsasserGasieniec) RoundProb(round int) (float64, bool) {
-	if round > e.diam && round <= e.phase3To {
-		return e.p3prob, true
-	}
-	return 0, false
-}
-
-// SkipSilent implements radio.UniformRound. The eligible list is frozen
-// after Phase 2 (nothing informed in Phase 3 ever joins it), so silent
-// Phase-3 rounds come off the stream gap in O(1). The skip stops before
-// phase3To, where Quiesced first reports true.
-func (e *ElsasserGasieniec) SkipSilent(from, to int) int {
-	if from <= e.diam || from >= e.phase3To {
-		return from
-	}
-	if to > e.phase3To-1 {
-		to = e.phase3To - 1
-	}
-	k := len(e.eligible)
-	if to < from || k == 0 {
-		return from
-	}
-	return from + e.txs.StreamSilentRounds(e.r, k, e.p3prob, to-from+1)
 }
 
 // OnInformed implements radio.Broadcaster.
@@ -445,13 +419,8 @@ func (t *TDMAGossip) Begin(n int, r *rng.RNG) { t.n = n }
 // BeginRound implements radio.Gossiper.
 func (t *TDMAGossip) BeginRound(int) {}
 
-// ShouldTransmit implements radio.Gossiper.
-func (t *TDMAGossip) ShouldTransmit(round int, v graph.NodeID) bool {
-	return int(v) == (round-1)%t.n
-}
-
-// AppendTransmitters implements radio.BatchGossiper: the schedule is
-// deterministic, so the batch path appends the round's single slot owner.
+// AppendTransmitters implements radio.Gossiper: the round's single slot
+// owner.
 func (t *TDMAGossip) AppendTransmitters(round int, dst []graph.NodeID) []graph.NodeID {
 	return append(dst, graph.NodeID((round-1)%t.n))
 }
@@ -481,31 +450,13 @@ func (u *UniformGossip) Begin(n int, r *rng.RNG) {
 }
 
 // BeginRound implements radio.Gossiper: draw the round's Bernoulli(Q)
-// transmitter set once, shared by the scalar and batch decision paths and
-// stream-carried across rounds (radio.UniformGossipRound).
+// transmitter set once, under radio.TxSet's stream contract.
 func (u *UniformGossip) BeginRound(round int) {
 	u.txs.BeginRound()
 	u.txs.DrawRangeStream(u.r, u.n, u.Q, round)
 }
 
-// RoundProb implements radio.UniformGossipRound.
-func (u *UniformGossip) RoundProb(int) (float64, bool) { return u.Q, true }
-
-// SkipSilent implements radio.UniformGossipRound.
-func (u *UniformGossip) SkipSilent(from, to int) int {
-	if to < from {
-		return from
-	}
-	return from + u.txs.StreamSilentRounds(u.r, u.n, u.Q, to-from+1)
-}
-
-// ShouldTransmit implements radio.Gossiper: membership in the round's
-// pre-drawn transmitter set.
-func (u *UniformGossip) ShouldTransmit(round int, v graph.NodeID) bool {
-	return u.txs.Contains(v, round)
-}
-
-// AppendTransmitters implements radio.BatchGossiper.
+// AppendTransmitters implements radio.Gossiper.
 func (u *UniformGossip) AppendTransmitters(round int, dst []graph.NodeID) []graph.NodeID {
 	return u.txs.AppendTo(dst)
 }

@@ -3,12 +3,11 @@ package baseline
 import (
 	"testing"
 
-	"repro/internal/graph"
 	"repro/internal/rng"
 )
 
-// RoundProb schedules are what the engine's skip gate consults; pin them so
-// a drifted probability or phase window cannot rot silently.
+// FixedProb's RoundProb schedule is what the engine's skip gate consults;
+// pin it so a drifted probability cannot rot silently.
 
 func TestFixedProbRoundProbSchedule(t *testing.T) {
 	f := &FixedProb{Q: 0.07, Window: 50}
@@ -17,28 +16,5 @@ func TestFixedProbRoundProbSchedule(t *testing.T) {
 		if q, ok := f.RoundProb(round); !ok || q != 0.07 {
 			t.Fatalf("round %d: RoundProb = (%v, %v), want (0.07, true)", round, q, ok)
 		}
-	}
-}
-
-func TestElsasserGasieniecRoundProbSchedule(t *testing.T) {
-	e := NewElsasserGasieniec(0.03)
-	e.Begin(512, graph.NodeID(0), rng.New(1))
-	for round := 1; round <= e.phase3To+3; round++ {
-		q, ok := e.RoundProb(round)
-		wantOK := round > e.diam && round <= e.phase3To
-		if ok != wantOK {
-			t.Fatalf("round %d (diam %d, phase3To %d): ok=%v, want %v", round, e.diam, e.phase3To, ok, wantOK)
-		}
-		if ok && q != e.p3prob {
-			t.Fatalf("round %d: q=%v, want %v", round, q, e.p3prob)
-		}
-	}
-}
-
-func TestUniformGossipRoundProbSchedule(t *testing.T) {
-	u := &UniformGossip{Q: 0.3}
-	u.Begin(64, rng.New(1))
-	if q, ok := u.RoundProb(12); !ok || q != 0.3 {
-		t.Fatalf("RoundProb = (%v, %v), want (0.3, true)", q, ok)
 	}
 }

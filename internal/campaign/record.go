@@ -191,17 +191,18 @@ func (v View) Samples(pointKey string) Samples {
 
 // --- checkpoint sink ---
 
-// Sink is the append-only JSONL checkpoint stream. Every record is written
-// as a single Write of one full line followed by a sync, so a crash can at
-// worst leave one torn final line — which LoadRecords tolerates — and a
-// record, once visible, is durable and complete.
+// Sink is an append-only JSONL stream: a record checkpoint, or campaignd's
+// job log. Every value is written as a single Write of one full line
+// followed by a sync, and a failed write or sync is cut back off, so only a
+// crash can leave a torn final line — which ScanJSONL tolerates — and a
+// line, once visible, is durable and complete.
 type Sink struct {
 	f *os.File
 }
 
-// OpenSink opens (creating if needed) the checkpoint file for appending;
-// fresh truncates any existing content first (a new stream rather than a
-// resumed one).
+// OpenSink opens (creating if needed) a JSONL file for appending; fresh
+// truncates any existing content first (a new stream rather than a resumed
+// one).
 func OpenSink(path string, fresh bool) (*Sink, error) {
 	flags := os.O_CREATE | os.O_WRONLY | os.O_APPEND
 	if fresh {
@@ -209,22 +210,31 @@ func OpenSink(path string, fresh bool) (*Sink, error) {
 	}
 	f, err := os.OpenFile(path, flags, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("campaign: open checkpoint: %w", err)
+		return nil, fmt.Errorf("campaign: open sink: %w", err)
 	}
 	return &Sink{f: f}, nil
 }
 
-// Append durably writes one record.
-func (s *Sink) Append(r *Record) error {
-	line, err := json.Marshal(r)
+// Append durably writes v's JSON encoding as one line. A write or sync
+// that fails truncates the file back to its size before the call, so the
+// failed line can neither glue itself to the next append — a retry of the
+// same record included — nor survive as a line of its own.
+func (s *Sink) Append(v any) error {
+	line, err := json.Marshal(v)
 	if err != nil {
-		return fmt.Errorf("campaign: encode record: %w", err)
+		return fmt.Errorf("campaign: encode line: %w", err)
 	}
-	if _, err := s.f.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("campaign: append record: %w", err)
+	st, err := s.f.Stat()
+	if err == nil {
+		if _, err = s.f.Write(append(line, '\n')); err == nil {
+			err = s.f.Sync()
+		}
+		if err != nil {
+			s.f.Truncate(st.Size()) //nolint:errcheck // err is the one to report
+		}
 	}
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("campaign: sync checkpoint: %w", err)
+	if err != nil {
+		return fmt.Errorf("campaign: append: %w", err)
 	}
 	return nil
 }

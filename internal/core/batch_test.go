@@ -35,7 +35,7 @@ var engineForcings = []struct {
 // under every forcing with identical seeds and compares Results: first with
 // per-round history (which pins the informed trajectory and, for the
 // transmitter-side kernels, exact collision counts), then without history
-// so the cross-round skip path participates.
+// so the adaptive pull kernel participates.
 func assertBatchScalarEquivalent(t *testing.T, name string, g *graph.Digraph,
 	mk func() radio.Broadcaster, seed uint64, opt radio.Options) {
 	t.Helper()
@@ -112,13 +112,11 @@ func TestCoreBatchDecisionEquivalence(t *testing.T) {
 	}
 }
 
+// TestAlgorithm2BatchDecisionEquivalence pins that gossip reads no engine
+// override: Algorithm 2 runs the same under the ScalarDecisions forcing.
 func TestAlgorithm2BatchDecisionEquivalence(t *testing.T) {
 	g := graph.GNPDirected(192, 0.08, rng.New(3))
-	a := NewAlgorithm2(0.08)
-	if _, ok := interface{}(a).(radio.BatchGossiper); !ok {
-		t.Fatal("Algorithm2 does not implement radio.BatchGossiper")
-	}
-	opt := radio.GossipOptions{MaxRounds: a.RoundBudget(192), StopWhenComplete: true}
+	opt := radio.GossipOptions{MaxRounds: NewAlgorithm2(0.08).RoundBudget(192), StopWhenComplete: true}
 	for seed := uint64(0); seed < 3; seed++ {
 		batch := radio.RunGossip(g, NewAlgorithm2(0.08), rng.New(seed), opt)
 		radio.SetEngineOverrides(radio.EngineOverrides{ScalarDecisions: true})
@@ -144,37 +142,6 @@ func TestBatchPathConsumesRNGDeterministically(t *testing.T) {
 		}
 		if r1.Uint64() != r2.Uint64() {
 			t.Fatalf("seed=%d: RNG stream positions differ after run", seed)
-		}
-	}
-}
-
-// TestAlgorithm1RoundProbSchedule pins the UniformRound introspection the
-// engine's skip gate consults: exactly the Phase-3 rounds are uniform, at
-// the Phase-3 probability.
-func TestAlgorithm1RoundProbSchedule(t *testing.T) {
-	a := NewAlgorithm1(0.02)
-	a.Begin(1024, 0, rng.New(1))
-	from, to := a.Phase3Rounds()
-	for round := 1; round <= to+3; round++ {
-		q, ok := a.RoundProb(round)
-		wantOK := round >= from && round <= to
-		if ok != wantOK {
-			t.Fatalf("round %d (phase %d): RoundProb ok=%v, want %v", round, a.PhaseOfRound(round), ok, wantOK)
-		}
-		if ok && q != a.p3prob {
-			t.Fatalf("round %d: RoundProb q=%v, want phase-3 prob %v", round, q, a.p3prob)
-		}
-	}
-}
-
-// TestAlgorithm2RoundProbSchedule: every gossip round is uniform at 1/d.
-func TestAlgorithm2RoundProbSchedule(t *testing.T) {
-	a := NewAlgorithm2(0.1)
-	a.Begin(256, rng.New(1))
-	for _, round := range []int{1, 7, 5000} {
-		q, ok := a.RoundProb(round)
-		if !ok || q != a.q {
-			t.Fatalf("round %d: RoundProb = (%v, %v), want (%v, true)", round, q, ok, a.q)
 		}
 	}
 }

@@ -187,42 +187,13 @@ func (a *Algorithm1) BeginRound(round int) {
 		a.txs.DrawList(a.r, a.active, a.p2prob, round)
 		a.active = a.active[:0]
 	case round >= a.phase3From && round <= a.phase3To:
-		// Phase 3: geometric trickle under the cross-round stream contract
-		// (radio.UniformRound): a silent round consumes no randomness, which
-		// is what lets the engine skip silent spans in O(1). Transmitters
-		// retire during the draw, so the active list only shrinks on
-		// transmitting rounds and keeps its informing order.
+		// Phase 3: geometric trickle under radio.TxSet's stream contract,
+		// which fixes the randomness every round consumes (a silent round
+		// consumes none). Transmitters retire during the draw, so the
+		// active list only shrinks on transmitting rounds and keeps its
+		// informing order.
 		a.active = a.txs.RetireListStream(a.r, a.active, a.p3prob, round)
 	}
-}
-
-// RoundProb implements radio.UniformRound: only Phase-3 rounds are uniform
-// Bernoulli rounds (Phase 1 floods, Phase 2 is a one-shot at a different
-// probability).
-func (a *Algorithm1) RoundProb(round int) (float64, bool) {
-	if round >= a.phase3From && round <= a.phase3To {
-		return a.p3prob, true
-	}
-	return 0, false
-}
-
-// SkipSilent implements radio.UniformRound. Within Phase 3 the candidate
-// list is fixed during silence (actives retire only by transmitting), so
-// whole silent rounds are consumed from the stream gap in O(1). The skip
-// stops before phase3To because Quiesced first reports true at that round's
-// end, which the engine must observe through the normal path.
-func (a *Algorithm1) SkipSilent(from, to int) int {
-	if from < a.phase3From || from >= a.phase3To {
-		return from
-	}
-	if to > a.phase3To-1 {
-		to = a.phase3To - 1
-	}
-	k := len(a.active)
-	if to < from || k == 0 {
-		return from
-	}
-	return from + a.txs.StreamSilentRounds(a.r, k, a.p3prob, to-from+1)
 }
 
 // ShouldTransmit implements radio.Broadcaster: membership in the round's
@@ -305,32 +276,13 @@ func (a *Algorithm2) RoundBudget(n int) int {
 
 // BeginRound implements radio.Gossiper: the round's transmitters are drawn
 // once by geometric-skip sampling over the node range (every node gossips),
-// shared by the scalar and batch decision paths. The draw follows the
-// cross-round stream contract so the engine can skip silent rounds.
+// under radio.TxSet's stream contract.
 func (a *Algorithm2) BeginRound(round int) {
 	a.txs.BeginRound()
 	a.txs.DrawRangeStream(a.r, a.n, a.q, round)
 }
 
-// RoundProb implements radio.UniformGossipRound: every round is a
-// Bernoulli(1/d) draw over all n nodes.
-func (a *Algorithm2) RoundProb(int) (float64, bool) { return a.q, true }
-
-// SkipSilent implements radio.UniformGossipRound.
-func (a *Algorithm2) SkipSilent(from, to int) int {
-	if to < from {
-		return from
-	}
-	return from + a.txs.StreamSilentRounds(a.r, a.n, a.q, to-from+1)
-}
-
-// ShouldTransmit implements radio.Gossiper: membership in the round's
-// pre-drawn transmitter set.
-func (a *Algorithm2) ShouldTransmit(round int, v graph.NodeID) bool {
-	return a.txs.Contains(v, round)
-}
-
-// AppendTransmitters implements radio.BatchGossiper.
+// AppendTransmitters implements radio.Gossiper.
 func (a *Algorithm2) AppendTransmitters(round int, dst []graph.NodeID) []graph.NodeID {
 	return a.txs.AppendTo(dst)
 }

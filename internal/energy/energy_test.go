@@ -340,76 +340,3 @@ func TestStartReusesStorage(t *testing.T) {
 		t.Fatalf("Start+round on a warm state allocates %v per run, want 0", allocs)
 	}
 }
-
-// TestAdvanceIdleMatchesEndRoundLoop pins the bulk idle settlement the
-// engine's silent-round skipping relies on: AdvanceIdle over a span must be
-// bit-identical to calling EndRound once per round with empty event lists —
-// aggregate totals, per-node spends, death rounds, lifetime marks and the
-// follow-on predictions all included.
-func TestAdvanceIdleMatchesEndRoundLoop(t *testing.T) {
-	r := rng.New(123)
-	for trial := 0; trial < 40; trial++ {
-		n := 3 + r.Intn(40)
-		budgets := make([]float64, n)
-		for i := range budgets {
-			budgets[i] = 0.5 + 4*r.Float64()
-		}
-		spec := Spec{Model: binModel(), Budgets: budgets}
-
-		mk := func() *State {
-			st := NewState()
-			st.Start(spec, n)
-			// A random prefix becomes informed at round 0 (sleep drain).
-			for v := 0; v < n; v++ {
-				if r := v * 2654435761 % 7; r < 3 {
-					st.NoteInformed(graph.NodeID(v), 0)
-				}
-			}
-			return st
-		}
-		a, b := mk(), mk()
-
-		span := 1 + r.Intn(60)
-		loopDeaths := 0
-		for round := 1; round <= span; round++ {
-			loopDeaths += a.EndRound(round, nil, nil)
-		}
-		bulkDeaths := b.AdvanceIdle(1, span)
-
-		if loopDeaths != bulkDeaths {
-			t.Fatalf("trial %d: %d deaths round-by-round, %d in bulk", trial, loopDeaths, bulkDeaths)
-		}
-		ra, rb := a.Report(), b.Report()
-		if ra.ListenEnergy != rb.ListenEnergy || ra.SleepEnergy != rb.SleepEnergy ||
-			ra.TxEnergy != rb.TxEnergy || ra.RxEnergy != rb.RxEnergy ||
-			ra.DeadCount != rb.DeadCount || ra.FirstDeathRound != rb.FirstDeathRound ||
-			ra.HalfDeathRound != rb.HalfDeathRound {
-			t.Fatalf("trial %d: reports diverge\nloop %+v\nbulk %+v", trial, ra, rb)
-		}
-		for v := 0; v < n; v++ {
-			if ra.Spent[v] != rb.Spent[v] {
-				t.Fatalf("trial %d node %d: spend %g loop vs %g bulk", trial, v, ra.Spent[v], rb.Spent[v])
-			}
-			if a.Alive(graph.NodeID(v)) != b.Alive(graph.NodeID(v)) {
-				t.Fatalf("trial %d node %d: aliveness differs", trial, v)
-			}
-		}
-		// Follow-on predictions must agree so later rounds stay identical.
-		if an, bn := a.NextPassiveDeathSession(), b.NextPassiveDeathSession(); an != bn {
-			t.Fatalf("trial %d: next predicted death %d loop vs %d bulk", trial, an, bn)
-		}
-	}
-}
-
-// TestNextPassiveDeathSessionUnlimited: without budgets there is no death
-// heap and no predicted death.
-func TestNextPassiveDeathSessionUnlimited(t *testing.T) {
-	st := NewState()
-	st.Start(Spec{Model: binModel()}, 4)
-	if st.Limited() {
-		t.Fatal("unbudgeted state reports Limited")
-	}
-	if got := st.NextPassiveDeathSession(); got != math.MaxInt {
-		t.Fatalf("NextPassiveDeathSession = %d, want MaxInt", got)
-	}
-}

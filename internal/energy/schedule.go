@@ -11,11 +11,11 @@ package energy
 // radio wakes to transmit).
 //
 // All schedule accounting is closed-form over phase residues: any Period
-// consecutive rounds contain exactly On awake rounds for every node, so an
-// idle span of any length settles in O(Period) regardless of how many
-// wake/sleep boundaries it crosses — which is what lets the engine's
-// silent-span skipping and the death-heap prediction stay bit-identical to
-// round-by-round execution with schedules active.
+// consecutive rounds contain exactly On awake rounds for every node, so a
+// node's passive drain over any span folds in O(1) and its death round is
+// predicted in O(Period), however many wake/sleep boundaries either
+// crosses — which keeps the lazy per-node accounting and the death heap
+// bit-identical to a round-by-round replay with schedules active.
 
 import (
 	"fmt"

@@ -1,10 +1,7 @@
 package energy
 
 // Tests of listener duty-cycle schedules: direct spend checks across wake
-// boundaries, the naive-mirror fuzz with schedules active, and bulk idle
-// settlement (AdvanceIdle) bit-identical to the round loop — the invariant
-// the radio engine's silent-span skipping rests on when schedules gate the
-// listeners.
+// boundaries and the naive-mirror fuzz with schedules active.
 
 import (
 	"math"
@@ -224,64 +221,6 @@ func TestStateMatchesNaiveReferenceWithSchedule(t *testing.T) {
 				t.Fatalf("trial %d (%+v) node %d: spent %g, naive %g",
 					trial, *sched, v, rep.Spent[v], spent[v])
 			}
-		}
-	}
-}
-
-// TestAdvanceIdleMatchesEndRoundLoopWithSchedule: bulk idle settlement must
-// stay bit-identical to the round loop when a schedule splits every span
-// into awake and asleep segments — including deaths that land mid-sleep.
-func TestAdvanceIdleMatchesEndRoundLoopWithSchedule(t *testing.T) {
-	r := rng.New(0xab1e)
-	for trial := 0; trial < 40; trial++ {
-		n := 3 + r.Intn(40)
-		sched := randomSchedule(r)
-		budgets := make([]float64, n)
-		for i := range budgets {
-			budgets[i] = 0.5 + 6*r.Float64()
-		}
-		spec := Spec{Model: Model{Tx: 1, Rx: 0.5, Listen: 0.25, Sleep: 0.0625},
-			Budgets: budgets, Schedule: sched}
-
-		mk := func() *State {
-			st := NewState()
-			st.Start(spec, n)
-			for v := 0; v < n; v++ {
-				if v*2654435761%7 < 3 {
-					st.NoteInformed(graph.NodeID(v), 0)
-				}
-			}
-			return st
-		}
-		a, b := mk(), mk()
-
-		span := 1 + r.Intn(60)
-		loopDeaths := 0
-		for round := 1; round <= span; round++ {
-			loopDeaths += a.EndRound(round, nil, nil)
-		}
-		bulkDeaths := b.AdvanceIdle(1, span)
-
-		if loopDeaths != bulkDeaths {
-			t.Fatalf("trial %d (%+v): %d deaths round-by-round, %d in bulk", trial, *sched, loopDeaths, bulkDeaths)
-		}
-		ra, rb := a.Report(), b.Report()
-		if ra.ListenEnergy != rb.ListenEnergy || ra.SleepEnergy != rb.SleepEnergy ||
-			ra.TxEnergy != rb.TxEnergy || ra.RxEnergy != rb.RxEnergy ||
-			ra.DeadCount != rb.DeadCount || ra.FirstDeathRound != rb.FirstDeathRound ||
-			ra.HalfDeathRound != rb.HalfDeathRound {
-			t.Fatalf("trial %d (%+v): reports diverge\nloop %+v\nbulk %+v", trial, *sched, ra, rb)
-		}
-		for v := 0; v < n; v++ {
-			if ra.Spent[v] != rb.Spent[v] {
-				t.Fatalf("trial %d (%+v) node %d: spend %g loop vs %g bulk", trial, *sched, v, ra.Spent[v], rb.Spent[v])
-			}
-			if a.Alive(graph.NodeID(v)) != b.Alive(graph.NodeID(v)) {
-				t.Fatalf("trial %d node %d: aliveness differs", trial, v)
-			}
-		}
-		if an, bn := a.NextPassiveDeathSession(), b.NextPassiveDeathSession(); an != bn {
-			t.Fatalf("trial %d (%+v): next predicted death %d loop vs %d bulk", trial, *sched, an, bn)
 		}
 	}
 }

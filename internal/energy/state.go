@@ -65,10 +65,7 @@ type State struct {
 	dead           int
 
 	// Aggregate per-state usage, kept as exact integer event/node-round
-	// counters (the cost products are taken at Report time). Integer
-	// accumulation is what lets AdvanceIdle settle a skipped span of rounds
-	// in one multiplication while staying bit-identical to the
-	// round-by-round engine for ANY cost table.
+	// counters; the cost products are taken once, at Report time.
 	txEvents, rxEvents                int64
 	listenNodeRounds, sleepNodeRounds int64
 
@@ -362,77 +359,6 @@ func (st *State) EndRound(sessionRound int, transmitters, delivered []graph.Node
 		newDeaths = st.sweepDeaths(age)
 	}
 	return newDeaths
-}
-
-// Limited reports whether any battery budget is finite (without budgets
-// nothing ever depletes and the death heap is absent).
-func (st *State) Limited() bool { return st.limited }
-
-// NextPassiveDeathSession returns the session round at whose end the next
-// spontaneous (passive-drain) depletion is predicted, or math.MaxInt when
-// none is. Predictions can be conservative (early) when a node's drain rate
-// dropped since they were made; they are never later than the detection
-// round the round-by-round engine would use, because both run on the same
-// heap. The engine uses this to bound silent-round skips.
-func (st *State) NextPassiveDeathSession() int {
-	if !st.limited {
-		return math.MaxInt
-	}
-	k := st.key[st.heap[0]]
-	if k >= neverRound {
-		return math.MaxInt
-	}
-	return int(k) - st.base
-}
-
-// AdvanceIdle settles a span of idle session rounds [fromSession,
-// toSession] in which no node transmitted or received anything: every alive
-// node pays its passive rate (Listen while uninformed, Sleep once informed)
-// for each round of the span, and spontaneous depletions are detected at
-// the end of their exact round, identically to calling EndRound once per
-// round with empty event lists. The aggregate node-round counters advance
-// in O(1) per death-free stretch; deaths segment the span. Returns the
-// total deaths in the span.
-func (st *State) AdvanceIdle(fromSession, toSession int) (deaths int) {
-	cur := st.base + fromSession - 1 // settled through this age round
-	end := st.base + toSession
-	for cur < end {
-		next := end
-		if st.limited {
-			if k := st.key[st.heap[0]]; k < int64(next) {
-				if k <= int64(cur) {
-					next = cur + 1 // stale-low prediction: resolve it round by round
-				} else {
-					next = int(k)
-				}
-			}
-		}
-		span := int64(next - cur)
-		if st.hasSched {
-			// Listen node-rounds over the span, per phase class: awakeIn is
-			// a closed form, so spans settle exactly no matter how many
-			// wake/sleep boundaries they cross. Asleep listener rounds pay
-			// Sleep alongside the informed sleepers.
-			var awake int64
-			for c, cnt := range st.listenPhase {
-				if cnt != 0 {
-					awake += cnt * st.sched.awakeIn(c, cur+1, next)
-				}
-			}
-			st.listenNodeRounds += awake
-			st.sleepNodeRounds += int64(st.aliveInformed)*span +
-				int64(st.aliveListening)*span - awake
-		} else {
-			st.listenNodeRounds += int64(st.aliveListening) * span
-			st.sleepNodeRounds += int64(st.aliveInformed) * span
-		}
-		cur = next
-		st.round = cur
-		if st.limited {
-			deaths += st.sweepDeaths(cur)
-		}
-	}
-	return deaths
 }
 
 // CheckPartition tests whether the alive nodes still form one mutually

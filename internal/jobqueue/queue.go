@@ -87,7 +87,7 @@ type Queue struct {
 
 	// jobLog is StateDir/jobs.jsonl open for appends; nil when
 	// Options.StateDir is empty.
-	jobLog   *os.File
+	jobLog   *campaign.Sink
 	draining bool
 }
 
@@ -167,7 +167,7 @@ func (q *Queue) restoreJobs() error {
 	if len(q.jobs) > 0 {
 		q.logf("state: restored %d job(s) from %s", len(q.jobs), path)
 	}
-	q.jobLog, err = os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	q.jobLog, err = campaign.OpenSink(path, false)
 	if err != nil {
 		return fmt.Errorf("jobqueue: open job log: %w", err)
 	}
@@ -290,24 +290,13 @@ func (q *Queue) addJob(spec JobSpec, resume bool) (*qjob, error) {
 }
 
 // logJob appends the accepted spec to the job log as one fsync'd line
-// (no-op without a StateDir).
+// (no-op without a StateDir). A failed append is cut back off, so it
+// cannot bring back a refused submission.
 func (q *Queue) logJob(spec JobSpec) error {
 	if q.jobLog == nil {
 		return nil
 	}
-	st, err := q.jobLog.Stat()
-	if err == nil {
-		line, _ := json.Marshal(spec) // plain fields only: cannot fail
-		if _, err = q.jobLog.Write(append(line, '\n')); err == nil {
-			err = q.jobLog.Sync()
-		}
-		if err != nil {
-			// Cut the failed line off, so that it can neither glue itself
-			// to the next one nor bring back a refused submission.
-			q.jobLog.Truncate(st.Size()) //nolint:errcheck // err is the one to report
-		}
-	}
-	if err != nil {
+	if err := q.jobLog.Append(spec); err != nil {
 		return fmt.Errorf("jobqueue: log job %q: %w", spec.ID, err)
 	}
 	return nil

@@ -1,11 +1,12 @@
 package radio
 
 // Equivalence tests for the engine's alternative code paths: the batch
-// decision fast path (BatchBroadcaster / BatchGossiper) and the
-// receiver-sharded parallel delivery kernel must be bit-identical to the
-// scalar/serial paths.
+// decision fast path (BatchBroadcaster) and the receiver-sharded parallel
+// delivery kernel must be bit-identical to the scalar/serial paths, and
+// gossip's one decision path must match a scalar per-node reference.
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -147,7 +148,8 @@ func TestScratchSessionsMatchFreshSessions(t *testing.T) {
 	}
 }
 
-// pulseGossip is pulse's gossip twin.
+// pulseGossip is pulse's gossip twin. transmits is its per-node membership
+// oracle, which only the scalar reference below asks.
 type pulseGossip struct {
 	q       float64
 	n       int
@@ -170,28 +172,89 @@ func (p *pulseGossip) BeginRound(round int) {
 		p.txRound[i] = round
 	}
 }
-func (p *pulseGossip) ShouldTransmit(round int, v graph.NodeID) bool { return p.txRound[v] == round }
+func (p *pulseGossip) transmits(round int, v graph.NodeID) bool { return p.txRound[v] == round }
 func (p *pulseGossip) AppendTransmitters(_ int, dst []graph.NodeID) []graph.NodeID {
 	return append(dst, p.pending...)
 }
 
+// referenceGossip replays p for the given rounds the slow way: it asks p
+// node by node whether each node transmits, and applies the §3 join rule
+// by brute force — a silent node w whose in-neighbours hold exactly one
+// transmitter u joins u's start-of-round rumor set. It returns the
+// per-round history, the per-node transmissions and the final knowledge.
+func referenceGossip(g *graph.Digraph, p *pulseGossip, r *rng.RNG, rounds int) ([]GossipRoundStat, []int32, [][]bool) {
+	n := g.N()
+	know := make([][]bool, n)
+	for v := range know {
+		know[v] = make([]bool, n)
+		know[v][v] = true
+	}
+	perNodeTx := make([]int32, n)
+	var hist []GossipRoundStat
+	p.Begin(n, r)
+	for round := 1; round <= rounds; round++ {
+		p.BeginRound(round)
+		isTx := make([]bool, n)
+		txs := 0
+		for v := range isTx {
+			if p.transmits(round, graph.NodeID(v)) {
+				isTx[v] = true
+				perNodeTx[v]++
+				txs++
+			}
+		}
+		next := make([][]bool, n)
+		var pairs int64
+		for w := range next {
+			next[w] = slices.Clone(know[w])
+			senders, from := 0, graph.NodeID(-1)
+			for _, u := range g.In(graph.NodeID(w)) {
+				if isTx[u] {
+					senders++
+					from = u
+				}
+			}
+			if senders == 1 && !isTx[w] {
+				for x, k := range know[from] {
+					next[w][x] = next[w][x] || k
+				}
+			}
+			for _, k := range next[w] {
+				if k {
+					pairs++
+				}
+			}
+		}
+		know = next
+		hist = append(hist, GossipRoundStat{Round: round, Transmitters: txs, KnownPairs: pairs})
+	}
+	return hist, perNodeTx, know
+}
+
+// TestGossipBatchPathMatchesScalar: the gossip engine's one decision path,
+// AppendTransmitters, must reproduce the scalar per-node reference round by
+// round — transmitter counts, knowledge growth, per-node transmissions and
+// who knows which rumor at the end.
 func TestGossipBatchPathMatchesScalar(t *testing.T) {
 	g := graph.GNPDirected(300, 0.03, rng.New(51))
-	opt := GossipOptions{MaxRounds: 500, RecordHistory: true, StopWhenComplete: true}
-	run := func() *GossipResult { return RunGossip(g, &pulseGossip{q: 0.1}, rng.New(7), opt) }
-
-	batch := run()
-	SetEngineOverrides(EngineOverrides{ScalarDecisions: true})
-	scalar := run()
-	SetEngineOverrides(EngineOverrides{})
-	if batch.Rounds != scalar.Rounds || batch.CompleteRound != scalar.CompleteRound ||
-		batch.TotalTx != scalar.TotalTx || batch.KnownPairs != scalar.KnownPairs ||
-		batch.MaxNodeTx != scalar.MaxNodeTx {
-		t.Fatalf("gossip batch/scalar diverge:\nbatch  %+v\nscalar %+v", batch, scalar)
+	const rounds = 300
+	sess := NewGossipSession(g.N())
+	got := sess.Run(g, &pulseGossip{q: 0.1}, rng.New(7), GossipOptions{MaxRounds: rounds, RecordHistory: true})
+	hist, perNodeTx, know := referenceGossip(g, &pulseGossip{q: 0.1}, rng.New(7), rounds)
+	if !slices.Equal(got.History, hist) {
+		t.Fatalf("gossip history diverges from the scalar reference:\nengine    %v\nreference %v", got.History, hist)
 	}
-	for i := range batch.PerNodeTx {
-		if batch.PerNodeTx[i] != scalar.PerNodeTx[i] {
-			t.Fatalf("per-node tx differ at %d", i)
+	if !slices.Equal(got.PerNodeTx, perNodeTx) {
+		t.Fatal("per-node transmissions diverge from the scalar reference")
+	}
+	for v := range know {
+		for u, k := range know[v] {
+			if sess.Knows(graph.NodeID(v), graph.NodeID(u)) != k {
+				t.Fatalf("node %d knows rumor %d: engine %v, reference %v", v, u, !k, k)
+			}
 		}
+	}
+	if hist[rounds-1].KnownPairs == int64(g.N()) {
+		t.Fatal("no rumor ever spread; the comparison is vacuous")
 	}
 }

@@ -53,86 +53,119 @@ func (tr *eventTrace) Deliver(_ int, v graph.NodeID) {
 }
 func (tr *eventTrace) RoundEnd(int, int, int, int) {}
 
-// TestEngineEnergyMatchesNaiveReplay runs a real broadcast with the energy
+// TestEngineEnergyMatchesNaiveReplay runs real broadcasts with the energy
 // model on and re-derives every per-node spend and death round from the
 // traced event stream with a naive one-state-per-node-per-round accounting.
-// Binary-exact costs make the comparison exact.
+// Binary-exact costs make the comparison exact. The idle-drain case is a
+// mostly silent session (q = 1e-4) under staggered per-node budgets, in
+// which every node dies of idle listening; the engine must stop at the
+// round the last one dies.
 func TestEngineEnergyMatchesNaiveReplay(t *testing.T) {
-	n := 192
-	g, _ := graph.Geometric(graph.GeomSpec{N: n, Radius: 2 * graph.ConnectivityRadius(n), Torus: true}, rng.New(11))
 	m := energy.Model{Tx: 1, Rx: 0.5, Listen: 0.25, Sleep: 0.125}
-	budget := 40.0
-	tr := &eventTrace{}
-	res := RunBroadcast(g, 0, &bern{q: 0.1}, rng.New(5),
-		Options{MaxRounds: 600, Tracer: tr, Energy: &energy.Spec{Model: m, Budget: budget}})
-	if res.Energy == nil {
-		t.Fatal("Result.Energy missing")
+	rgg, _ := graph.Geometric(graph.GeomSpec{N: 192, Radius: 2 * graph.ConnectivityRadius(192), Torus: true}, rng.New(11))
+	idleBudgets := make([]float64, 96)
+	for i := range idleBudgets {
+		idleBudgets[i] = 3 + float64(i%17)
 	}
-	if res.Energy.DeadCount == 0 {
-		t.Fatal("workload produced no deaths; tighten the budget to make this test meaningful")
-	}
+	for _, c := range []struct {
+		name      string
+		g         *graph.Digraph
+		proto     Broadcaster
+		seed      uint64
+		maxRounds int
+		spec      *energy.Spec
+		allDie    bool
+	}{
+		{"rgg", rgg, &bern{q: 0.1}, 5, 600, &energy.Spec{Model: m, Budget: 40}, false},
+		{"idle-drain", graph.GNPDirected(96, 0.08, rng.New(21)), &sbern{q: 1e-4}, 17, 5000,
+			&energy.Spec{Model: m, Budgets: idleBudgets, TrackPartition: true}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			n := c.g.N()
+			budget := func(v int) float64 {
+				if c.spec.Budgets != nil {
+					return c.spec.Budgets[v]
+				}
+				return c.spec.Budget
+			}
+			tr := &eventTrace{}
+			res := RunBroadcast(c.g, 0, c.proto, rng.New(c.seed),
+				Options{MaxRounds: c.maxRounds, Tracer: tr, Energy: c.spec})
+			if res.Energy == nil {
+				t.Fatal("Result.Energy missing")
+			}
+			if res.Energy.DeadCount == 0 {
+				t.Fatal("workload produced no deaths; tighten the budget to make this test meaningful")
+			}
 
-	spent := make([]float64, n)
-	informed := make([]bool, n)
-	dead := make([]bool, n)
-	informed[0] = true
-	first, half, deadCount := -1, -1, 0
-	for round := 1; round <= res.Rounds; round++ {
-		isTx := make(map[graph.NodeID]bool)
-		for _, v := range tr.txs[round-1] {
-			if dead[v] {
-				t.Fatalf("round %d: dead node %d transmitted", round, v)
-			}
-			isTx[v] = true
-		}
-		isRx := make(map[graph.NodeID]bool)
-		for _, v := range tr.rxs[round-1] {
-			if dead[v] {
-				t.Fatalf("round %d: dead node %d received", round, v)
-			}
-			isRx[v] = true
-		}
-		for v := 0; v < n; v++ {
-			if dead[v] {
-				continue
-			}
-			switch {
-			case isTx[graph.NodeID(v)]:
-				spent[v] += m.Tx
-			case isRx[graph.NodeID(v)]:
-				spent[v] += m.Rx
-			case informed[v]:
-				spent[v] += m.Sleep
-			default:
-				spent[v] += m.Listen
-			}
-		}
-		for _, v := range tr.rxs[round-1] {
-			informed[v] = true
-		}
-		for v := 0; v < n; v++ {
-			if !dead[v] && spent[v] >= budget-1e-9 {
-				dead[v] = true
-				deadCount++
-				if first < 0 {
-					first = round
+			spent := make([]float64, n)
+			informed := make([]bool, n)
+			dead := make([]bool, n)
+			informed[0] = true
+			first, half, last, deadCount := -1, -1, -1, 0
+			for round := 1; round <= res.Rounds; round++ {
+				isTx := make(map[graph.NodeID]bool)
+				for _, v := range tr.txs[round-1] {
+					if dead[v] {
+						t.Fatalf("round %d: dead node %d transmitted", round, v)
+					}
+					isTx[v] = true
 				}
-				if half < 0 && 2*deadCount >= n {
-					half = round
+				isRx := make(map[graph.NodeID]bool)
+				for _, v := range tr.rxs[round-1] {
+					if dead[v] {
+						t.Fatalf("round %d: dead node %d received", round, v)
+					}
+					isRx[v] = true
+				}
+				for v := 0; v < n; v++ {
+					if dead[v] {
+						continue
+					}
+					switch {
+					case isTx[graph.NodeID(v)]:
+						spent[v] += m.Tx
+					case isRx[graph.NodeID(v)]:
+						spent[v] += m.Rx
+					case informed[v]:
+						spent[v] += m.Sleep
+					default:
+						spent[v] += m.Listen
+					}
+				}
+				for _, v := range tr.rxs[round-1] {
+					informed[v] = true
+				}
+				for v := 0; v < n; v++ {
+					if !dead[v] && spent[v] >= budget(v)-1e-9 {
+						dead[v] = true
+						deadCount++
+						last = round
+						if first < 0 {
+							first = round
+						}
+						if half < 0 && 2*deadCount >= n {
+							half = round
+						}
+					}
 				}
 			}
-		}
-	}
-	for v := 0; v < n; v++ {
-		if res.Energy.Spent[v] != spent[v] {
-			t.Fatalf("node %d: engine spent %g, naive replay %g", v, res.Energy.Spent[v], spent[v])
-		}
-	}
-	if res.Energy.DeadCount != deadCount ||
-		res.Energy.FirstDeathRound != first || res.Energy.HalfDeathRound != half {
-		t.Fatalf("lifetime (%d dead, first %d, half %d), naive (%d, %d, %d)",
-			res.Energy.DeadCount, res.Energy.FirstDeathRound, res.Energy.HalfDeathRound,
-			deadCount, first, half)
+			for v := 0; v < n; v++ {
+				if res.Energy.Spent[v] != spent[v] {
+					t.Fatalf("node %d: engine spent %g, naive replay %g", v, res.Energy.Spent[v], spent[v])
+				}
+			}
+			if res.Energy.DeadCount != deadCount ||
+				res.Energy.FirstDeathRound != first || res.Energy.HalfDeathRound != half {
+				t.Fatalf("lifetime (%d dead, first %d, half %d), naive (%d, %d, %d)",
+					res.Energy.DeadCount, res.Energy.FirstDeathRound, res.Energy.HalfDeathRound,
+					deadCount, first, half)
+			}
+			if c.allDie && (deadCount != n || res.Rounds != last) {
+				t.Fatalf("%d of %d nodes dead, last death in round %d; the engine stopped after round %d",
+					deadCount, n, last, res.Rounds)
+			}
+		})
 	}
 }
 

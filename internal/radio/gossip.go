@@ -10,30 +10,16 @@ import (
 // Gossiper is a gossiping protocol in the join model of §3: every node
 // starts with its own rumor, nodes may join all rumors they know into a
 // single message, and a joined message is transmitted in one round.
-// The engine guarantees the same calling discipline as for Broadcaster
-// (Begin once per Run, then per round BeginRound followed by ShouldTransmit
-// for every node in increasing id order).
+// The engine calls Begin once per Run, then per round BeginRound followed
+// by one AppendTransmitters call.
 type Gossiper interface {
 	Name() string
 	Begin(n int, r *rng.RNG)
 	BeginRound(round int)
-	// ShouldTransmit reports whether node v transmits this round. Unlike
-	// broadcast, every node always has something to send (at least its own
-	// rumor), so the engine consults every node every round.
-	ShouldTransmit(round int, v graph.NodeID) bool
-}
-
-// BatchGossiper is the gossip analogue of BatchBroadcaster: the engine
-// replaces the per-node ShouldTransmit loop with one AppendTransmitters
-// call per round. The shared-draw contract is the same — both paths must
-// select the same transmitter sequence (in increasing node order, since
-// gossip consults every node) from the same randomness.
-type BatchGossiper interface {
-	Gossiper
 	// AppendTransmitters appends this round's transmitters to dst and
-	// returns the extended slice. Unlike the broadcast variant there is no
-	// candidate-list parameter: every node gossips, and protocols already
-	// know n from Begin, so they sample the id range directly.
+	// returns the extended slice. Every node always has something to send
+	// (at least its own rumor), so every node is a candidate; protocols
+	// know n from Begin and sample the id range directly.
 	AppendTransmitters(round int, dst []graph.NodeID) []graph.NodeID
 }
 
@@ -235,15 +221,6 @@ func (s *GossipSession) Run(g *graph.Digraph, p Gossiper, protoRNG *rng.RNG, opt
 	}
 
 	p.Begin(n, protoRNG)
-	batch, _ := p.(BatchGossiper)
-	if engineOverrides.ScalarDecisions {
-		batch = nil
-	}
-	// Cross-round skipping: a silent gossip round changes nothing but the
-	// clock, so protocols exposing the uniform stream contract fast-forward
-	// across silent spans (disabled when per-round history is recorded).
-	skipper, _ := p.(UniformGossipRound)
-	canSkip := skipper != nil && !engineOverrides.DisableSkip && !opt.RecordHistory
 	totalTarget := int64(n) * int64(n)
 	transmitters := s.transmitters[:0]
 	touched := s.touched[:0]
@@ -251,39 +228,13 @@ func (s *GossipSession) Run(g *graph.Digraph, p Gossiper, protoRNG *rng.RNG, opt
 	start := s.rounds
 	segEnd := start + opt.MaxRounds
 	for s.rounds < segEnd {
-		round := s.rounds + 1
-		// RoundProb gates the skip attempt: only uniform Bernoulli rounds
-		// are candidates for cross-round fast-forwarding.
-		if _, uniform := uniformGossipProb(skipper, canSkip, round); uniform {
-			if next := skipper.SkipSilent(round, segEnd); next > round {
-				if next > segEnd+1 {
-					next = segEnd + 1
-				}
-				s.rounds = next - 1
-				res.Rounds = s.rounds - start
-				if s.rounds >= segEnd {
-					break
-				}
-				round = next
-			}
-		}
-		s.rounds = round
+		s.rounds++
+		round := s.rounds
 		p.BeginRound(round)
-		transmitters = transmitters[:0]
-		if batch != nil {
-			transmitters = batch.AppendTransmitters(round, transmitters)
-			for _, v := range transmitters {
-				res.PerNodeTx[v]++
-				s.isTx[v] = true
-			}
-		} else {
-			for v := 0; v < n; v++ {
-				if p.ShouldTransmit(round, graph.NodeID(v)) {
-					transmitters = append(transmitters, graph.NodeID(v))
-					res.PerNodeTx[v]++
-					s.isTx[v] = true
-				}
-			}
+		transmitters = p.AppendTransmitters(round, transmitters[:0])
+		for _, v := range transmitters {
+			res.PerNodeTx[v]++
+			s.isTx[v] = true
 		}
 		res.TotalTx += int64(len(transmitters))
 
@@ -361,15 +312,6 @@ func (s *GossipSession) Run(g *graph.Digraph, p Gossiper, protoRNG *rng.RNG, opt
 		}
 	}
 	return res
-}
-
-// uniformGossipProb asks a UniformGossipRound protocol for the round's
-// shared probability when skipping is enabled; (0, false) otherwise.
-func uniformGossipProb(u UniformGossipRound, enabled bool, round int) (float64, bool) {
-	if !enabled {
-		return 0, false
-	}
-	return u.RoundProb(round)
 }
 
 // RunGossip simulates protocol p gossiping on a static graph g: a fresh

@@ -38,10 +38,9 @@
 // (radio.go), parallel push (parallel.go), the receiver-centric pull kernel
 // over the frontier list (frontier.go), or, from ⌈n/64⌉ transmitter edges
 // on a materialized graph, the word-parallel dense kernel (dense.go).
-// Protocols whose rounds are uniform Bernoulli draws additionally implement
-// UniformRound and take their draws through TxSet's cross-round stream
-// contract, letting the engine skip fully silent rounds in O(1) and the
-// energy model settle the skipped span in bulk. All configurations are
+// Every round is executed, with one exception that waits for ROADMAP item
+// 10 (the next change to bench/): an energy-free FixedProb run still skips
+// fully silent rounds in O(1) through UniformRound. All configurations are
 // bit-identical on the informed trajectory, per-node transmissions, rounds
 // and energy; only Result.Collisions is kernel-dependent (see its contract).
 //
@@ -52,9 +51,9 @@
 // Binary (the paper), Fade (per-receiver deep fades), LossyChannel
 // (per-edge fading), SINRThreshold (equal-power capture), Jam (random
 // receiver jamming). Channel randomness is hashed per (seed, round,
-// endpoints) rather than drawn from a stream, so every kernel, every
-// engine forcing, and the silent-skip fast path agree bit-for-bit under
-// every model; Binary resolves to the unmodified hot paths. A listener
+// endpoints) rather than drawn from a stream, so every kernel and every
+// engine forcing agree bit-for-bit under every model; Binary resolves to
+// the unmodified hot paths. A listener
 // duty-cycle schedule (energy.Spec.Schedule) additionally vetoes
 // deliveries to receivers whose radio is scheduled asleep.
 package radio
@@ -124,14 +123,13 @@ type BatchBroadcaster interface {
 	AppendTransmitters(round int, informed []graph.NodeID, dst []graph.NodeID) []graph.NodeID
 }
 
-// UniformRound is the optional cross-round fast path: protocols whose
-// transmit decision in (a phase of) rounds is one shared Bernoulli(q) draw
-// over their candidate list, taken through the TxSet stream contract
-// (DrawListStream / DrawRangeStream), implement it so the engine can skip
-// provably silent rounds in O(1) instead of grinding through them one at a
-// time. FixedProb, the Phase-3 trickles of Algorithm 1 and
-// Elsässer–Gasieniec, and the uniform gossips qualify; protocols whose
-// per-round probability varies (Algorithm 3's 2^{-I_r}) do not.
+// UniformRound lets the engine skip provably silent rounds in O(1): a
+// protocol whose every round is one shared Bernoulli(q) draw over its
+// candidate list, taken through TxSet's stream contract, reports how far
+// the carried gap reaches. Only baseline.FixedProb implements it, and the
+// engine consults it only for runs without energy accounting. It stays
+// because bench/e2e wraps it; it goes with ROADMAP item 10 (the next change
+// to bench/).
 type UniformRound interface {
 	Broadcaster
 	// RoundProb reports the shared per-candidate transmit probability of
@@ -146,15 +144,6 @@ type UniformRound interface {
 	// is pending, the round is not uniform, or Quiesced could first report
 	// true at the round's end — the engine executes that round through the
 	// ordinary per-round path, which continues from the same stream state.
-	SkipSilent(from, to int) int
-}
-
-// UniformGossipRound is the gossip analogue of UniformRound, with the same
-// SkipSilent contract (gossip protocols never quiesce, so only pending
-// transmissions bound a skip).
-type UniformGossipRound interface {
-	Gossiper
-	RoundProb(round int) (q float64, ok bool)
 	SkipSilent(from, to int) int
 }
 
@@ -182,22 +171,24 @@ const (
 	KernelDense
 )
 
-// EngineOverrides force specific engine code paths, for the equivalence
-// tests and for debugging. All combinations are bit-identical on the
-// informed trajectory, per-node transmissions, rounds and energy report;
-// only Result.Collisions may differ under KernelPull (see the
-// Result.Collisions contract).
+// EngineOverrides force specific broadcast engine code paths, for the
+// equivalence tests and for debugging. All combinations are bit-identical
+// on the informed trajectory, per-node transmissions, rounds and energy
+// report; only Result.Collisions may differ under KernelPull (see the
+// Result.Collisions contract). Gossip has one decision path and one kernel
+// and ignores every override.
 type EngineOverrides struct {
 	// ScalarDecisions disables the batch decision fast path even for
-	// BatchBroadcasters / BatchGossipers.
+	// BatchBroadcasters.
 	ScalarDecisions bool
 	// Kernel pins the broadcast delivery kernel instead of the per-round
 	// cost model. Every reception model is served by every kernel (channel
 	// draws are hashed, not streamed — see reception.go), so the pin is
-	// total. Gossip always pushes and ignores it.
+	// total.
 	Kernel DeliveryKernel
-	// DisableSkip forces round-by-round execution even for UniformRound
-	// protocols.
+	// DisableSkip forces round-by-round execution of the only runs that
+	// skip silent rounds: energy-free UniformRound (FixedProb) runs. It
+	// goes with UniformRound in ROADMAP item 10.
 	DisableSkip bool
 }
 
@@ -231,7 +222,7 @@ type Options struct {
 	Workers int
 	// Reception selects the channel's reception model (see ReceptionModel
 	// in reception.go). Nil means Binary() — the paper's exactly-one rule.
-	// Every model runs on every kernel and keeps the silent-skip fast path.
+	// Every model runs on every kernel.
 	Reception ReceptionModel
 	// Jammed, when non-nil, returns the receivers whose channel is occupied
 	// by external interference in the given round: a jammed node cannot
@@ -578,48 +569,22 @@ func (s *BroadcastSession) Run(g graph.Implicit, opt Options) *Result {
 
 	transmitters := s.txbuf
 	_, alreadyDone := s.reachedAt[target]
-	// Cross-round skipping applies when the protocol exposes the uniform
-	// stream contract and no per-round observer (history rows, tracer
-	// callbacks, jamming queries) would notice the missing rounds.
+	// Silent-round skipping (UniformRound, until ROADMAP item 10) applies
+	// only when no energy state must be charged for the skipped rounds and
+	// no per-round observer (history rows, tracer callbacks, jamming
+	// queries) would notice them missing.
 	skipper, _ := s.proto.(UniformRound)
-	canSkip := skipper != nil && !engineOverrides.DisableSkip &&
+	canSkip := skipper != nil && !engineOverrides.DisableSkip && en == nil &&
 		opt.Tracer == nil && !opt.RecordHistory && opt.Jammed == nil
 	segEnd := s.rounds + opt.MaxRounds
 	for s.rounds < segEnd && !s.quiesced && !(opt.StopWhenInformed && alreadyDone) {
 		round := s.rounds + 1
-		// RoundProb gates the skip attempt: only uniform Bernoulli rounds
-		// are candidates (SkipSilent additionally refuses on its own — this
-		// is the cheap first check and what keeps RoundProb honest).
 		if _, uniform := uniformProb(skipper, canSkip, round); uniform {
-			// Ask the protocol to fast-forward across silent rounds. The
-			// span is bounded by the next predicted battery death so the
-			// all-dead early stop below can only trigger at the span's end —
-			// protocol state then matches the round clock exactly.
-			to := segEnd
-			if en != nil {
-				if d := en.NextPassiveDeathSession(); d < to {
-					if d < round {
-						d = round
-					}
-					to = d
-				}
-			}
-			if next := skipper.SkipSilent(round, to); next > round {
-				if next > to+1 {
-					next = to + 1
-				}
-				if en != nil {
-					// Settle the idle span in bulk: listen/sleep node-rounds
-					// and any spontaneous depletions (only possible at the
-					// span's final round, by the bound above).
-					if deaths := en.AdvanceIdle(round, next-1); deaths > 0 {
-						en.CheckPartition(g, next-1)
-					}
+			if next := skipper.SkipSilent(round, segEnd); next > round {
+				if next > segEnd+1 {
+					next = segEnd + 1
 				}
 				s.rounds = next - 1
-				if en != nil && en.AliveCount() == 0 {
-					break
-				}
 				if s.rounds >= segEnd {
 					break
 				}
@@ -798,7 +763,8 @@ func (s *BroadcastSession) Run(g graph.Implicit, opt Options) *Result {
 }
 
 // uniformProb asks a UniformRound protocol for the round's shared
-// probability when skipping is enabled; (0, false) otherwise.
+// probability when skipping is enabled; (0, false) otherwise. It goes with
+// UniformRound in ROADMAP item 10.
 func uniformProb(u UniformRound, enabled bool, round int) (float64, bool) {
 	if !enabled {
 		return 0, false

@@ -363,20 +363,29 @@ type tdma struct{ n int }
 func (p *tdma) Name() string            { return "tdma" }
 func (p *tdma) Begin(n int, r *rng.RNG) { p.n = n }
 func (p *tdma) BeginRound(int)          {}
-func (p *tdma) ShouldTransmit(round int, v graph.NodeID) bool {
-	return int(v) == (round-1)%p.n
+func (p *tdma) AppendTransmitters(round int, dst []graph.NodeID) []graph.NodeID {
+	return append(dst, graph.NodeID((round-1)%p.n))
 }
 
-// gossipCoin transmits with probability q.
+// gossipCoin transmits with probability q, one Bernoulli draw per node in
+// increasing node order.
 type gossipCoin struct {
 	q float64
+	n int
 	r *rng.RNG
 }
 
-func (p *gossipCoin) Name() string                          { return "gossip-coin" }
-func (p *gossipCoin) Begin(n int, r *rng.RNG)               { p.r = r }
-func (p *gossipCoin) BeginRound(int)                        {}
-func (p *gossipCoin) ShouldTransmit(int, graph.NodeID) bool { return p.r.Bernoulli(p.q) }
+func (p *gossipCoin) Name() string            { return "gossip-coin" }
+func (p *gossipCoin) Begin(n int, r *rng.RNG) { p.n, p.r = n, r }
+func (p *gossipCoin) BeginRound(int)          {}
+func (p *gossipCoin) AppendTransmitters(_ int, dst []graph.NodeID) []graph.NodeID {
+	for v := 0; v < p.n; v++ {
+		if p.r.Bernoulli(p.q) {
+			dst = append(dst, graph.NodeID(v))
+		}
+	}
+	return dst
+}
 
 func TestGossipTDMACompleteGraph(t *testing.T) {
 	// TDMA on K_n: round r spreads node (r-1)'s current set to everyone.
@@ -438,13 +447,8 @@ func newScriptedGossip(plan map[int][]graph.NodeID) *scriptedGossip {
 func (s *scriptedGossip) Name() string        { return "scripted-gossip" }
 func (s *scriptedGossip) Begin(int, *rng.RNG) {}
 func (s *scriptedGossip) BeginRound(int)      {}
-func (s *scriptedGossip) ShouldTransmit(round int, v graph.NodeID) bool {
-	for _, u := range s.plan[round] {
-		if u == v {
-			return true
-		}
-	}
-	return false
+func (s *scriptedGossip) AppendTransmitters(round int, dst []graph.NodeID) []graph.NodeID {
+	return append(dst, s.plan[round]...)
 }
 
 func TestGossipCoinCompletesOnGNP(t *testing.T) {

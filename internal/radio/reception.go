@@ -19,10 +19,10 @@ package radio
 //     no matter which kernel asks, or in which order, so every kernel and
 //     every SetEngineOverrides forcing stays bit-identical under every
 //     model.
-//   - Skip exactness. A silent round has no transmissions, hence no channel
-//     questions: skipping it consumes no channel randomness, so the
-//     cross-round silent-skip fast path (UniformRound) remains exact under
-//     every model.
+//   - Silent rounds are free. A silent round has no transmissions, hence
+//     no channel questions, and consumes no channel randomness. So the
+//     silent rounds FixedProb still skips (UniformRound, until ROADMAP item
+//     10) cannot shift a later round's draws under any model.
 //   - Resume determinism. The draw for (round, receiver) is a function of
 //     the session seed alone — re-running a session, or re-running a
 //     campaign point after a crash, reproduces every fade decision without
@@ -71,8 +71,8 @@ import (
 // interface is sealed by resolve); select one with Options.Reception. All
 // models are deterministic per (session seed, round, receiver): the engine
 // derives one channel seed per session and every draw is a pure hash — see
-// the package notes above for why that makes all kernels, the silent-skip
-// fast path, and campaign resume exact under every model.
+// the package notes above for why that makes all kernels and campaign
+// resume exact under every model.
 type ReceptionModel interface {
 	// Name identifies the model in diagnostics.
 	Name() string
@@ -173,9 +173,8 @@ func (m fadeModel) resolve(seed uint64) channelCaps {
 // receiver) delivery of a round is independently lost with probability
 // loss, in which case the signal neither delivers nor interferes at that
 // receiver. Draws are hashed per (round, transmitter, receiver), so they do
-// not depend on iteration order, which is what lets lossy runs use the
-// pull/parallel kernels and silent-round skipping. Collision counts are
-// exact over the surviving signals.
+// not depend on iteration order, which is what lets lossy runs use every
+// kernel. Collision counts are exact over the surviving signals.
 func LossyChannel(loss float64) ReceptionModel {
 	probPanic("LossyChannel", loss)
 	return lossyModel{loss: loss}
@@ -235,10 +234,10 @@ func (m sinrModel) resolve(uint64) channelCaps { return channelCaps{maxHits: m.k
 // Jam returns a random-jamming model: in each round, each receiver's
 // channel is independently occupied by external interference with
 // probability rate — a jammed node cannot receive that round (the noise
-// collides with any transmission). The hashed, skip-compatible alternative
-// to the Options.Jammed callback, which remains for adversaries that need
-// run-state (at the cost of disabling silent-round skipping). Deterministic
-// per (seed, round, receiver); collision counts are taken before the veto.
+// collides with any transmission). The hashed alternative to the
+// Options.Jammed callback, which remains for adversaries that need
+// run-state. Deterministic per (seed, round, receiver); collision counts
+// are taken before the veto.
 func Jam(rate float64) ReceptionModel {
 	probPanic("Jam", rate)
 	return jamModel{rate: rate}

@@ -399,35 +399,3 @@ func TestRecordHistoryPinsTransmitterSideCount(t *testing.T) {
 	assertSameResult(t, "exact-collisions", push, exact)
 	assertSameResult(t, "adaptive", push, loose)
 }
-
-// TestSkipBoundedByEnergyDeaths: deaths during a skipped silent span must
-// land on the exact rounds the round-by-round engine finds, and the session
-// must stop at the same round when the whole network depletes mid-silence.
-func TestSkipBoundedByEnergyDeaths(t *testing.T) {
-	defer SetEngineOverrides(EngineOverrides{})
-
-	g := graph.GNPDirected(96, 0.08, rng.New(21))
-	// Heterogeneous budgets: listeners die at staggered rounds purely from
-	// idle drain while the tiny-q protocol stays silent for long spans.
-	budgets := make([]float64, 96)
-	for i := range budgets {
-		budgets[i] = 3 + float64(i%17)
-	}
-	spec := func() *energy.Spec {
-		return &energy.Spec{Model: energy.Model{Tx: 1, Rx: 0.5, Listen: 0.25, Sleep: 0.125},
-			Budgets: budgets, TrackPartition: true}
-	}
-	run := func() *Result {
-		return RunBroadcast(g, 0, &sbern{q: 1e-4}, rng.New(17),
-			Options{MaxRounds: 5000, Energy: spec()})
-	}
-	SetEngineOverrides(EngineOverrides{})
-	skip := run()
-	SetEngineOverrides(EngineOverrides{DisableSkip: true})
-	plain := run()
-	SetEngineOverrides(EngineOverrides{})
-	if plain.Energy.DeadCount != 96 {
-		t.Fatalf("workload should deplete the whole network, %d dead", plain.Energy.DeadCount)
-	}
-	assertSameResult(t, "energy-death-span", plain, skip)
-}

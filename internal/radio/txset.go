@@ -6,11 +6,11 @@ import (
 )
 
 // TxSet is the shared-draw building block behind every Bernoulli-phase
-// protocol's BatchBroadcaster implementation: the current round's
-// transmitter set, drawn exactly once in BeginRound and read by both
-// decision paths — ShouldTransmit answers membership, AppendTransmitters
-// copies the set. Centralising it keeps the batch/scalar equivalence
-// contract in one place instead of six protocols.
+// protocol: the current round's transmitter set, drawn exactly once in
+// BeginRound. A broadcast protocol reads it on both decision paths —
+// ShouldTransmit answers membership, AppendTransmitters copies the set —
+// and a gossip protocol only copies it. Centralising it keeps the
+// batch/scalar equivalence contract in one place instead of six protocols.
 type TxSet struct {
 	pending []graph.NodeID
 	txRound []int // txRound[v] == r iff v transmits in round r
@@ -84,8 +84,9 @@ func (s *TxSet) ensureStream(r *rng.RNG, q float64) {
 // each round's trailing geometric overshoot carries into the next round
 // with the same q instead of being redrawn. A fully silent round therefore
 // consumes NO randomness (the carried gap just shrinks by the candidate
-// count) — the property the engine's silent-round skipping
-// (UniformRound.SkipSilent / StreamSilentRounds) is built on. Per-round
+// count). The contract fixes how much randomness every round consumes, and
+// every golden result depends on that; it does not exist for skipping,
+// which only FixedProb still does (StreamSilentRounds). Per-round
 // marginals are unchanged: every candidate is still selected independently
 // with probability q.
 func (s *TxSet) DrawListStream(r *rng.RNG, list []graph.NodeID, q float64, round int) {
@@ -169,7 +170,9 @@ func (s *TxSet) DrawRangeStream(r *rng.RNG, n int, q float64, round int) {
 // subtracted from the gap with no RNG draws at all. A return of m < max
 // means the next round has a selection pending (or the call does not apply:
 // k == 0, q >= 1) and must be drawn normally via DrawListStream /
-// DrawRangeStream, which continues from the same gap.
+// DrawRangeStream, which continues from the same gap. Only
+// FixedProb.SkipSilent calls it; it goes with UniformRound in ROADMAP item
+// 10 (the next change to bench/).
 func (s *TxSet) StreamSilentRounds(r *rng.RNG, k int, q float64, max int) int {
 	if max <= 0 || k <= 0 || q >= 1 {
 		return 0
