@@ -53,13 +53,13 @@
 // model's internal state (read-only, between Advance calls).
 //
 // The experiment layer runs on internal/campaign, a declarative grid
-// engine: an experiment is a Campaign — a point enumeration (Axis products
-// or ad-hoc lists, every point carrying a stable key), a point→trials
+// engine: an experiment is a Campaign — a point enumeration (a list of
+// campaign.Pt points, every point carrying a stable key), a point→trials
 // mapping over sweep.RunTrialsScratch, and a render stage that rebuilds
-// tables from recorded samples. Point seeds derive purely from (base seed,
-// point key), so execution order, sharding (-shard k/N) and resume
-// (-checkpoint + -resume, streaming one durable JSONL record per completed
-// point with torn-tail repair) cannot change a result: shard unions and
+// tables from recorded samples. Every point runs on the base seed, so
+// execution order, sharding (-shard k/N) and resume (-checkpoint +
+// -resume, streaming one durable JSONL record per completed point with
+// torn-tail repair) cannot change a result: shard unions and
 // killed-then-resumed runs are record-identical to one uninterrupted run,
 // and markdown, CSV and JSONL outputs are views over the same record
 // stream. See README.md ("The campaign engine") and cmd/experiments.

@@ -272,90 +272,3 @@ func TestUniformGossipPanics(t *testing.T) {
 	}()
 	(&UniformGossip{Q: -0.1}).Begin(4, rng.New(1))
 }
-
-// --- battery ---
-
-func TestBatteryLimitedVetoes(t *testing.T) {
-	g := graph.Complete(4)
-	bl := NewBatteryLimited(Flood{}, 3)
-	res := radio.RunBroadcast(g, 0, bl, rng.New(1), radio.Options{MaxRounds: 20})
-	if res.MaxNodeTx > 3 {
-		t.Fatalf("battery exceeded: max tx %d", res.MaxNodeTx)
-	}
-	// Flood would transmit every round; with B=3 every informed node stops.
-	if bl.Spent(0) != 3 {
-		t.Fatalf("source spent %d, want 3", bl.Spent(0))
-	}
-}
-
-func TestBatteryZeroSilencesEverything(t *testing.T) {
-	g := graph.Complete(4)
-	res := radio.RunBroadcast(g, 0, NewBatteryLimited(Flood{}, 0), rng.New(1), radio.Options{MaxRounds: 10})
-	if res.TotalTx != 0 || res.Informed != 1 {
-		t.Fatalf("zero budget leaked: %+v", res)
-	}
-}
-
-func TestBatteryPersistsAcrossRuns(t *testing.T) {
-	g := graph.Complete(8)
-	bat := NewBattery(8, 5)
-	for campaign := 0; campaign < 3; campaign++ {
-		radio.RunBroadcast(g, 0, bat.Limit(NewDecay(4)), rng.New(uint64(campaign)), radio.Options{MaxRounds: 200})
-	}
-	total := 0
-	for v := 0; v < 8; v++ {
-		if bat.Spent(graph.NodeID(v)) > 5 {
-			t.Fatalf("node %d over budget: %d", v, bat.Spent(graph.NodeID(v)))
-		}
-		total += bat.Spent(graph.NodeID(v))
-	}
-	if total == 0 {
-		t.Fatal("no energy spent across campaigns")
-	}
-	if bat.Remaining(0) != 5-bat.Spent(0) {
-		t.Fatal("Remaining arithmetic wrong")
-	}
-}
-
-func TestBatteryDeadCount(t *testing.T) {
-	bat := NewBattery(4, 1)
-	g := graph.Complete(4)
-	radio.RunBroadcast(g, 0, bat.Limit(Flood{}), rng.New(1), radio.Options{MaxRounds: 30})
-	// Flood with B=1: every informed node spends its single unit.
-	if bat.DeadCount() == 0 {
-		t.Fatal("expected dead nodes after flooding with B=1")
-	}
-}
-
-func TestBatterySizeMismatchPanics(t *testing.T) {
-	bat := NewBattery(4, 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	radio.RunBroadcast(graph.Complete(5), 0, bat.Limit(Flood{}), rng.New(1), radio.Options{MaxRounds: 1})
-}
-
-func TestBatteryNamePropagates(t *testing.T) {
-	bl := NewBatteryLimited(Flood{}, 7)
-	if bl.Name() != "flood/battery=7" {
-		t.Fatalf("name %q", bl.Name())
-	}
-}
-
-func TestBatteryPanics(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"negative budget": func() { NewBatteryLimited(Flood{}, -1) },
-		"bad bank":        func() { NewBattery(0, 1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}

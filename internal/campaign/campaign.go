@@ -5,16 +5,13 @@
 // progress reporting.
 //
 // The contract that makes sharded and resumed runs trustworthy is seeding:
-// a point's seed is a pure function of (base seed, point key) — never of
-// execution order, shard layout, or which points a previous run already
-// finished — so any partition of the grid, in any order, across any number
-// of processes, produces records identical to one uninterrupted run.
-// Two derivations are available (SeedMode): Paired, the default, hands every
-// point the base seed itself, so all points draw the same trial-seed
-// sequence — the variance-reducing paired design the experiment batteries
-// use for protocol comparisons (and the seeding the committed goldens pin);
-// Keyed mixes the point key into the seed for campaigns that want
-// decorrelated points.
+// every point receives the base seed itself — never a function of execution
+// order, shard layout, or which points a previous run already finished — so
+// any partition of the grid, in any order, across any number of processes,
+// produces records identical to one uninterrupted run. All points draw the
+// same trial-seed sequence: the variance-reducing paired design the
+// experiment batteries use for protocol comparisons (protocol A and B see
+// the same topologies), and the seeding the committed goldens pin.
 //
 // Execution streams one JSONL Record per completed point through an
 // append-only checkpoint sink (see record.go); Markdown, CSV and JSONL views
@@ -22,13 +19,7 @@
 // from checkpoints without re-running anything.
 package campaign
 
-import (
-	"fmt"
-	"strconv"
-
-	"repro/internal/rng"
-	"repro/internal/sweep"
-)
+import "repro/internal/sweep"
 
 // Config controls experiment scale and reproducibility. It is shared by
 // every campaign (internal/expt aliases it as expt.Config).
@@ -69,92 +60,13 @@ type Samples = map[string][]float64
 // Point is one cell of an experiment grid. Key identifies the point within
 // its campaign — stable across runs, scales, and code motion, because the
 // resume and shard machinery match on it. Params is the human/JSONL-facing
-// string form of the coordinates; Data carries the typed payload (axis
-// values, constructors, specs) for the Run stage and is never serialised.
+// string form of the coordinates; Data carries the typed payload
+// (coordinates, constructors, specs) for the Run stage and is never
+// serialised.
 type Point struct {
 	Key    string
 	Params map[string]string
 	Data   any
-}
-
-// value returns the named axis value from a Product-built point.
-func (p Point) value(name string) any {
-	m, ok := p.Data.(map[string]any)
-	if !ok {
-		panic(fmt.Sprintf("campaign: point %q was not built from axes", p.Key))
-	}
-	v, ok := m[name]
-	if !ok {
-		panic(fmt.Sprintf("campaign: point %q has no axis %q", p.Key, name))
-	}
-	return v
-}
-
-// Int returns the named axis value of a Product-built point as an int.
-func (p Point) Int(name string) int { return p.value(name).(int) }
-
-// Str returns the named axis value as a string.
-func (p Point) Str(name string) string { return p.value(name).(string) }
-
-// Axis is one named dimension of a grid: an ordered list of values with
-// canonical string labels (the labels appear in point keys, so they must be
-// stable).
-type Axis struct {
-	Name   string
-	Labels []string
-	Values []any
-}
-
-// Ints builds an integer axis.
-func Ints(name string, vals ...int) Axis {
-	a := Axis{Name: name}
-	for _, v := range vals {
-		a.Labels = append(a.Labels, strconv.Itoa(v))
-		a.Values = append(a.Values, v)
-	}
-	return a
-}
-
-// Strings builds a string axis (labels are the values themselves).
-func Strings(name string, vals ...string) Axis {
-	a := Axis{Name: name}
-	for _, v := range vals {
-		a.Labels = append(a.Labels, v)
-		a.Values = append(a.Values, v)
-	}
-	return a
-}
-
-// Product enumerates the cartesian product of the axes in row-major order
-// (the last axis varies fastest). Each point's Data maps axis name → value,
-// its Params map axis name → label, and its Key is "name=label/..." in axis
-// order.
-func Product(axes ...Axis) []Point {
-	pts := []Point{{Key: "", Params: map[string]string{}, Data: map[string]any{}}}
-	for _, ax := range axes {
-		var next []Point
-		for _, base := range pts {
-			for i, v := range ax.Values {
-				key := ax.Name + "=" + ax.Labels[i]
-				if base.Key != "" {
-					key = base.Key + "/" + key
-				}
-				params := make(map[string]string, len(base.Params)+1)
-				for k, s := range base.Params {
-					params[k] = s
-				}
-				params[ax.Name] = ax.Labels[i]
-				data := make(map[string]any, len(base.Data.(map[string]any))+1)
-				for k, s := range base.Data.(map[string]any) {
-					data[k] = s
-				}
-				data[ax.Name] = v
-				next = append(next, Point{Key: key, Params: params, Data: data})
-			}
-		}
-		pts = next
-	}
-	return pts
 }
 
 // Pt builds a single ad-hoc point for irregular grids: a key, a typed
@@ -173,38 +85,6 @@ func Pt(key string, data any, params ...string) Point {
 	return p
 }
 
-// SeedMode selects how a point's seed derives from (base seed, point key).
-type SeedMode int
-
-const (
-	// Paired (the default) gives every point the base seed itself: all
-	// points see the same trial-seed sequence, so cross-point comparisons
-	// (protocol A vs B on the same topologies) are paired. Trivially
-	// independent of scheduling, sharding, and resume.
-	Paired SeedMode = iota
-	// Keyed mixes a stable hash of the point key into the base seed, for
-	// campaigns that want statistically independent points.
-	Keyed
-)
-
-// PointSeed derives a point's seed from the base seed and its key under the
-// given mode. It is a pure function — the engine guarantee that records are
-// identical whatever the shard layout, execution order, or resume history.
-func PointSeed(mode SeedMode, base uint64, key string) uint64 {
-	switch mode {
-	case Keyed:
-		// FNV-1a over the key, folded through the rng's splitmix derivation.
-		h := uint64(1469598103934665603)
-		for i := 0; i < len(key); i++ {
-			h ^= uint64(key[i])
-			h *= 1099511628211
-		}
-		return rng.SubSeed(base, h)
-	default:
-		return base
-	}
-}
-
 // Campaign is a declarative experiment: the grid, the per-point trial
 // runner, and the table renderer. All three must be deterministic functions
 // of their arguments — Points must enumerate the same keys in the same
@@ -213,13 +93,11 @@ type Campaign struct {
 	// Points enumerates the grid for the configured scale.
 	Points func(cfg Config) []Point
 	// Run executes every trial of one point and returns its sample vectors.
-	// seed is the engine-derived point seed (see SeedMode); trial fan-out
+	// seed is the point seed, cfg.Seed (see the package doc); trial fan-out
 	// inside Run should go through sweep.RunTrialsScratch with it.
 	Run func(cfg Config, pt Point, seed uint64) Samples
 	// Render builds the experiment's tables from the completed record set.
 	// It runs only when every point of the campaign is present (unsharded
 	// runs, or a resumed run over merged shard checkpoints).
 	Render func(cfg Config, v View) []*sweep.Table
-	// SeedMode selects the point-seed derivation (default Paired).
-	SeedMode SeedMode
 }

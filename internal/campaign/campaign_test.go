@@ -15,29 +15,43 @@ import (
 	"repro/internal/sweep"
 )
 
+// toyPoint is the typed payload of a testCampaign point.
+type toyPoint struct {
+	proto string
+	n     int
+}
+
 // testCampaign is a tiny synthetic campaign: a 2×3 grid whose "value"
 // sample is a pure function of (point, seed), so record equality across
 // execution strategies is meaningful. One metric carries NaN to exercise
 // the null round-trip.
 func testCampaign() Campaign {
 	points := func(cfg Config) []Point {
-		return Product(Strings("proto", "a", "b"), Ints("n", 1, 2, 3))
+		var pts []Point
+		for _, proto := range []string{"a", "b"} {
+			for n := 1; n <= 3; n++ {
+				pts = append(pts, Pt(fmt.Sprintf("proto=%s/n=%d", proto, n), toyPoint{proto, n},
+					"proto", proto, "n", fmt.Sprint(n)))
+			}
+		}
+		return pts
 	}
 	return Campaign{
 		Points: points,
 		Run: func(cfg Config, pt Point, seed uint64) Samples {
-			n := pt.Int("n")
-			base := float64(len(pt.Str("proto"))) * 1000
+			d := pt.Data.(toyPoint)
+			base := float64(len(d.proto)) * 1000
 			return Samples{
-				"value": {base + float64(n)*float64(seed%97), float64(n)},
-				"gap":   {math.NaN(), float64(n)},
+				"value": {base + float64(d.n)*float64(seed%97), float64(d.n)},
+				"gap":   {math.NaN(), float64(d.n)},
 			}
 		},
 		Render: func(cfg Config, v View) []*sweep.Table {
 			t := sweep.NewTable("synthetic", "proto", "n", "value")
 			for _, pt := range points(cfg) {
+				d := pt.Data.(toyPoint)
 				s := v.Samples(pt.Key)
-				t.AddRow(pt.Str("proto"), fmt.Sprint(pt.Int("n")), sweep.F(s["value"][0]))
+				t.AddRow(d.proto, fmt.Sprint(d.n), sweep.F(s["value"][0]))
 			}
 			return []*sweep.Table{t}
 		},
@@ -59,48 +73,6 @@ func sortedLines(t *testing.T, rs *ResultSet) map[string]string {
 		out[r.Campaign+"/"+r.Point] = string(b)
 	}
 	return out
-}
-
-func TestProductEnumeration(t *testing.T) {
-	pts := Product(Strings("proto", "a", "b"), Ints("n", 1, 2, 3))
-	if len(pts) != 6 {
-		t.Fatalf("product size %d, want 6", len(pts))
-	}
-	if pts[0].Key != "proto=a/n=1" || pts[5].Key != "proto=b/n=3" {
-		t.Fatalf("unexpected keys %q .. %q", pts[0].Key, pts[5].Key)
-	}
-	if pts[1].Key != "proto=a/n=2" {
-		t.Fatalf("last axis must vary fastest, got %q", pts[1].Key)
-	}
-	if pts[3].Str("proto") != "b" || pts[3].Int("n") != 1 {
-		t.Fatalf("typed access broken: %v", pts[3])
-	}
-	if pts[2].Params["proto"] != "a" || pts[2].Params["n"] != "3" {
-		t.Fatalf("params broken: %v", pts[2].Params)
-	}
-	seen := map[string]bool{}
-	for _, pt := range pts {
-		if seen[pt.Key] {
-			t.Fatalf("duplicate key %q", pt.Key)
-		}
-		seen[pt.Key] = true
-	}
-}
-
-func TestPointSeedModes(t *testing.T) {
-	if PointSeed(Paired, 42, "x") != 42 || PointSeed(Paired, 42, "y") != 42 {
-		t.Fatal("paired mode must hand every point the base seed")
-	}
-	kx, ky := PointSeed(Keyed, 42, "x"), PointSeed(Keyed, 42, "y")
-	if kx == ky {
-		t.Fatal("keyed mode must decorrelate distinct keys")
-	}
-	if kx != PointSeed(Keyed, 42, "x") {
-		t.Fatal("keyed derivation must be deterministic")
-	}
-	if kx == PointSeed(Keyed, 43, "x") {
-		t.Fatal("keyed derivation must depend on the base seed")
-	}
 }
 
 func TestNullFloatRoundTrip(t *testing.T) {

@@ -186,8 +186,7 @@ func Run(units []Unit, opt RunOptions) (*ResultSet, error) {
 			fmt.Fprintf(opt.Progress, "%s %s ...", t.unit.ID, t.point.Key)
 		}
 		start := time.Now()
-		seed := PointSeed(t.unit.C.SeedMode, opt.Config.Seed, t.point.Key)
-		samples := t.unit.C.Run(opt.Config, t.point, seed)
+		samples := t.unit.C.Run(opt.Config, t.point, opt.Config.Seed)
 		elapsed := time.Since(start)
 		spent += elapsed
 		done++

@@ -70,7 +70,11 @@ type Spec struct {
 	Budgets []float64
 	// DeadReceive lets depleted nodes keep receiving (the paper's
 	// listening-is-free semantics: a dead battery only silences the
-	// transmitter). Default false: a depleted radio is off entirely.
+	// transmitter). Default false: a depleted radio is off entirely. With
+	// Model UnitTx it caps each node at Budget transmissions and changes
+	// nothing else, which is how experiment X7 meters its batteries. A
+	// resumed bank keeps the setting it was started with, so a node that ran
+	// flat in one campaign can still be informed in the next.
 	DeadReceive bool
 	// Schedule, when non-nil, duty-cycles every listening radio (see
 	// DutyCycle): an alive uninformed node is awake only in the On leading

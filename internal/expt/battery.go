@@ -7,6 +7,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/campaign"
 	"repro/internal/core"
+	"repro/internal/energy"
 	"repro/internal/graph"
 	"repro/internal/radio"
 	"repro/internal/rng"
@@ -32,6 +33,14 @@ var (
 	x7Protos      = []string{"algorithm3", "czumaj-rytter", "decay"}
 	x7UnitBudgets = []int{1, 2}
 )
+
+// x7Battery meters the paper's energy measure against a per-node budget of
+// B transmissions: UnitTx charges one unit per transmission and nothing
+// else, and a flat radio still listens. B is never 0 here, so the budget
+// is never energy's "unlimited".
+func x7Battery(B int) *energy.Spec {
+	return &energy.Spec{Model: energy.UnitTx(), Budget: float64(B), DeadReceive: true}
+}
 
 // x7MakeProto builds one of the X7 protocols for the given grid.
 func x7MakeProto(proto string, n, D int) func() radio.Broadcaster {
@@ -80,28 +89,29 @@ func x7Campaign() campaign.Campaign {
 			case 'a':
 				d := pt.Data.([2]any)
 				budget, proto := d[0].(int), d[1].(string)
-				mk := x7MakeProto(proto, n, D)
 				return runBroadcastTrials(cfg, seed, broadcastTrial{
 					makeGraph: func(seed uint64, sc *graph.Scratch) (*graph.Digraph, graph.NodeID) { return g, 0 },
-					makeProto: func() radio.Broadcaster { return baseline.NewBatteryLimited(mk(), budget) },
-					opts:      radio.Options{MaxRounds: 300000},
+					makeProto: x7MakeProto(proto, n, D),
+					opts:      radio.Options{MaxRounds: 300000, Energy: x7Battery(budget)},
 				})
 			case 'b':
 				// Network lifetime — run broadcast campaigns (fresh protocol,
 				// same battery bank) until the first one fails to inform
-				// everyone.
+				// everyone. lifetimeTrial would redraw a flat source and stop
+				// at a dead network; both consume randomness this loop does
+				// not, so reusing it would change X7b's records.
 				proto := pt.Data.(string)
 				mk := x7MakeProto(proto, n, D)
 				maxCampaigns := 400
 				return sweep.RunTrials(trials(cfg), seed, cfg.Workers, func(tr sweep.Trial) sweep.Metrics {
-					bat := baseline.NewBattery(n, B)
+					spec := x7Battery(B)
 					r := rng.New(rng.SubSeed(tr.Seed, 1))
 					campaigns := 0
 					perCampaignTx := 0.0
 					for campaigns < maxCampaigns {
 						src := graph.NodeID(r.Intn(n))
-						res := radio.RunBroadcast(g, src, bat.Limit(mk()), r.Split(uint64(campaigns)),
-							radio.Options{MaxRounds: 300000})
+						sess := radio.NewBroadcastSession(n, src, mk(), r.Split(uint64(campaigns)))
+						res := sess.Run(g, radio.Options{MaxRounds: 300000, Energy: spec})
 						if !res.Completed() {
 							break
 						}
@@ -109,19 +119,19 @@ func x7Campaign() campaign.Campaign {
 						if campaigns == 1 {
 							perCampaignTx = res.TxPerNode()
 						}
+						spec = &energy.Spec{Resume: sess.EnergyState()}
 					}
 					return sweep.Metrics{"campaigns": float64(campaigns), "tx1": perCampaignTx}
 				})
 			default:
 				// Algorithm 1 with unit batteries on its home turf.
-				budget := pt.Data.(int)
+				spec := x7Battery(pt.Data.(int))
 				n2 := 1 << 12
 				p := sparseP(n2)
 				return sweep.RunTrials(trials(cfg), seed, cfg.Workers, func(tr sweep.Trial) sweep.Metrics {
 					gg := graph.GNPDirected(n2, p, rng.New(tr.Seed))
-					bl := baseline.NewBatteryLimited(core.NewAlgorithm1(p), budget)
-					res := radio.RunBroadcast(gg, 0, bl, rng.New(rng.SubSeed(tr.Seed, 1)),
-						radio.Options{MaxRounds: 10000})
+					res := radio.RunBroadcast(gg, 0, core.NewAlgorithm1(p), rng.New(rng.SubSeed(tr.Seed, 1)),
+						radio.Options{MaxRounds: 10000, Energy: spec})
 					m := sweep.Metrics{"success": 0,
 						"informedFrac": float64(res.Informed) / float64(n2),
 						"maxSpent":     float64(res.MaxNodeTx)}

@@ -18,7 +18,8 @@ import (
 
 // synthRecord is the deterministic "simulation": samples are a pure
 // function of (campaign, point key, seed), mirroring the seed-purity
-// property the real experiment registry guarantees via campaign.PointSeed.
+// property the real experiment registry guarantees by running every point
+// on the base seed.
 // Any two executions of the same point — first attempt, retry, steal —
 // therefore produce byte-identical records, which is exactly what the
 // chaos assertions below rely on.

@@ -7,8 +7,8 @@
 // the wire — the typed point payloads (protocol constructors, topology
 // specs) never need to serialise. The worker's record is bit-identical to
 // what an in-process campaign.Run would have streamed for the same point,
-// because both call the same Campaign.Run with the same
-// campaign.PointSeed-derived seed.
+// because both call the same Campaign.Run with the same seed: the spec's
+// base seed, which every point receives.
 package exptrun
 
 import (
@@ -111,7 +111,6 @@ func (Runner) RunPoint(l *jobqueue.Lease) (*campaign.Record, error) {
 	if pt == nil {
 		return nil, fmt.Errorf("exptrun: experiment %s has no point %q at this scale (worker/daemon version skew?)", e.ID, l.Point.Key)
 	}
-	seed := campaign.PointSeed(e.Campaign.SeedMode, cfg.Seed, pt.Key)
-	samples := e.Campaign.Run(cfg, *pt, seed)
+	samples := e.Campaign.Run(cfg, *pt, cfg.Seed)
 	return campaign.NewRecord(e.ID, *pt, cfg, l.Trials, samples), nil
 }

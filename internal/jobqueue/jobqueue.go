@@ -19,10 +19,10 @@
 //     jitter up to a bounded attempt budget. When the budget is exhausted
 //     the point lands in the job's failure manifest and the campaign
 //     completes with explicit holes instead of hanging.
-//   - Because a point's seed is a pure function of (base seed, point key)
-//     (campaign.PointSeed), a retried or stolen point recomputes the exact
-//     record its first attempt would have produced — duplicate completions
-//     are discarded, and the merged record stream of any chaotic execution
+//   - Because every point runs on the job's base seed (see package
+//     campaign), a retried or stolen point recomputes the exact record its
+//     first attempt would have produced — duplicate completions are
+//     discarded, and the merged record stream of any chaotic execution
 //     equals an unsharded single-process run record for record.
 //
 // Records stream through the PR 4 checkpoint machinery: each job owns a

@@ -1,7 +1,9 @@
 package radio
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/energy"
@@ -271,7 +273,8 @@ func TestDeadReceiverSemantics(t *testing.T) {
 }
 
 // TestEnergyResumeAcrossCampaigns: a second session resuming the first's
-// battery bank keeps draining the same charge and keeps the age clock.
+// battery bank keeps draining the same charge and keeps the age clock, and
+// keeps the bank's DeadReceive setting.
 func TestEnergyResumeAcrossCampaigns(t *testing.T) {
 	g := graph.Cycle(8)
 	spec := &energy.Spec{Model: energy.UnitTx(), Budget: 5}
@@ -296,6 +299,51 @@ func TestEnergyResumeAcrossCampaigns(t *testing.T) {
 		if r2.Energy.Spent[v] < r1.Energy.Spent[v] {
 			t.Fatalf("node %d: spend shrank across campaigns", v)
 		}
+	}
+
+	// Node 2 of the path 0 -> 1 -> 2 runs flat in campaign 1 (its one unit
+	// goes in round 3). In campaign 2 it is informed only when the bank was
+	// started with DeadReceive.
+	path := graph.Path(3)
+	for _, deadReceive := range []bool{false, true} {
+		spec := &energy.Spec{Model: energy.UnitTx(), Budgets: []float64{100, 100, 1}, DeadReceive: deadReceive}
+		c1 := NewBroadcastSession(3, 0, flood{}, rng.New(1))
+		c1.Run(path, Options{MaxRounds: 3, Energy: spec})
+		if c1.EnergyState().Alive(2) {
+			t.Fatalf("DeadReceive=%v: node 2 survived campaign 1", deadReceive)
+		}
+		c2 := NewBroadcastSession(3, 0, flood{}, rng.New(2))
+		r := c2.Run(path, Options{MaxRounds: 3, Energy: &energy.Spec{Resume: c1.EnergyState()}})
+		if r.Completed() != deadReceive {
+			t.Fatalf("DeadReceive=%v: campaign 2 informed %d of 3 nodes", deadReceive, r.Informed)
+		}
+	}
+}
+
+// TestEnergySpecRejects: malformed energy specs panic when the session
+// captures them, naming what is wrong.
+func TestEnergySpecRejects(t *testing.T) {
+	other := NewBroadcastSession(5, 0, flood{}, rng.New(1))
+	other.Run(graph.Cycle(5), Options{MaxRounds: 1, Energy: &energy.Spec{Model: energy.UnitTx()}})
+	for _, c := range []struct {
+		name string
+		spec *energy.Spec
+		want string
+	}{
+		{"negative budget", &energy.Spec{Model: energy.UnitTx(), Budget: -1}, "negative budget"},
+		{"budgets of the wrong length", &energy.Spec{Model: energy.UnitTx(), Budgets: []float64{1, 1, 1}}, "3 per-node budgets"},
+		{"non-positive node budget", &energy.Spec{Model: energy.UnitTx(), Budgets: []float64{1, 1, 0, 1}}, "non-positive budget"},
+		{"negative state cost", &energy.Spec{Model: energy.Model{Tx: 1, Listen: -0.5}}, "negative state cost"},
+		{"bank of another network", &energy.Spec{Resume: other.EnergyState()}, "different network"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), c.want) {
+					t.Fatalf("panic %v, want one mentioning %q", r, c.want)
+				}
+			}()
+			RunBroadcast(graph.Cycle(4), 0, flood{}, rng.New(1), Options{MaxRounds: 1, Energy: c.spec})
+		})
 	}
 }
 

@@ -203,15 +203,13 @@ func SetEngineOverrides(o EngineOverrides) { engineOverrides = o }
 
 // Options configures a simulation run (one session segment).
 type Options struct {
-	// MaxRounds caps the segment length. Required (> 0).
+	// MaxRounds caps the segment length. Required (> 0). The run continues
+	// past the round that informs every node until the protocol quiesces or
+	// MaxRounds elapses, so that energy is accounted for the full protocol
+	// schedule (nodes cannot know the broadcast completed).
 	MaxRounds int
-	// Target is the informed-node count at which InformedRound is recorded.
-	// 0 means g.N(). The run continues past the target until the protocol
-	// quiesces or MaxRounds elapses, so that energy is accounted for the
-	// full protocol schedule (nodes cannot know the broadcast completed).
-	Target int
-	// StopWhenInformed stops the run as soon as Target is reached. Use for
-	// time-only measurements where trailing energy is not of interest.
+	// StopWhenInformed stops the run as soon as every node is informed. Use
+	// for time-only measurements where trailing energy is not of interest.
 	StopWhenInformed bool
 	// RecordHistory captures per-round statistics in Result.History.
 	RecordHistory bool
@@ -260,9 +258,6 @@ func (o Options) validate() error {
 	if o.MaxRounds <= 0 {
 		return fmt.Errorf("radio: MaxRounds must be positive, got %d", o.MaxRounds)
 	}
-	if o.Target < 0 {
-		return fmt.Errorf("radio: negative Target %d", o.Target)
-	}
 	return nil
 }
 
@@ -279,7 +274,7 @@ type RoundStat struct {
 type Result struct {
 	Protocol      string
 	Rounds        int   // rounds actually executed
-	InformedRound int   // first round with Informed >= Target; -1 if never
+	InformedRound int   // first round in which every node is informed; -1 if never
 	Informed      int   // final informed count
 	TotalTx       int64 // total transmissions over the whole run
 	MaxNodeTx     int   // maximum transmissions by any single node
@@ -295,7 +290,7 @@ type Result struct {
 	Energy     *energy.Report // non-nil iff the session ran with Options.Energy
 }
 
-// Completed reports whether the target informed count was reached.
+// Completed reports whether every node was informed.
 func (r *Result) Completed() bool { return r.InformedRound >= 0 }
 
 // TxPerNode returns the mean transmissions per node (0 for a zero-value or
@@ -373,7 +368,7 @@ type BroadcastSession struct {
 	perNodeTx  []int32
 	collisions int64
 
-	reachedAt map[int]int // target count -> absolute round first reached
+	informedAt int // absolute round in which every node was informed; -1 until then
 
 	energy     *energy.State // non-nil once an energy spec was captured
 	energySpec *energy.Spec  // the captured spec, for mid-session change detection
@@ -405,9 +400,9 @@ func NewBroadcastSessionWith(sc *Scratch, n int, src graph.NodeID, p Broadcaster
 		panic("radio: source out of range")
 	}
 	s := &BroadcastSession{
-		n:         n,
-		proto:     p,
-		reachedAt: map[int]int{},
+		n:          n,
+		proto:      p,
+		informedAt: -1,
 	}
 	if b, ok := p.(BatchBroadcaster); ok {
 		s.batch = b
@@ -438,6 +433,7 @@ func NewBroadcastSessionWith(sc *Scratch, n int, src graph.NodeID, p Broadcaster
 	s.informed.Set(src)
 	s.informedList = append(s.informedList, src)
 	p.OnInformed(0, src)
+	s.noteInformedAll()
 	return s
 }
 
@@ -510,10 +506,6 @@ func (s *BroadcastSession) Run(g graph.Implicit, opt Options) *Result {
 	if g.N() != s.n {
 		panic("radio: graph size does not match broadcast session")
 	}
-	target := opt.Target
-	if target == 0 {
-		target = s.n
-	}
 	// The channel model, resolved once per segment into the capabilities
 	// the kernels consult. Binary resolves to {nil, nil, 1} — the
 	// unmodified hot paths.
@@ -556,19 +548,12 @@ func (s *BroadcastSession) Run(g graph.Implicit, opt Options) *Result {
 	}
 	en := s.energy // nil keeps the whole model off the hot path
 
-	res := &Result{Protocol: s.proto.Name(), InformedRound: -1}
-	recordTarget := func() {
-		if _, ok := s.reachedAt[target]; !ok && len(s.informedList) >= target {
-			s.reachedAt[target] = s.rounds
-		}
-	}
-	recordTarget()
+	res := &Result{Protocol: s.proto.Name()}
 	if opt.RecordHistory {
 		res.History = append(res.History, RoundStat{Round: s.rounds, Informed: len(s.informedList)})
 	}
 
 	transmitters := s.txbuf
-	_, alreadyDone := s.reachedAt[target]
 	// Silent-round skipping (UniformRound, until ROADMAP item 10) applies
 	// only when no energy state must be charged for the skipped rounds and
 	// no per-round observer (history rows, tracer callbacks, jamming
@@ -577,7 +562,7 @@ func (s *BroadcastSession) Run(g graph.Implicit, opt Options) *Result {
 	canSkip := skipper != nil && !engineOverrides.DisableSkip && en == nil &&
 		opt.Tracer == nil && !opt.RecordHistory && opt.Jammed == nil
 	segEnd := s.rounds + opt.MaxRounds
-	for s.rounds < segEnd && !s.quiesced && !(opt.StopWhenInformed && alreadyDone) {
+	for s.rounds < segEnd && !s.quiesced && !(opt.StopWhenInformed && s.informedAt >= 0) {
 		round := s.rounds + 1
 		if _, uniform := uniformProb(skipper, canSkip, round); uniform {
 			if next := skipper.SkipSilent(round, segEnd); next > round {
@@ -719,11 +704,9 @@ func (s *BroadcastSession) Run(g graph.Implicit, opt Options) *Result {
 				Collisions:    collisions,
 			})
 		}
-		recordTarget()
-		if opt.StopWhenInformed {
-			if _, ok := s.reachedAt[target]; ok {
-				break
-			}
+		s.noteInformedAll()
+		if opt.StopWhenInformed && s.informedAt >= 0 {
+			break
 		}
 		if s.proto.Quiesced(round) {
 			s.quiesced = true
@@ -751,15 +734,21 @@ func (s *BroadcastSession) Run(g graph.Implicit, opt Options) *Result {
 	if en != nil {
 		res.Energy = en.Report()
 	}
-	if at, ok := s.reachedAt[target]; ok {
-		res.InformedRound = at
-	}
+	res.InformedRound = s.informedAt
 	for _, c := range res.PerNodeTx {
 		if int(c) > res.MaxNodeTx {
 			res.MaxNodeTx = int(c)
 		}
 	}
 	return res
+}
+
+// noteInformedAll records the current round as the one that informed every
+// node, the first time every node is informed.
+func (s *BroadcastSession) noteInformedAll() {
+	if s.informedAt < 0 && len(s.informedList) == s.n {
+		s.informedAt = s.rounds
+	}
 }
 
 // uniformProb asks a UniformRound protocol for the round's shared

@@ -195,17 +195,17 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestTargetAndStopWhenInformed(t *testing.T) {
+func TestStopWhenInformed(t *testing.T) {
 	g := graph.Complete(10)
 	p := newScripted(map[int][]graph.NodeID{1: {0}})
-	res := RunBroadcast(g, 0, p, rng.New(1), Options{MaxRounds: 10, Target: 5, StopWhenInformed: true})
+	res := RunBroadcast(g, 0, p, rng.New(1), Options{MaxRounds: 10, StopWhenInformed: true})
 	if res.InformedRound != 1 || res.Rounds != 1 {
-		t.Fatalf("target stop: %+v", res)
+		t.Fatalf("informed stop: %+v", res)
 	}
-	// Source alone can satisfy Target=1 at round 0.
-	res0 := RunBroadcast(g, 0, newScripted(nil), rng.New(1), Options{MaxRounds: 10, Target: 1, StopWhenInformed: true})
+	// On a 1-node graph the source alone informs every node at round 0.
+	res0 := RunBroadcast(graph.Complete(1), 0, newScripted(nil), rng.New(1), Options{MaxRounds: 10, StopWhenInformed: true})
 	if res0.InformedRound != 0 || res0.Rounds != 0 {
-		t.Fatalf("round-0 target: %+v", res0)
+		t.Fatalf("round-0 stop: %+v", res0)
 	}
 }
 
@@ -230,7 +230,6 @@ func TestInvalidOptionsPanic(t *testing.T) {
 	g := graph.Complete(2)
 	for name, opt := range map[string]Options{
 		"no max rounds": {},
-		"neg target":    {MaxRounds: 1, Target: -1},
 	} {
 		func() {
 			defer func() {
