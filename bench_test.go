@@ -506,7 +506,8 @@ func BenchmarkN5MobileLifetime(b *testing.B) { runExperiment(b, "N5", "", "") }
 // Primitives, with per-round radio-state accounting and battery budgets on.
 // The budgets are sized to never deplete, so the workload is identical to
 // the unmetered benchmark and per-op deltas isolate the accounting cost
-// (lazy per-node folds + the death-prediction heap).
+// (lazy per-node folds and predicted death rounds; no round reaches the
+// earliest prediction, so none scans the keys).
 
 func BenchmarkPrimitiveAlgorithm1RunEnergy(b *testing.B) {
 	n := 4096

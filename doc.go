@@ -44,9 +44,10 @@
 // budgets deplete — a dead radio stops transmitting and, by default,
 // receiving — and results report per-node residual charge plus the
 // network-lifetime rounds (first death, half death, partition). Accounting
-// is allocation-free and lazy (O(events + deaths·log n) per round via an
-// indexed death-prediction heap), so the batch engine keeps its sublinear
-// rounds, and it costs nothing when disabled. The N1–N5 battery in
+// is allocation-free and lazy: O(events) per round, plus one pass over the
+// per-node predicted death rounds in a round that reaches the earliest of
+// them, so the batch engine keeps its sublinear rounds while no battery
+// nears empty, and it costs nothing when disabled. The N1–N5 battery in
 // internal/expt measures lifetime vs protocol, the energy-latency Pareto
 // front, listen-cost sensitivity, heterogeneous batteries, and mobile-epoch
 // lifetime; note graph.MobileNetwork.Points returns a slice aliasing the

@@ -1,11 +1,9 @@
 package energy
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/rng"
 )
 
 // binModel uses binary-exact costs so the lazy rate·rounds accounting and a
@@ -135,9 +133,6 @@ func TestUnlimitedBudgetMetersOnly(t *testing.T) {
 	if st.DeadCount() != 0 {
 		t.Fatal("unlimited budget must never deplete")
 	}
-	if !math.IsInf(st.Remaining(3), 1) {
-		t.Fatal("Remaining should be +Inf when unlimited")
-	}
 	rep := st.Report()
 	if rep.Residual != nil {
 		t.Fatal("Report.Residual must be nil when unlimited")
@@ -206,122 +201,6 @@ func TestPartitionDetection(t *testing.T) {
 	}
 	if rep.HalfDeathRound != -1 {
 		t.Fatal("half-death should not be reached")
-	}
-}
-
-// TestStateMatchesNaiveReference fuzzes the lazy-fold + death-heap machinery
-// against a straightforward per-round accounting on random event streams.
-// Binary-exact costs make the comparison exact, including death rounds.
-func TestStateMatchesNaiveReference(t *testing.T) {
-	const n = 64
-	const rounds = 400
-	m := binModel()
-	r := rng.New(0xeeee)
-
-	for trial := 0; trial < 20; trial++ {
-		budgets := make([]float64, n)
-		for i := range budgets {
-			budgets[i] = float64(1+r.Intn(24)) * 0.25
-		}
-		st := NewState()
-		st.Start(Spec{Model: m, Budgets: budgets}, n)
-
-		// Naive mirror.
-		spent := make([]float64, n)
-		informed := make([]bool, n)
-		dead := make([]bool, n)
-		naiveFirst, naiveHalf := -1, -1
-		naiveDead := 0
-
-		st.NoteInformed(0, 0)
-		informed[0] = true
-
-		var txs, delivered []graph.NodeID
-		for round := 1; round <= rounds; round++ {
-			txs, delivered = txs[:0], delivered[:0]
-			for v := 0; v < n; v++ {
-				if dead[v] {
-					continue
-				}
-				if informed[v] {
-					if r.Float64() < 0.15 {
-						txs = append(txs, graph.NodeID(v))
-					}
-				} else if r.Float64() < 0.05 {
-					delivered = append(delivered, graph.NodeID(v))
-				}
-			}
-			// Engine-side filtering must agree with the naive alive view.
-			if got := st.FilterAlive(append([]graph.NodeID(nil), txs...)); len(got) != len(txs) {
-				t.Fatalf("trial %d round %d: FilterAlive disagrees with naive alive set", trial, round)
-			}
-			st.EndRound(round, txs, delivered)
-
-			// Naive accounting: one state per node per round.
-			inTx := make(map[graph.NodeID]bool, len(txs))
-			for _, v := range txs {
-				inTx[v] = true
-			}
-			inRx := make(map[graph.NodeID]bool, len(delivered))
-			for _, v := range delivered {
-				inRx[v] = true
-			}
-			for v := 0; v < n; v++ {
-				if dead[v] {
-					continue
-				}
-				switch {
-				case inTx[graph.NodeID(v)]:
-					spent[v] += m.Tx
-				case inRx[graph.NodeID(v)]:
-					spent[v] += m.Rx
-				case informed[v]:
-					spent[v] += m.Sleep
-				default:
-					spent[v] += m.Listen
-				}
-			}
-			for _, v := range delivered {
-				informed[v] = true
-			}
-			for v := 0; v < n; v++ {
-				if !dead[v] && spent[v] >= budgets[v]-1e-9 {
-					dead[v] = true
-					naiveDead++
-					if naiveFirst < 0 {
-						naiveFirst = round
-					}
-					if naiveHalf < 0 && 2*naiveDead >= n {
-						naiveHalf = round
-					}
-				}
-			}
-			if st.DeadCount() != naiveDead {
-				t.Fatalf("trial %d round %d: dead %d, naive %d", trial, round, st.DeadCount(), naiveDead)
-			}
-		}
-
-		rep := st.Report()
-		for v := 0; v < n; v++ {
-			if rep.Spent[v] != spent[v] {
-				t.Fatalf("trial %d node %d: spent %g, naive %g", trial, v, rep.Spent[v], spent[v])
-			}
-			if st.Alive(graph.NodeID(v)) == dead[v] {
-				t.Fatalf("trial %d node %d: liveness mismatch", trial, v)
-			}
-		}
-		if rep.FirstDeathRound != naiveFirst || rep.HalfDeathRound != naiveHalf {
-			t.Fatalf("trial %d: lifetime marks (%d, %d), naive (%d, %d)",
-				trial, rep.FirstDeathRound, rep.HalfDeathRound, naiveFirst, naiveHalf)
-		}
-		// Cross-check the aggregate split against the per-node spends.
-		sum := 0.0
-		for _, s := range rep.Spent {
-			sum += s
-		}
-		if math.Abs(sum-rep.TotalEnergy()) > 1e-6 {
-			t.Fatalf("trial %d: per-node spend sum %g != state totals %g", trial, sum, rep.TotalEnergy())
-		}
 	}
 }
 

@@ -17,13 +17,19 @@
 //
 // Depleted nodes transmit nothing, pay nothing, and (by default) receive
 // nothing. Accounting is lazy: per-node charge is folded only at state
-// transitions, and spontaneous deaths (a listener running out of battery
-// with no event touching it) are found by an indexed min-heap of predicted
-// death rounds — so a simulated round costs O(events + deaths · log n), not
-// O(n), and the engine's batch decision path keeps its sublinear rounds.
+// transitions, and each node keeps a predicted death round, re-predicted at
+// its own events. Spontaneous deaths (a listener running out of battery
+// with no event touching it) are found by one bound, the earliest predicted
+// death: a simulated round costs O(events), plus one pass over the n
+// predictions in a round that reaches the bound — so under a budget that
+// never runs out, the engine's batch decision path keeps its sublinear
+// rounds.
 package energy
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Model gives the per-round energy cost of each radio state. Units are
 // arbitrary but must be consistent with the battery budgets; the presets
@@ -36,8 +42,13 @@ type Model struct {
 }
 
 func (m Model) validate() error {
-	if m.Tx < 0 || m.Rx < 0 || m.Listen < 0 || m.Sleep < 0 {
-		return fmt.Errorf("energy: negative state cost in model %+v", m)
+	for _, c := range [...]float64{m.Tx, m.Rx, m.Listen, m.Sleep} {
+		if c < 0 {
+			return fmt.Errorf("energy: negative state cost in model %+v", m)
+		}
+		if math.IsNaN(c) {
+			return fmt.Errorf("energy: NaN state cost in model %+v", m)
+		}
 	}
 	return nil
 }

@@ -14,8 +14,9 @@ package energy
 // consecutive rounds contain exactly On awake rounds for every node, so a
 // node's passive drain over any span folds in O(1) and its death round is
 // predicted in O(Period), however many wake/sleep boundaries either
-// crosses — which keeps the lazy per-node accounting and the death heap
-// bit-identical to a round-by-round replay with schedules active.
+// crosses — which keeps the lazy per-node accounting and the predicted
+// death rounds bit-identical to a round-by-round replay with schedules
+// active.
 
 import (
 	"fmt"

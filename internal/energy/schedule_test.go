@@ -1,10 +1,9 @@
 package energy
 
 // Tests of listener duty-cycle schedules: direct spend checks across wake
-// boundaries and the naive-mirror fuzz with schedules active.
+// boundaries (the naive mirror with schedules active is in mirror_test.go).
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/graph"
@@ -86,8 +85,8 @@ func TestScheduleAsleepRunSpendsSleepOnly(t *testing.T) {
 }
 
 // TestScheduleLazyFoldAcrossWakeBoundaries: per-node spends settle lazily
-// (only when Remaining or Report forces a fold), and the closed-form span
-// settlement must cross wake/sleep boundaries exactly.
+// (only when Report forces a fold), and the closed-form span settlement
+// must cross wake/sleep boundaries exactly.
 func TestScheduleLazyFoldAcrossWakeBoundaries(t *testing.T) {
 	m := Model{Listen: 0.75, Sleep: 0.125}
 	d := &DutyCycle{Period: 3, On: 2, Offset: 0, Stagger: true}
@@ -97,6 +96,7 @@ func TestScheduleLazyFoldAcrossWakeBoundaries(t *testing.T) {
 	for r := 1; r <= rounds; r++ {
 		st.EndRound(r, nil, nil)
 	}
+	rep := st.Report()
 	for v := 0; v < n; v++ {
 		awake := 0
 		for r := 1; r <= rounds; r++ {
@@ -105,13 +105,14 @@ func TestScheduleLazyFoldAcrossWakeBoundaries(t *testing.T) {
 			}
 		}
 		want := 1000 - (float64(awake)*m.Listen + float64(rounds-awake)*m.Sleep)
-		if got := st.Remaining(graph.NodeID(v)); got != want {
+		if got := rep.Residual[v]; got != want {
 			t.Fatalf("node %d: remaining %g, want %g (%d awake of %d rounds)", v, got, want, awake, rounds)
 		}
 	}
 }
 
-// randomSchedule draws a schedule (possibly inactive) for the fuzz loops.
+// randomSchedule draws a schedule (possibly inactive) for the naive-mirror
+// rows.
 func randomSchedule(r *rng.RNG) *DutyCycle {
 	d := &DutyCycle{
 		Period:  1 + r.Intn(7),
@@ -120,109 +121,6 @@ func randomSchedule(r *rng.RNG) *DutyCycle {
 	}
 	d.On = 1 + r.Intn(d.Period)
 	return d
-}
-
-// TestStateMatchesNaiveReferenceWithSchedule extends the naive-mirror fuzz
-// to duty-cycled listeners: deliveries land only on awake listeners (the
-// engine's FilterAwake applies first), an asleep uninformed node pays Sleep,
-// and death rounds stay exact.
-func TestStateMatchesNaiveReferenceWithSchedule(t *testing.T) {
-	const n = 48
-	const rounds = 300
-	m := Model{Tx: 1, Rx: 0.5, Listen: 0.25, Sleep: 0.125}
-	r := rng.New(0xd07c)
-
-	for trial := 0; trial < 12; trial++ {
-		sched := randomSchedule(r)
-		budgets := make([]float64, n)
-		for i := range budgets {
-			budgets[i] = float64(2+r.Intn(200)) * 0.5
-		}
-		st := NewState()
-		st.Start(Spec{Model: m, Budgets: budgets, Schedule: sched}, n)
-
-		spent := make([]float64, n)
-		informed := make([]bool, n)
-		dead := make([]bool, n)
-		naiveDead := 0
-
-		st.NoteInformed(0, 0)
-		informed[0] = true
-
-		var txs, delivered []graph.NodeID
-		for round := 1; round <= rounds; round++ {
-			txs, delivered = txs[:0], delivered[:0]
-			for v := 1; v < n; v++ {
-				if dead[v] || informed[v] {
-					continue
-				}
-				if r.Float64() < 0.04 {
-					delivered = append(delivered, graph.NodeID(v))
-				}
-			}
-			for v := 0; v < n; v++ {
-				if !dead[v] && informed[v] && r.Float64() < 0.1 {
-					txs = append(txs, graph.NodeID(v))
-				}
-			}
-			// The engine's delivery pipeline: sleeping listeners miss the
-			// message. FilterAwake must agree with the independent mirror.
-			delivered = st.FilterAwake(delivered, round)
-			for _, v := range delivered {
-				if sched.active() && !refAwake(*sched, v, round) {
-					t.Fatalf("trial %d round %d: FilterAwake kept sleeping node %d", trial, round, v)
-				}
-			}
-			st.EndRound(round, txs, delivered)
-
-			inTx := map[graph.NodeID]bool{}
-			for _, v := range txs {
-				inTx[v] = true
-			}
-			inRx := map[graph.NodeID]bool{}
-			for _, v := range delivered {
-				inRx[v] = true
-			}
-			for v := 0; v < n; v++ {
-				if dead[v] {
-					continue
-				}
-				switch {
-				case inTx[graph.NodeID(v)]:
-					spent[v] += m.Tx
-				case inRx[graph.NodeID(v)]:
-					spent[v] += m.Rx
-				case informed[v]:
-					spent[v] += m.Sleep
-				case sched.active() && !refAwake(*sched, graph.NodeID(v), round):
-					spent[v] += m.Sleep
-				default:
-					spent[v] += m.Listen
-				}
-			}
-			for _, v := range delivered {
-				informed[v] = true
-			}
-			for v := 0; v < n; v++ {
-				if !dead[v] && spent[v] >= budgets[v]-1e-9 {
-					dead[v] = true
-					naiveDead++
-				}
-			}
-			if st.DeadCount() != naiveDead {
-				t.Fatalf("trial %d (%+v) round %d: dead %d, naive %d",
-					trial, *sched, round, st.DeadCount(), naiveDead)
-			}
-		}
-
-		rep := st.Report()
-		for v := 0; v < n; v++ {
-			if math.Abs(rep.Spent[v]-spent[v]) > 1e-9 {
-				t.Fatalf("trial %d (%+v) node %d: spent %g, naive %g",
-					trial, *sched, v, rep.Spent[v], spent[v])
-			}
-		}
-	}
 }
 
 // TestScheduleValidationPanics: malformed schedules and the inactive
@@ -248,7 +146,7 @@ func TestScheduleValidationPanics(t *testing.T) {
 	if st.Scheduled() {
 		t.Fatal("an always-on schedule should resolve to unscheduled")
 	}
-	if !st.AwakeAt(1, 5) {
-		t.Fatal("unscheduled AwakeAt must be true")
+	if got := st.FilterAwake([]graph.NodeID{0, 1}, 5); len(got) != 2 {
+		t.Fatalf("unscheduled FilterAwake kept %v, want both nodes", got)
 	}
 }

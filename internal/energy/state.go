@@ -16,7 +16,8 @@ const (
 	statusDead                   // depleted: no tx, no charge, (optionally) no rx
 )
 
-// neverRound is the heap key of a node that will not die of passive drain.
+// neverRound is the key of a node that will not die of passive drain (and
+// of a dead node).
 const neverRound = math.MaxInt64
 
 // depleteEps absorbs float rounding at the death threshold: a node is dead
@@ -49,13 +50,13 @@ type State struct {
 	anchor []int32   // last *age* round whose cost is included in spent[v]
 	status []uint8
 
-	// Indexed min-heap of predicted spontaneous-death rounds (limited mode
-	// only): key[v] is the age round at whose end v's passive drain alone
-	// reaches its budget; pos[v] is v's slot in heap. Keys are predictions —
-	// verified, and corrected, when popped.
-	key  []int64
-	heap []int32
-	pos  []int32
+	// Predicted spontaneous-death rounds (limited mode only): key[v] is the
+	// age round at whose end v's passive drain alone reaches its budget.
+	// Keys are predictions, verified by sweepDeaths before it kills.
+	// nextCheck is a lower bound on every key, so no node can die before
+	// age round nextCheck and sweepDeaths scans only from there on.
+	key       []int64
+	nextCheck int64
 
 	round int // current age round = rounds lived across all sessions
 	base  int // session round r ↔ age round base + r
@@ -94,6 +95,9 @@ func (st *State) Start(spec Spec, n int) {
 	}
 	if spec.Budget < 0 {
 		panic("energy: negative budget")
+	}
+	if math.IsNaN(spec.Budget) {
+		panic("energy: NaN budget")
 	}
 	st.model = spec.Model
 	st.n = n
@@ -134,6 +138,9 @@ func (st *State) Start(spec Spec, n int) {
 				if b <= 0 {
 					panic(fmt.Sprintf("energy: non-positive budget %g for node %d", b, i))
 				}
+				if math.IsNaN(b) {
+					panic(fmt.Sprintf("energy: NaN budget for node %d", i))
+				}
 				st.budget[i] = b
 			}
 		} else {
@@ -142,15 +149,9 @@ func (st *State) Start(spec Spec, n int) {
 			}
 		}
 		st.key = grow64(st.key, n)
-		st.heap = grow32(st.heap, n)
-		st.pos = grow32(st.pos, n)
+		st.nextCheck = neverRound
 		for v := 0; v < n; v++ {
-			st.key[v] = st.predictKey(graph.NodeID(v))
-			st.heap[v] = int32(v)
-			st.pos[v] = int32(v)
-		}
-		for i := n/2 - 1; i >= 0; i-- {
-			st.siftDown(i)
+			st.fixKey(graph.NodeID(v))
 		}
 	}
 	if st.trackPartition && len(st.bfsSeen) < n {
@@ -170,6 +171,7 @@ func (st *State) Start(spec Spec, n int) {
 // listening (a new message is about to circulate), and the session round
 // clock re-anchors so the next session's round 1 continues the age clock.
 func (st *State) Rebase() {
+	st.nextCheck = neverRound
 	for v := 0; v < st.n; v++ {
 		if st.status[v] == statusDead {
 			continue
@@ -182,12 +184,7 @@ func (st *State) Rebase() {
 			st.noteListenEnter(graph.NodeID(v))
 		}
 		if st.limited {
-			st.key[v] = st.predictKey(graph.NodeID(v))
-		}
-	}
-	if st.limited {
-		for i := st.n/2 - 1; i >= 0; i-- {
-			st.siftDown(i)
+			st.fixKey(graph.NodeID(v))
 		}
 	}
 	st.base = st.round
@@ -207,22 +204,6 @@ func (st *State) DeadCount() int { return st.dead }
 
 // DeadReceive reports whether depleted nodes may still receive.
 func (st *State) DeadReceive() bool { return st.deadReceive }
-
-// TrackPartition reports whether partition detection is enabled.
-func (st *State) TrackPartition() bool { return st.trackPartition }
-
-// Remaining returns node v's residual charge, clamped at 0 (+Inf when the
-// budget is unlimited).
-func (st *State) Remaining(v graph.NodeID) float64 {
-	if !st.limited {
-		return math.Inf(1)
-	}
-	r := st.budget[v] - st.spendAt(v, st.round)
-	if r < 0 {
-		r = 0
-	}
-	return r
-}
 
 // NoteInformed records that node v holds the message from the start (the
 // broadcast source, or every pre-informed node of a resumed session): no
@@ -260,16 +241,6 @@ func (st *State) noteListenEnter(v graph.NodeID) {
 
 // Scheduled reports whether a listener duty-cycle schedule is active.
 func (st *State) Scheduled() bool { return st.hasSched }
-
-// AwakeAt reports whether the listening radio of node v is awake in the
-// given session round (always true without an active schedule). Informed
-// and dead nodes are governed by the protocol and depletion, not by this.
-func (st *State) AwakeAt(v graph.NodeID, sessionRound int) bool {
-	if !st.hasSched {
-		return true
-	}
-	return st.sched.awakeAt(st.sched.classOf(v), st.base+sessionRound)
-}
 
 // FilterAwake drops receivers whose radio is duty-cycled asleep in the
 // given session round, in place, preserving order. The engine applies it
@@ -346,7 +317,7 @@ func (st *State) EndRound(sessionRound int, transmitters, delivered []graph.Node
 		st.aliveListening--
 		st.aliveInformed++
 		if st.limited {
-			st.fixKey(v) // the passive rate just dropped to Sleep
+			st.fixKey(v) // the passive rate just switched to Sleep
 		}
 	}
 
@@ -573,25 +544,31 @@ func (st *State) predictScheduled(v graph.NodeID, left float64) int64 {
 
 // sweepDeaths retires every node whose spend reached its budget by the end
 // of age round `age`. Deaths take effect at the round's end: the dying
-// node's round-age activity already happened and was charged.
+// node's round-age activity already happened and was charged. Rounds
+// before nextCheck cost nothing; a round that reaches it scans every key
+// once and re-tightens the bound.
 func (st *State) sweepDeaths(age int) (deaths int) {
-	for st.key[st.heap[0]] <= int64(age) {
-		v := graph.NodeID(st.heap[0])
-		if st.spendAt(v, age) >= st.budget[v]-depleteEps {
-			st.kill(v, age)
-			deaths++
-			continue
-		}
-		// Stale prediction (the node's rate dropped since the push, or float
-		// slack): re-predict, never earlier than the next round so the sweep
-		// always progresses.
-		nk := st.predictKey(v)
-		if nk <= int64(age) {
-			nk = int64(age) + 1
-		}
-		st.key[v] = nk
-		st.siftDown(int(st.pos[v]))
+	due := int64(age)
+	if due < st.nextCheck {
+		return 0
 	}
+	next := int64(neverRound)
+	for i, k := range st.key {
+		if k <= due {
+			v := graph.NodeID(i)
+			if st.spendAt(v, age) >= st.budget[v]-depleteEps {
+				st.kill(v, age)
+				deaths++
+				continue
+			}
+			// The prediction was early (float slack, or predictScheduled's
+			// conservative fallback): look again next round.
+			k = due + 1
+			st.key[v] = k
+		}
+		next = min(next, k)
+	}
+	st.nextCheck = next
 	return deaths
 }
 
@@ -613,53 +590,13 @@ func (st *State) kill(v graph.NodeID, age int) {
 		st.halfDeath = age
 	}
 	st.key[v] = neverRound
-	st.siftDown(int(st.pos[v]))
 }
 
-// --- indexed min-heap over predicted death rounds ---
-
-func (st *State) heapLess(i, j int) bool { return st.key[st.heap[i]] < st.key[st.heap[j]] }
-
-func (st *State) heapSwap(i, j int) {
-	st.heap[i], st.heap[j] = st.heap[j], st.heap[i]
-	st.pos[st.heap[i]] = int32(i)
-	st.pos[st.heap[j]] = int32(j)
-}
-
-func (st *State) siftUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !st.heapLess(i, p) {
-			return
-		}
-		st.heapSwap(i, p)
-		i = p
-	}
-}
-
-func (st *State) siftDown(i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < st.n && st.heapLess(l, s) {
-			s = l
-		}
-		if r < st.n && st.heapLess(r, s) {
-			s = r
-		}
-		if s == i {
-			return
-		}
-		st.heapSwap(i, s)
-		i = s
-	}
-}
-
-// fixKey re-predicts v's death round and restores the heap invariant.
+// fixKey re-predicts v's death round and keeps nextCheck a lower bound.
 func (st *State) fixKey(v graph.NodeID) {
-	st.key[v] = st.predictKey(v)
-	st.siftUp(int(st.pos[v]))
-	st.siftDown(int(st.pos[v]))
+	k := st.predictKey(v)
+	st.key[v] = k
+	st.nextCheck = min(st.nextCheck, k)
 }
 
 // --- storage growth helpers (reuse capacity across Start calls) ---

@@ -334,6 +334,9 @@ func TestEnergySpecRejects(t *testing.T) {
 		{"budgets of the wrong length", &energy.Spec{Model: energy.UnitTx(), Budgets: []float64{1, 1, 1}}, "3 per-node budgets"},
 		{"non-positive node budget", &energy.Spec{Model: energy.UnitTx(), Budgets: []float64{1, 1, 0, 1}}, "non-positive budget"},
 		{"negative state cost", &energy.Spec{Model: energy.Model{Tx: 1, Listen: -0.5}}, "negative state cost"},
+		{"NaN budget", &energy.Spec{Model: energy.UnitTx(), Budget: math.NaN()}, "NaN budget"},
+		{"NaN node budget", &energy.Spec{Model: energy.UnitTx(), Budgets: []float64{1, 1, math.NaN(), 1}}, "NaN budget for node 2"},
+		{"NaN state cost", &energy.Spec{Model: energy.Model{Tx: 1, Sleep: math.NaN()}}, "NaN state cost"},
 		{"bank of another network", &energy.Spec{Resume: other.EnergyState()}, "different network"},
 	} {
 		t.Run(c.name, func(t *testing.T) {

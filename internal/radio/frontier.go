@@ -13,7 +13,7 @@ import (
 // Σ deg(transmitter) — the direction-optimizing idea of Beamer et al.'s
 // BFS, applied to the collision rule. Because the frontier list is kept in
 // ascending id order, delivered nodes come out sorted for free (the push
-// kernel pays a sortNodeIDs for the same contract).
+// kernel pays a sort for the same contract).
 //
 // The kernel is exact on the informed trajectory: an uninformed node
 // receives iff exactly one in-neighbour transmits, identically to push.

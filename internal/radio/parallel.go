@@ -2,6 +2,7 @@ package radio
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -153,7 +154,7 @@ func (pd *parallelDeliverer) deliver(g graph.Implicit, round int, transmitters [
 				}
 				out = append(out, t)
 			}
-			sortNodeIDs(out)
+			slices.Sort(out)
 			pd.touched[s] = touched
 			pd.outD[s] = out
 			pd.colls[s] = coll

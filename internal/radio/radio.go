@@ -60,6 +60,7 @@ package radio
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/energy"
 	"repro/internal/graph"
@@ -926,37 +927,7 @@ func (st *deliveryState) deliver(g graph.Implicit, round int, transmitters []gra
 		}
 		delivered = append(delivered, w)
 	}
-	sortNodeIDs(delivered)
+	slices.Sort(delivered)
 	st.delivered = delivered
 	return delivered, collisions
-}
-
-// sortNodeIDs sorts a small slice of node ids in place (insertion sort for
-// short slices, which dominate; falls back to a simple quicksort).
-func sortNodeIDs(xs []graph.NodeID) {
-	if len(xs) < 24 {
-		for i := 1; i < len(xs); i++ {
-			for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-				xs[j], xs[j-1] = xs[j-1], xs[j]
-			}
-		}
-		return
-	}
-	pivot := xs[len(xs)/2]
-	lt, i, gt := 0, 0, len(xs)
-	for i < gt {
-		switch {
-		case xs[i] < pivot:
-			xs[i], xs[lt] = xs[lt], xs[i]
-			lt++
-			i++
-		case xs[i] > pivot:
-			gt--
-			xs[i], xs[gt] = xs[gt], xs[i]
-		default:
-			i++
-		}
-	}
-	sortNodeIDs(xs[:lt])
-	sortNodeIDs(xs[gt:])
 }

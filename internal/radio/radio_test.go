@@ -1,9 +1,7 @@
 package radio
 
 import (
-	"sort"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -249,63 +247,6 @@ func TestSourceOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	RunBroadcast(graph.Complete(2), 5, flood{}, rng.New(1), Options{MaxRounds: 1})
-}
-
-func TestSortNodeIDs(t *testing.T) {
-	r := rng.New(3)
-	f := func(rawLen uint8) bool {
-		m := int(rawLen % 100)
-		xs := make([]graph.NodeID, m)
-		for i := range xs {
-			xs[i] = graph.NodeID(r.Intn(1000))
-		}
-		want := append([]graph.NodeID(nil), xs...)
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		sortNodeIDs(xs)
-		for i := range xs {
-			if xs[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSortNodeIDsDegenerate covers the adversarial shapes for the
-// three-way-partition quicksort: all-equal input (the classic quadratic /
-// non-termination trap), already-sorted and reverse-sorted runs well past
-// the insertion-sort cutoff, long runs of duplicates, and a sawtooth. Each
-// must come out equal to the library sort.
-func TestSortNodeIDsDegenerate(t *testing.T) {
-	mk := func(m int, f func(i int) graph.NodeID) []graph.NodeID {
-		xs := make([]graph.NodeID, m)
-		for i := range xs {
-			xs[i] = f(i)
-		}
-		return xs
-	}
-	cases := map[string][]graph.NodeID{
-		"empty":         nil,
-		"single":        {7},
-		"all-equal":     mk(500, func(int) graph.NodeID { return 42 }),
-		"sorted":        mk(500, func(i int) graph.NodeID { return graph.NodeID(i) }),
-		"reverse":       mk(500, func(i int) graph.NodeID { return graph.NodeID(500 - i) }),
-		"two-runs":      mk(600, func(i int) graph.NodeID { return graph.NodeID(i % 2) }),
-		"long-runs":     mk(900, func(i int) graph.NodeID { return graph.NodeID(i / 300) }),
-		"sawtooth":      mk(512, func(i int) graph.NodeID { return graph.NodeID(i % 17) }),
-		"short-reverse": mk(23, func(i int) graph.NodeID { return graph.NodeID(23 - i) }),
-	}
-	for name, xs := range cases {
-		want := append([]graph.NodeID(nil), xs...)
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		sortNodeIDs(xs)
-		if !equalNodeSlices(xs, want) {
-			t.Fatalf("%s: sortNodeIDs mis-sorted: %v", name, xs)
-		}
-	}
 }
 
 func TestParallelMatchesSerialKernel(t *testing.T) {

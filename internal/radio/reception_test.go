@@ -85,7 +85,8 @@ func TestChannelModelForcingsBitIdentical(t *testing.T) {
 
 // TestDutyCycleForcingsBitIdentical: duty-cycled listeners must compose
 // exactly with every engine forcing — in particular the silent-span skip
-// (schedule spans settle closed-form) and the death heap (budgeted run).
+// (schedule spans settle closed-form) and the predicted death rounds
+// (budgeted run).
 func TestDutyCycleForcingsBitIdentical(t *testing.T) {
 	defer SetEngineOverrides(EngineOverrides{})
 

@@ -13,7 +13,10 @@
 // sharing a generator behind a lock.
 package rng
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // RNG is a xoshiro256++ generator. The zero value is invalid; use New.
 type RNG struct {
@@ -303,9 +306,8 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 }
 
 // SampleWithoutReplacement returns k distinct uniform values from [0, n) in
-// increasing order. It panics if k > n or either is negative. For k close to
-// n it uses a partial Fisher–Yates; for small k, rejection into a set would
-// allocate, so we use Floyd's algorithm.
+// increasing order, drawn by Floyd's algorithm and then sorted: O(k log k),
+// with no O(n) allocation. It panics if k > n or either is negative.
 func (r *RNG) SampleWithoutReplacement(n, k int) []int {
 	if k < 0 || n < 0 || k > n {
 		panic("rng: invalid SampleWithoutReplacement arguments")
@@ -313,7 +315,6 @@ func (r *RNG) SampleWithoutReplacement(n, k int) []int {
 	if k == 0 {
 		return nil
 	}
-	// Floyd's algorithm: O(k) expected, no O(n) allocation.
 	chosen := make(map[int]struct{}, k)
 	out := make([]int, 0, k)
 	for j := n - k; j < n; j++ {
@@ -324,11 +325,6 @@ func (r *RNG) SampleWithoutReplacement(n, k int) []int {
 		chosen[t] = struct{}{}
 		out = append(out, t)
 	}
-	// Insertion sort (k is typically small; avoids importing sort).
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
