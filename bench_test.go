@@ -506,8 +506,9 @@ func BenchmarkN5MobileLifetime(b *testing.B) { runExperiment(b, "N5", "", "") }
 // Primitives, with per-round radio-state accounting and battery budgets on.
 // The budgets are sized to never deplete, so the workload is identical to
 // the unmetered benchmark and per-op deltas isolate the accounting cost
-// (lazy per-node folds and predicted death rounds; no round reaches the
-// earliest prediction, so none scans the keys).
+// (lazy per-node folds only: no round reaches the horizon before which no
+// battery can run out, so no death round is ever predicted and no round
+// scans the keys).
 
 func BenchmarkPrimitiveAlgorithm1RunEnergy(b *testing.B) {
 	n := 4096

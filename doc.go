@@ -44,14 +44,17 @@
 // budgets deplete — a dead radio stops transmitting and, by default,
 // receiving — and results report per-node residual charge plus the
 // network-lifetime rounds (first death, half death, partition). Accounting
-// is allocation-free and lazy: O(events) per round, plus one pass over the
-// per-node predicted death rounds in a round that reaches the earliest of
-// them, so the batch engine keeps its sublinear rounds while no battery
-// nears empty, and it costs nothing when disabled. The N1–N5 battery in
-// internal/expt measures lifetime vs protocol, the energy-latency Pareto
-// front, listen-cost sensitivity, heterogeneous batteries, and mobile-epoch
-// lifetime; note graph.MobileNetwork.Points returns a slice aliasing the
-// model's internal state (read-only, between Advance calls).
+// is allocation-free and lazy: O(events) per round. No death round is
+// predicted before a horizon that no battery can run out by (the least
+// charge left over twice the largest state cost); from there on each node
+// keeps a predicted death round, and a round that reaches the earliest of
+// them makes one pass over all n. So the batch engine keeps its sublinear
+// rounds while no battery nears empty, and it costs nothing when disabled.
+// The N1–N5 battery in internal/expt measures lifetime vs protocol, the
+// energy-latency Pareto front, listen-cost sensitivity, heterogeneous
+// batteries, and mobile-epoch lifetime; note graph.MobileNetwork.Points
+// returns a slice aliasing the model's internal state (read-only, between
+// Advance calls).
 //
 // The experiment layer runs on internal/campaign, a declarative grid
 // engine: an experiment is a Campaign — a point enumeration (a list of

@@ -258,7 +258,8 @@ func TestParseTopologyNewGenerators(t *testing.T) {
 func TestParseTopologyPerKeyErrors(t *testing.T) {
 	// Every generator must reject bad values with an error, not a panic.
 	for _, spec := range []string{
-		"gnp:p=abc", "gnp:sym=maybe", "grid:h=x", "path:n=x", "cycle:n=2",
+		"gnp:p=abc", "gnp:sym=maybe", "gnp:p=NaN", "gnp:p=NaN,sym=true",
+		"grid:h=x", "path:n=x", "cycle:n=2",
 		"star:k=x", "tree:n=x", "complete:n=x", "rgg:rmin=0", "rgg:rmax=9",
 		"obs43:n=0", "fig2:d=x", "hypercube:dim=0", "torus:w=1",
 		"regular:deg=1000", "barbell:k=1", "caterpillar:spine=0",

@@ -219,3 +219,73 @@ func TestStartReusesStorage(t *testing.T) {
 		t.Fatalf("Start+round on a warm state allocates %v per run, want 0", allocs)
 	}
 }
+
+// TestKeysWaitForTheHorizon pins when the death predictions are made:
+// never in a session whose budget cannot run out, and, in one that
+// depletes, first in exactly the round the horizon names. From then on
+// every key must equal a fresh prediction.
+func TestKeysWaitForTheHorizon(t *testing.T) {
+	// The source transmits every round and informs one listener per round
+	// while listeners last.
+	events := func(st *State, r int) int {
+		var rx []graph.NodeID
+		if r < st.N() {
+			rx = []graph.NodeID{graph.NodeID(r)}
+		}
+		return st.EndRound(r, []graph.NodeID{0}, rx)
+	}
+	checkKeys := func(st *State, r int) {
+		t.Helper()
+		for v := range st.key {
+			if k := st.predictKey(graph.NodeID(v)); st.key[v] != k {
+				t.Fatalf("round %d: node %d keyed %d, fresh prediction %d", r, v, st.key[v], k)
+			}
+		}
+	}
+
+	t.Run("budget that cannot run out", func(t *testing.T) {
+		st := NewState()
+		st.Start(Spec{Model: CC2420(), Budget: 1e9}, 64)
+		st.NoteInformed(0, 0)
+		for r := 1; r <= 300; r++ {
+			if d := events(st, r); d != 0 || st.keyed {
+				t.Fatalf("round %d: %d deaths, keyed %v", r, d, st.keyed)
+			}
+		}
+	})
+
+	t.Run("budget that depletes", func(t *testing.T) {
+		// The largest cost is Tx = 1, so the horizon is
+		// ⌊(10 − depleteEps) / (2·1)⌋ = 4.
+		st := NewState()
+		st.Start(Spec{Model: binModel(), Budget: 10}, 4)
+		st.NoteInformed(0, 0)
+		if st.nextCheck != 4 {
+			t.Fatalf("horizon %d after Start, want 4", st.nextCheck)
+		}
+		for r := 1; r <= 10; r++ {
+			d := events(st, r)
+			if st.keyed != (r >= 4) {
+				t.Fatalf("round %d: keyed %v, want it from round 4 on", r, st.keyed)
+			}
+			if st.keyed {
+				checkKeys(st, r)
+			}
+			// The source pays 1 a round and dies in round 10.
+			want := 0
+			if r == 10 {
+				want = 1
+			}
+			if d != want {
+				t.Fatalf("round %d: %d deaths, want %d", r, d, want)
+			}
+		}
+		// Survivors have spent 0.5 + 9/8, 0.25 + 0.5 + 8/8 and
+		// 0.5 + 0.5 + 7/8: the least charge left is 8.125, so the next
+		// campaign's horizon lies ⌊8.125 / 2⌋ = 4 rounds past age 10.
+		st.Rebase()
+		if st.keyed || st.nextCheck != 14 {
+			t.Fatalf("after Rebase: keyed %v, horizon %d, want false and 14", st.keyed, st.nextCheck)
+		}
+	})
+}

@@ -163,15 +163,21 @@ var mirrorRows = []struct {
 	name      string
 	model     Model
 	scheduled bool    // a random duty cycle per trial
-	maxBudget float64 // budgets are multiples of 1/4 in [1/4, maxBudget]
-	rebase    bool    // Rebase halfway and start a second campaign
+	minBudget float64 // budgets are multiples of 1/4 in [minBudget, maxBudget]
+	maxBudget float64
+	rebase    bool // Rebase halfway and start a second campaign
 }{
-	{"listen costs more than sleep", binModel(), false, 6, false},
-	{"sleep costs more than listen", sleepyModel(), false, 6, false},
-	{"rebase halfway", binModel(), false, 100, true},
-	{"listen costs more than sleep", binModel(), true, 100, false},
-	{"sleep costs more than listen", sleepyModel(), true, 24, false},
-	{"rebase halfway", binModel(), true, 100, true},
+	{"listen costs more than sleep", binModel(), false, 0.25, 6, false},
+	{"sleep costs more than listen", sleepyModel(), false, 0.25, 6, false},
+	{"rebase halfway", binModel(), false, 0.25, 100, true},
+	// Budgets far above the costs put the horizon mid-stream, with the
+	// deaths after it; after the Rebase it is recomputed from the folded
+	// spends.
+	{"deaths after the horizon", binModel(), false, 40, 100, false},
+	{"deaths after the horizon, rebase halfway", binModel(), false, 40, 100, true},
+	{"listen costs more than sleep", binModel(), true, 0.25, 100, false},
+	{"sleep costs more than listen", sleepyModel(), true, 0.25, 24, false},
+	{"rebase halfway", binModel(), true, 0.25, 100, true},
 }
 
 // runMirrorRows runs the scheduled or the unscheduled rows of mirrorRows,
@@ -187,7 +193,7 @@ func runMirrorRows(t *testing.T, scheduled bool) {
 			for trial := 0; trial < trials; trial++ {
 				run := mirrorRun{model: row.model, budgets: make([]float64, n), rounds: rounds, txP: 0.15, rxP: 0.05}
 				for v := range run.budgets {
-					run.budgets[v] = float64(1+r.Intn(int(4*row.maxBudget))) / 4
+					run.budgets[v] = float64(int(4*row.minBudget)+r.Intn(int(4*(row.maxBudget-row.minBudget))+1)) / 4
 				}
 				if row.scheduled {
 					run.sched = randomSchedule(r)

@@ -17,13 +17,17 @@
 //
 // Depleted nodes transmit nothing, pay nothing, and (by default) receive
 // nothing. Accounting is lazy: per-node charge is folded only at state
-// transitions, and each node keeps a predicted death round, re-predicted at
-// its own events. Spontaneous deaths (a listener running out of battery
-// with no event touching it) are found by one bound, the earliest predicted
-// death: a simulated round costs O(events), plus one pass over the n
-// predictions in a round that reaches the bound — so under a budget that
-// never runs out, the engine's batch decision path keeps its sublinear
-// rounds.
+// transitions. A session starts with a horizon, the least charge left over
+// twice the largest state cost: no node can reach its budget before that
+// many rounds pass, so until then no death round is predicted at all. In
+// the round that reaches the horizon each node gets a predicted death
+// round, re-predicted from then on at its own events. Spontaneous deaths (a
+// listener running out of battery with no event touching it) are found by
+// one bound, the earliest predicted death: a simulated round costs
+// O(events), plus one pass over the n predictions in a round that reaches
+// the bound — so under a budget that never runs out, the engine's batch
+// decision path keeps its sublinear rounds and no event pays for a
+// prediction.
 package energy
 
 import (

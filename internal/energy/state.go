@@ -52,11 +52,16 @@ type State struct {
 
 	// Predicted spontaneous-death rounds (limited mode only): key[v] is the
 	// age round at whose end v's passive drain alone reaches its budget.
-	// Keys are predictions, verified by sweepDeaths before it kills.
-	// nextCheck is a lower bound on every key, so no node can die before
-	// age round nextCheck and sweepDeaths scans only from there on.
+	// Keys are predictions, verified by sweepDeaths before it kills, and
+	// they are kept only while keyed is set. Start and Rebase clear keyed
+	// and set nextCheck to a horizon before which no node can reach its
+	// budget; the first sweep that reaches the horizon predicts every key
+	// and sets keyed. From then on nextCheck is a lower bound on every key,
+	// so no node can die before age round nextCheck and sweepDeaths scans
+	// only from there on.
 	key       []int64
 	nextCheck int64
+	keyed     bool
 
 	round int // current age round = rounds lived across all sessions
 	base  int // session round r ↔ age round base + r
@@ -149,10 +154,6 @@ func (st *State) Start(spec Spec, n int) {
 			}
 		}
 		st.key = grow64(st.key, n)
-		st.nextCheck = neverRound
-		for v := 0; v < n; v++ {
-			st.fixKey(graph.NodeID(v))
-		}
 	}
 	if st.trackPartition && len(st.bfsSeen) < n {
 		// Sized here so CheckPartition stays allocation-free in the round
@@ -164,6 +165,7 @@ func (st *State) Start(spec Spec, n int) {
 	st.aliveListening, st.aliveInformed, st.dead = n, 0, 0
 	st.txEvents, st.rxEvents, st.listenNodeRounds, st.sleepNodeRounds = 0, 0, 0, 0
 	st.firstDeath, st.halfDeath, st.partition = -1, -1, -1
+	st.setHorizon()
 }
 
 // Rebase readies a persistent state for the next session (campaign): spends
@@ -171,7 +173,6 @@ func (st *State) Start(spec Spec, n int) {
 // listening (a new message is about to circulate), and the session round
 // clock re-anchors so the next session's round 1 continues the age clock.
 func (st *State) Rebase() {
-	st.nextCheck = neverRound
 	for v := 0; v < st.n; v++ {
 		if st.status[v] == statusDead {
 			continue
@@ -183,11 +184,9 @@ func (st *State) Rebase() {
 			st.aliveListening++
 			st.noteListenEnter(graph.NodeID(v))
 		}
-		if st.limited {
-			st.fixKey(graph.NodeID(v))
-		}
 	}
 	st.base = st.round
+	st.setHorizon()
 }
 
 // N returns the node count the state was started for.
@@ -218,7 +217,7 @@ func (st *State) NoteInformed(v graph.NodeID, sessionRound int) {
 	st.status[v] = statusInformed
 	st.aliveListening--
 	st.aliveInformed++
-	if st.limited {
+	if st.keyed {
 		st.fixKey(v)
 	}
 }
@@ -294,6 +293,9 @@ func (st *State) EndRound(sessionRound int, transmitters, delivered []graph.Node
 			txInf++
 		}
 		st.charge(v, age, st.model.Tx)
+		if st.keyed {
+			st.fixKey(v)
+		}
 	}
 	listenersBefore := st.aliveListening
 	sleepersBefore := st.aliveInformed - txInf
@@ -316,8 +318,8 @@ func (st *State) EndRound(sessionRound int, transmitters, delivered []graph.Node
 		st.status[v] = statusInformed
 		st.aliveListening--
 		st.aliveInformed++
-		if st.limited {
-			st.fixKey(v) // the passive rate just switched to Sleep
+		if st.keyed {
+			st.fixKey(v) // after the switch: the passive rate is now Sleep
 		}
 	}
 
@@ -470,14 +472,12 @@ func (st *State) spendAt(v graph.NodeID, age int) float64 {
 
 // charge bills v for an active round (transmit or receive): passive rounds
 // up to age-1 at the current status's rate, then the event cost for round
-// age. The caller adjusts status and population counts afterwards.
+// age. The caller adjusts status and population counts afterwards, then
+// re-predicts v's key while keyed is set.
 func (st *State) charge(v graph.NodeID, age int, cost float64) {
 	st.fold(v, age-1)
 	st.spent[v] += cost
 	st.anchor[v] = int32(age)
-	if st.limited {
-		st.fixKey(v)
-	}
 }
 
 // --- depletion detection ---
@@ -542,15 +542,50 @@ func (st *State) predictScheduled(v graph.NodeID, left float64) int64 {
 	return r
 }
 
+// setHorizon marks the keys stale and sets nextCheck to the first age round
+// in which a node could reach its budget. A round costs a node at most the
+// largest state cost, so the alive node with the least charge left needs at
+// least left/top rounds to spend it; the factor 2 absorbs float rounding in
+// the folded spends. Before the horizon every event skips its key update.
+func (st *State) setHorizon() {
+	st.keyed = false
+	if !st.limited {
+		return
+	}
+	left := math.Inf(1)
+	for v := 0; v < st.n; v++ {
+		if st.status[v] != statusDead {
+			left = min(left, st.budget[v]-depleteEps-st.spent[v])
+		}
+	}
+	m := st.model
+	h := math.Floor(left / (2 * max(m.Tx, m.Rx, m.Listen, m.Sleep)))
+	switch {
+	case !(h > 0): // a node may reach its budget in the next round
+		st.nextCheck = int64(st.round)
+	case h > float64(neverRound)/2:
+		st.nextCheck = neverRound
+	default:
+		st.nextCheck = int64(st.round) + int64(h)
+	}
+}
+
 // sweepDeaths retires every node whose spend reached its budget by the end
 // of age round `age`. Deaths take effect at the round's end: the dying
 // node's round-age activity already happened and was charged. Rounds
-// before nextCheck cost nothing; a round that reaches it scans every key
-// once and re-tightens the bound.
+// before nextCheck cost nothing. The first round that reaches the horizon
+// predicts every key; from then on, a round that reaches nextCheck scans
+// every key once and re-tightens the bound.
 func (st *State) sweepDeaths(age int) (deaths int) {
 	due := int64(age)
 	if due < st.nextCheck {
 		return 0
+	}
+	if !st.keyed {
+		for v := range st.key {
+			st.key[v] = st.predictKey(graph.NodeID(v))
+		}
+		st.keyed = true
 	}
 	next := int64(neverRound)
 	for i, k := range st.key {
@@ -593,6 +628,8 @@ func (st *State) kill(v graph.NodeID, age int) {
 }
 
 // fixKey re-predicts v's death round and keeps nextCheck a lower bound.
+// Events call it only while keyed is set: before the horizon no key is
+// read, and the sweep that reaches it predicts them all.
 func (st *State) fixKey(v graph.NodeID) {
 	k := st.predictKey(v)
 	st.key[v] = k

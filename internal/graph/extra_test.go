@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -276,10 +277,15 @@ func TestGNPHeteroUniformCaseMatchesGNP(t *testing.T) {
 }
 
 func TestGNPHeteroPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	GNPHetero(10, 0.5, 0.2, rng.New(1))
+	nan := math.NaN()
+	for _, c := range [][2]float64{{0.5, 0.2}, {-0.1, 0.2}, {0.1, 1.5}, {nan, 0.2}, {0.1, nan}, {nan, nan}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("GNPHetero(pmin=%v, pmax=%v) did not panic", c[0], c[1])
+				}
+			}()
+			GNPHetero(10, c[0], c[1], rng.New(1))
+		}()
+	}
 }

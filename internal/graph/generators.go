@@ -25,7 +25,7 @@ func GNPDirected(n int, p float64, r *rng.RNG) *Digraph {
 // only whoever reaches them, so links are asymmetric and out-degrees vary by
 // a factor pmax/pmin. Returns the digraph and the per-node probabilities.
 func GNPHetero(n int, pmin, pmax float64, r *rng.RNG) (*Digraph, []float64) {
-	if pmin < 0 || pmax > 1 || pmin > pmax {
+	if !(0 <= pmin && pmin <= pmax && pmax <= 1) {
 		panic("graph: GNPHetero needs 0 <= pmin <= pmax <= 1")
 	}
 	ps := make([]float64, n)
@@ -55,7 +55,7 @@ func GNPHetero(n int, pmin, pmax float64, r *rng.RNG) (*Digraph, []float64) {
 // GNPSymmetric samples an undirected G(n,p) and orients every edge both ways,
 // modelling radios with equal communication ranges.
 func GNPSymmetric(n int, p float64, r *rng.RNG) *Digraph {
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		panic("graph: GNP needs p in [0,1]")
 	}
 	b := NewBuilder(n)

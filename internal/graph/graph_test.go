@@ -143,6 +143,28 @@ func TestGNPDirectedExtremes(t *testing.T) {
 	}
 }
 
+// TestGNPPanics checks that every G(n,p) generator rejects an edge
+// probability outside [0, 1], NaN included, instead of building a graph.
+func TestGNPPanics(t *testing.T) {
+	for _, p := range []float64{-0.1, 1.5, math.NaN()} {
+		for name, fn := range map[string]func(){
+			"GNPDirected":         func() { GNPDirected(10, p, rng.New(1)) },
+			"Scratch.GNPDirected": func() { NewScratch().GNPDirected(10, p, rng.New(1)) },
+			"GNPSymmetric":        func() { GNPSymmetric(10, p, rng.New(1)) },
+			"NewImplicitGNP":      func() { NewImplicitGNP(10, p, 1) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s(p=%v) did not panic", name, p)
+					}
+				}()
+				fn()
+			}()
+		}
+	}
+}
+
 func TestGNPDirectedDeterministic(t *testing.T) {
 	a := GNPDirected(100, 0.05, rng.New(7))
 	b := GNPDirected(100, 0.05, rng.New(7))

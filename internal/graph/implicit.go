@@ -106,7 +106,7 @@ func NewImplicitGNP(n int, p float64, seed uint64) *ImplicitGNP {
 	if n > 1<<31-1 {
 		panic("graph: too many nodes for int32 ids")
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		panic("graph: GNP needs p in [0,1]")
 	}
 	return &ImplicitGNP{n: n, p: p, seed: seed}

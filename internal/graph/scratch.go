@@ -66,7 +66,7 @@ func (s *Scratch) fromRows(g Implicit) *Digraph {
 // geometric skipping emits edges already sorted by (u, v), so no edge-list
 // sort is needed, and the in-adjacency follows from one counting pass.
 func (s *Scratch) GNPDirected(n int, p float64, r *rng.RNG) *Digraph {
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		panic("graph: GNP needs p in [0,1]")
 	}
 	if n < 1 {

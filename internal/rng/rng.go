@@ -15,12 +15,17 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 )
 
 // RNG is a xoshiro256++ generator. The zero value is invalid; use New.
 type RNG struct {
 	s0, s1, s2, s3 uint64
+
+	// geoP is the last Geometric parameter and geoLog its log1p(-p), so a
+	// stream of draws at one p takes the logarithm once.
+	geoP, geoLog float64
 }
 
 // splitmix64 advances *x and returns the next splitmix64 output. It is used
@@ -108,30 +113,14 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 		panic("rng: Uint64n with zero n")
 	}
 	// Lemire rejection sampling on the high 64 bits of a 128-bit product.
-	v := r.Uint64()
-	hi, lo := mul64(v, n)
+	hi, lo := bits.Mul64(r.Uint64(), n)
 	if lo < n {
 		thresh := (-n) % n
 		for lo < thresh {
-			v = r.Uint64()
-			hi, lo = mul64(v, n)
+			hi, lo = bits.Mul64(r.Uint64(), n)
 		}
 	}
 	return hi
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	a0, a1 := a&mask32, a>>32
-	b0, b1 := b&mask32, b>>32
-	t := a1*b0 + (a0*b0)>>32
-	lo1 := t & mask32
-	hi1 := t >> 32
-	lo1 += a0 * b1
-	hi = a1*b1 + hi1 + lo1>>32
-	lo = a * b
-	return hi, lo
 }
 
 // Bool returns a fair coin flip.
@@ -150,10 +139,13 @@ func (r *RNG) Bernoulli(p float64) bool {
 
 // Geometric returns the number of Bernoulli(p) failures before the first
 // success, i.e. a sample from the geometric distribution on {0, 1, 2, ...}
-// with mean (1-p)/p. It panics unless 0 < p <= 1. For small p it uses the
-// inversion formula floor(log(U)/log(1-p)) which is O(1).
+// with mean (1-p)/p. It panics unless 0 < p <= 1, so also for a NaN p. For
+// small p it uses the inversion formula floor(log(U)/log(1-p)) which is O(1).
+// The generator caches log1p(-p) for the last p it was called with, so a
+// stream of draws at one p (a skip sampler, a G(n,p) row) takes that
+// logarithm once; every draw is the same float as without the cache.
 func (r *RNG) Geometric(p float64) int {
-	if p <= 0 || p > 1 {
+	if !(p > 0 && p <= 1) {
 		panic("rng: Geometric needs 0 < p <= 1")
 	}
 	if p == 1 {
@@ -163,7 +155,10 @@ func (r *RNG) Geometric(p float64) int {
 	for u == 0 {
 		u = r.Float64()
 	}
-	g := math.Floor(math.Log(u) / math.Log1p(-p))
+	if p != r.geoP {
+		r.geoP, r.geoLog = p, math.Log1p(-p)
+	}
+	g := math.Floor(math.Log(u) / r.geoLog)
 	if g < 0 {
 		return 0
 	}

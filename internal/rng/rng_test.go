@@ -172,12 +172,65 @@ func TestGeometricOne(t *testing.T) {
 }
 
 func TestGeometricPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Geometric(0) did not panic")
+	for _, p := range []float64{0, -0.5, 1.5, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Geometric(%v) did not panic", p)
+				}
+			}()
+			New(1).Geometric(p)
+		}()
+	}
+}
+
+// FuzzGeometricMatchesFormula draws from one generator while the parameter
+// changes between calls, and checks every draw against the inversion
+// formula floor(log(u)/log1p(-p)) recomputed from a twin generator. Mode
+// picks the parameter sequence: p on every call, p and q alternating, or a
+// fresh parameter in [min(p,q), max(p,q)] on every call, as GNPHetero's
+// per-node probabilities are. p and q map into (0, 1] through |x| and
+// 1/|x|; inputs that map to 0 or NaN are skipped.
+func FuzzGeometricMatchesFormula(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint64, p, q float64, mode uint8) {
+		unit := func(x float64) float64 {
+			x = math.Abs(x)
+			if x > 1 {
+				x = 1 / x
+			}
+			return x
 		}
-	}()
-	New(1).Geometric(0)
+		p, q = unit(p), unit(q)
+		if !(p > 0 && q > 0) {
+			t.Skip()
+		}
+		r, twin, params := New(seed), New(seed), New(^seed)
+		lo, hi := min(p, q), max(p, q)
+		for i := 0; i < 200; i++ {
+			x := p
+			switch mode % 3 {
+			case 1:
+				if i%2 == 1 {
+					x = q
+				}
+			case 2:
+				x = lo + (hi-lo)*params.Float64()
+			}
+			got := r.Geometric(x)
+			want := 0
+			if x < 1 {
+				u := twin.Float64()
+				for u == 0 {
+					u = twin.Float64()
+				}
+				g := math.Floor(math.Log(u) / math.Log1p(-x))
+				want = int(min(max(g, 0), math.MaxInt32))
+			}
+			if got != want {
+				t.Fatalf("draw %d at p=%v: got %d, formula %d", i, x, got, want)
+			}
+		}
+	})
 }
 
 func TestBinomialMoments(t *testing.T) {
@@ -356,22 +409,6 @@ func TestSubSeedDeterministic(t *testing.T) {
 	}
 	if SubSeed(1, 2) == SubSeed(2, 2) {
 		t.Fatal("SubSeed seed collision")
-	}
-}
-
-func TestMul64(t *testing.T) {
-	cases := []struct{ a, b, hi, lo uint64 }{
-		{0, 0, 0, 0},
-		{1, 1, 0, 1},
-		{math.MaxUint64, 2, 1, math.MaxUint64 - 1},
-		{1 << 32, 1 << 32, 1, 0},
-		{math.MaxUint64, math.MaxUint64, math.MaxUint64 - 1, 1},
-	}
-	for _, c := range cases {
-		hi, lo := mul64(c.a, c.b)
-		if hi != c.hi || lo != c.lo {
-			t.Fatalf("mul64(%d,%d) = (%d,%d), want (%d,%d)", c.a, c.b, hi, lo, c.hi, c.lo)
-		}
 	}
 }
 
