@@ -455,6 +455,29 @@ func benchDeliveryPhase(b *testing.B, parallel bool) {
 func BenchmarkPrimitiveDeliverySerial(b *testing.B)   { benchDeliveryPhase(b, false) }
 func BenchmarkPrimitiveDeliveryParallel(b *testing.B) { benchDeliveryPhase(b, true) }
 
+// --- draw-kernel isolation: one op is a pass of rng.SkipSample over 32,768
+// candidates, the geometric skipping behind every Bernoulli transmitter
+// draw and G(n,p) row, so ns/index is the cost of one rng.Geometric draw
+// plus the sampler's step. p = 4e-4 is about the alg1-gnp edge probability.
+
+func benchSkipSample(b *testing.B, p float64) {
+	r := rng.New(1)
+	selected := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := r.SkipSample(1<<15, p)
+		for _, ok := s.Next(); ok; _, ok = s.Next() {
+			selected++
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(selected, 1)), "ns/index")
+}
+
+func BenchmarkPrimitiveSkipSampleHalf(b *testing.B)      { benchSkipSample(b, 0.5) }
+func BenchmarkPrimitiveSkipSampleSixteenth(b *testing.B) { benchSkipSample(b, 1.0/16) }
+func BenchmarkPrimitiveSkipSample4e4(b *testing.B)       { benchSkipSample(b, 4e-4) }
+
 // --- dense-round isolation: the mid-phase regime where broadcast runs spend
 // their wall clock — ~4k transmitters × d≈100 on the n=262144 G(n,p), so
 // Σ outdeg(tx) ≈ 1.6·n per round. The default variant forces the

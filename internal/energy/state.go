@@ -260,8 +260,12 @@ func (st *State) FilterAwake(list []graph.NodeID, sessionRound int) []graph.Node
 }
 
 // FilterAlive drops depleted nodes from list in place, preserving order,
-// and returns the shortened slice.
+// and returns the shortened slice. While no node has died it returns list
+// without reading it.
 func (st *State) FilterAlive(list []graph.NodeID) []graph.NodeID {
+	if st.dead == 0 {
+		return list
+	}
 	out := list[:0]
 	for _, v := range list {
 		if st.status[v] != statusDead {

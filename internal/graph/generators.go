@@ -24,36 +24,40 @@ func GNPDirected(n int, p float64, r *rng.RNG) *Digraph {
 // Erdős–Rényi setting: strong radios (large p_u) are heard widely but hear
 // only whoever reaches them, so links are asymmetric and out-degrees vary by
 // a factor pmax/pmin. Returns the digraph and the per-node probabilities.
+// Geometric skipping emits each row sorted, so rows go straight into the
+// CSR form with no edge-list sort.
 func GNPHetero(n int, pmin, pmax float64, r *rng.RNG) (*Digraph, []float64) {
 	if !(0 <= pmin && pmin <= pmax && pmax <= 1) {
 		panic("graph: GNPHetero needs 0 <= pmin <= pmax <= 1")
 	}
+	s := NewScratch()
+	g := s.begin(n)
 	ps := make([]float64, n)
 	for i := range ps {
 		ps[i] = pmin + (pmax-pmin)*r.Float64()
 	}
-	b := NewBuilder(n)
 	for u := 0; u < n; u++ {
-		p := ps[u]
-		if p <= 0 {
-			continue
-		}
-		// Geometric skipping over the n-1 potential targets of u.
-		idx := r.Geometric(p)
-		for idx < n-1 {
-			v := NodeID(idx)
-			if v >= NodeID(u) {
-				v++
+		if p := ps[u]; p > 0 {
+			// Geometric skipping over the n-1 potential targets of u.
+			for idx := r.Geometric(p); idx < n-1; idx += 1 + r.Geometric(p) {
+				v := NodeID(idx)
+				if v >= NodeID(u) {
+					v++
+				}
+				g.outTo = append(g.outTo, v)
 			}
-			b.AddEdge(NodeID(u), v)
-			idx += 1 + r.Geometric(p)
 		}
+		g.outOff[u+1] = len(g.outTo)
 	}
-	return b.Build(), ps
+	s.finishIn()
+	return g, ps
 }
 
 // GNPSymmetric samples an undirected G(n,p) and orients every edge both ways,
-// modelling radios with equal communication ranges.
+// modelling radios with equal communication ranges. Geometric skipping walks
+// the linear index over the pairs u < v in increasing order, so the pair's
+// row u and the row's first index carry over from one edge to the next
+// instead of being found by walking the rows from 0 for every edge.
 func GNPSymmetric(n int, p float64, r *rng.RNG) *Digraph {
 	if !(p >= 0 && p <= 1) {
 		panic("graph: GNP needs p in [0,1]")
@@ -62,28 +66,16 @@ func GNPSymmetric(n int, p float64, r *rng.RNG) *Digraph {
 	if p == 0 || n == 1 {
 		return b.Build()
 	}
+	// Row u holds the n-1-u pairs {u<v} at indices [start, start+n-1-u).
+	// Geometric(1) is 0 and draws nothing, so p = 1 lists every pair.
 	total := uint64(n) * uint64(n-1) / 2
-	next := func() uint64 {
-		if p == 1 {
-			return 0
-		}
-		return uint64(r.Geometric(p))
-	}
-	idx := next()
-	for idx < total {
-		// Map linear index over unordered pairs {u<v}: row u holds n-1-u pairs.
-		u, rem := uint64(0), idx
-		for rem >= uint64(n-1)-u {
-			rem -= uint64(n-1) - u
+	u, start := uint64(0), uint64(0)
+	for idx := uint64(r.Geometric(p)); idx < total; idx += 1 + uint64(r.Geometric(p)) {
+		for idx-start >= uint64(n-1)-u {
+			start += uint64(n-1) - u
 			u++
 		}
-		v := u + 1 + rem
-		b.AddBoth(NodeID(u), NodeID(v))
-		if p == 1 {
-			idx++
-		} else {
-			idx += 1 + uint64(r.Geometric(p))
-		}
+		b.AddBoth(NodeID(u), NodeID(u+1+idx-start))
 	}
 	return b.Build()
 }

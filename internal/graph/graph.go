@@ -11,7 +11,6 @@
 package graph
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -67,10 +66,8 @@ func (g *Digraph) HasEdge(u, v NodeID) bool {
 // (a radio cannot inform itself).
 type Builder struct {
 	n     int
-	edges []edge
+	edges []uint64 // u<<32 | v, so integer order is (u, v) order
 }
-
-type edge struct{ u, v NodeID }
 
 // NewBuilder returns a Builder for a graph with n nodes. It panics if n < 1
 // or n exceeds the NodeID range.
@@ -93,7 +90,7 @@ func (b *Builder) AddEdge(u, v NodeID) {
 	if u == v {
 		panic("graph: self-loop")
 	}
-	b.edges = append(b.edges, edge{u, v})
+	b.edges = append(b.edges, uint64(u)<<32|uint64(v))
 }
 
 // AddBoth records u → v and v → u (a symmetric radio link).
@@ -106,19 +103,14 @@ func (b *Builder) AddBoth(u, v NodeID) {
 // Sorting the edges by (u, v) lays out the out-CSR row by row; the
 // in-adjacency follows from the shared counting transpose.
 func (b *Builder) Build() *Digraph {
-	slices.SortFunc(b.edges, func(x, y edge) int {
-		if c := cmp.Compare(x.u, y.u); c != 0 {
-			return c
-		}
-		return cmp.Compare(x.v, y.v)
-	})
+	slices.Sort(b.edges)
 	b.edges = slices.Compact(b.edges)
 	s := &Scratch{}
 	g := s.begin(b.n)
 	g.outTo = make([]NodeID, len(b.edges))
 	for i, e := range b.edges {
-		g.outOff[e.u+1]++
-		g.outTo[i] = e.v
+		g.outOff[e>>32+1]++
+		g.outTo[i] = NodeID(uint32(e))
 	}
 	for u := 0; u < b.n; u++ {
 		g.outOff[u+1] += g.outOff[u]

@@ -38,8 +38,16 @@ func growIDs(s []NodeID, n int) []NodeID {
 
 // begin resets the scratch graph to n nodes with zeroed out-offsets and an
 // empty out-adjacency, ready for a generator to fill the out-CSR row by row
-// and call finishIn.
+// and call finishIn. It panics unless 1 <= n < 2^31, the counts int32 ids
+// can name; the Builder and the implicit graphs check n when they are made,
+// so only the G(n,p) generators can reach it with a bad n.
 func (s *Scratch) begin(n int) *Digraph {
+	if n < 1 {
+		panic("graph: GNP needs n >= 1")
+	}
+	if n > 1<<31-1 {
+		panic("graph: too many nodes for int32 ids")
+	}
 	g := &s.g
 	g.n = n
 	g.outOff = growOffsets(g.outOff, n+1)
@@ -63,41 +71,39 @@ func (s *Scratch) fromRows(g Implicit) *Digraph {
 // GNPDirected is graph.GNPDirected writing into the scratch's reusable
 // storage. It consumes the RNG identically to the package-level function
 // and produces an identical graph, but builds the CSR form directly:
-// geometric skipping emits edges already sorted by (u, v), so no edge-list
-// sort is needed, and the in-adjacency follows from one counting pass.
+// geometric skipping emits edges already sorted by (u, v), so each row is
+// appended in place as the skip crosses into it, with no edge-list sort and
+// no per-edge division, and the in-adjacency follows from one counting
+// pass.
 func (s *Scratch) GNPDirected(n int, p float64, r *rng.RNG) *Digraph {
 	if !(p >= 0 && p <= 1) {
 		panic("graph: GNP needs p in [0,1]")
-	}
-	if n < 1 {
-		panic("graph: GNP needs n >= 1")
-	}
-	if n > 1<<31-1 {
-		panic("graph: too many nodes for int32 ids")
 	}
 	g := s.begin(n)
 	if p > 0 && n > 1 {
 		// Geometric skipping over the linear index of ordered non-diagonal
 		// pairs; indices arrive in increasing order, i.e. sorted by (u, v).
-		total := uint64(n) * uint64(n-1)
-		cur := 0
+		// Row u holds indices [start, start+n-1) with start = u·(n-1); the
+		// loop that closes each row also advances start, so no edge divides.
+		total, row := uint64(n)*uint64(n-1), uint64(n-1)
+		u, start := 0, uint64(0)
 		idx := uint64(r.Geometric(p))
 		for idx < total {
-			u := int(idx / uint64(n-1))
-			v := NodeID(idx % uint64(n-1))
+			for idx-start >= row {
+				u++
+				start += row
+				g.outOff[u] = len(g.outTo)
+			}
+			v := NodeID(idx - start)
 			if v >= NodeID(u) {
 				v++
-			}
-			for cur < u {
-				cur++
-				g.outOff[cur] = len(g.outTo)
 			}
 			g.outTo = append(g.outTo, v)
 			idx += 1 + uint64(r.Geometric(p))
 		}
-		for cur < n {
-			cur++
-			g.outOff[cur] = len(g.outTo)
+		for u < n {
+			u++
+			g.outOff[u] = len(g.outTo)
 		}
 	}
 

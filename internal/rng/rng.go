@@ -24,8 +24,10 @@ type RNG struct {
 	s0, s1, s2, s3 uint64
 
 	// geoP is the last Geometric parameter and geoLog its log1p(-p), so a
-	// stream of draws at one p takes the logarithm once.
-	geoP, geoLog float64
+	// stream of draws at one p takes the logarithm once. geoInv is
+	// 1/geoLog and geoHalf is 1/2 - geoSlack/|geoLog|, the fast path's
+	// multiplier and its margin test (see geometric).
+	geoP, geoLog, geoInv, geoHalf float64
 }
 
 // splitmix64 advances *x and returns the next splitmix64 output. It is used
@@ -139,11 +141,20 @@ func (r *RNG) Bernoulli(p float64) bool {
 
 // Geometric returns the number of Bernoulli(p) failures before the first
 // success, i.e. a sample from the geometric distribution on {0, 1, 2, ...}
-// with mean (1-p)/p. It panics unless 0 < p <= 1, so also for a NaN p. For
-// small p it uses the inversion formula floor(log(U)/log(1-p)) which is O(1).
-// The generator caches log1p(-p) for the last p it was called with, so a
-// stream of draws at one p (a skip sampler, a G(n,p) row) takes that
-// logarithm once; every draw is the same float as without the cache.
+// with mean (1-p)/p. It panics unless 0 < p <= 1, so also for a NaN p.
+//
+// The draw is the inversion floor(log(u)/log1p(-p)) of one nonzero Float64
+// u, clamped to [0, MaxInt32], and every result equals that expression
+// bit for bit. A fast path estimates log(u) from a 256-cell table and a
+// cubic and multiplies by a cached 1/log1p(-p), with no logarithm and no
+// division. It keeps its floor only when the estimate's fractional part
+// lies farther than the margin 2^-34/|log1p(-p)| from an integer, which
+// proves the floor equal to the formula's; otherwise it evaluates the
+// formula. The fallback is rare (about 2^-33/p of draws) until p falls
+// below about 1e-10, where every draw takes it. The generator caches
+// log1p(-p) and the fast path's constants for the last p it was called
+// with, so a stream of draws at one p (a skip sampler, a G(n,p) row)
+// takes that logarithm once.
 func (r *RNG) Geometric(p float64) int {
 	if !(p > 0 && p <= 1) {
 		panic("rng: Geometric needs 0 < p <= 1")
@@ -151,21 +162,82 @@ func (r *RNG) Geometric(p float64) int {
 	if p == 1 {
 		return 0
 	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
+	m := r.Uint64() >> 11
+	for m == 0 {
+		m = r.Uint64() >> 11
 	}
+	g, _ := r.geometric(m, p)
+	return g
+}
+
+// geoSlack is A in the fast path's margin M = A/|log1p(-p)|. The fast path
+// writes u = 2^e·x with x in [1, 2), takes the midpoint c of x's cell and
+// t = x·(1/c) - 1, and estimates ln u as s = e·Ln2 + ln c + t - t²/2 + t³/3.
+// s differs from ln u by less than 1.004·2^-38:
+//   - the cubic's truncation, |t|^4/4/(1-|t|) with |t| ≤ 1/512, is under
+//     2^-38;
+//   - t is off by under 2^-52 (1/c and x·(1/c) round once each, x·(1/c)-1
+//     is exact), ln c by under 2^-53 (math.Log is within one ulp), and the
+//     cubic's own operations round below 2^-60;
+//   - e·Ln2 is off by under 53·2^-54 from Ln2's rounding, and it and the
+//     two sums each round by at most half an ulp of a value below 64, 2^-48.
+//
+// The product q̃ = s·(1/log1p(-p)) adds two relative roundings of a value
+// below 36.8/|log1p(-p)|, under 2^-46.7/|log1p(-p)|. The formula's quotient
+// q is off from ln u/log1p(-p) by math.Log's error, under one ulp (2^-47),
+// and by the division's rounding, under 2^-47.8/|log1p(-p)|. In all
+// |q̃ - q| < 1.01·2^-38/|log1p(-p)| < M/15, so when frac(q̃) lies in
+// (M, 1-M) no integer separates q̃ from q and their floors agree. The test
+// is |frac(q̃) - 1/2| < 1/2 - M in floating point; rounding is monotone, so
+// it passes only when the exact comparison does. A fused multiply-add
+// rounds once where the two operations it replaces round twice, so the
+// bound holds whether or not the compiler fuses them; if it fuses q̃'s
+// product into the test, the test bounds the unrounded product, which is
+// closer still to ln u/log1p(-p).
+const geoSlack = 0x1p-34
+
+// geoCell holds, for each of the 256 cells [1+i/256, 1+(i+1)/256) of
+// [1, 2), the reciprocal of the cell's midpoint c and ln c. It is filled
+// once by init and only read afterwards.
+var geoCell [256]struct{ inv, log float64 }
+
+func init() {
+	for i := range geoCell {
+		c := 1 + (float64(i)+0.5)/256
+		geoCell[i].inv, geoCell[i].log = 1/c, math.Log(c)
+	}
+}
+
+// geometric maps the draw m in [1, 2^53), u = m·2^-53, to Geometric's
+// variate at p in (0, 1), and reports whether the fast path decided it.
+func (r *RNG) geometric(m uint64, p float64) (g int, fast bool) {
 	if p != r.geoP {
 		r.geoP, r.geoLog = p, math.Log1p(-p)
+		r.geoInv, r.geoHalf = 1/r.geoLog, 0.5+geoSlack/r.geoLog
 	}
-	g := math.Floor(math.Log(u) / r.geoLog)
-	if g < 0 {
-		return 0
+	// u = 2^e·x with x in [1, 2): m converts to float64 exactly, so its
+	// exponent gives e and its top eight fraction bits x's cell.
+	b := math.Float64bits(float64(int64(m)))
+	e := float64(int64(b>>52) - 1023 - 53)
+	x := math.Float64frombits(b&(1<<52-1) | 1023<<52)
+	cell := &geoCell[b>>44&0xff]
+	t := x*cell.inv - 1
+	s := e*math.Ln2 + cell.log + (t + t*t*(t*(1.0/3)-0.5))
+	q := s * r.geoInv
+	f := math.Floor(q)
+	// A p so small that 1/geoLog overflows makes q infinite and the test
+	// NaN, which falls back like a margin of 1/2 or more does.
+	fast = math.Abs(q-f-0.5) < r.geoHalf
+	if !fast {
+		f = math.Floor(math.Log(float64(m)*(1.0/(1<<53))) / r.geoLog)
 	}
-	if g > math.MaxInt32 {
-		return math.MaxInt32
+	if f < 0 {
+		return 0, fast
 	}
-	return int(g)
+	if f > math.MaxInt32 {
+		return math.MaxInt32, fast
+	}
+	return int(f), fast
 }
 
 // SkipSampler enumerates the indices of [0, n) that pass independent

@@ -233,6 +233,114 @@ func FuzzGeometricMatchesFormula(f *testing.F) {
 	})
 }
 
+// formula is Geometric's variate for the 53-bit draw m at p by the
+// inversion formula itself, with the helper's clamps.
+func formula(m uint64, p float64) int {
+	g := math.Floor(math.Log(float64(m)*(1.0/(1<<53))) / math.Log1p(-p))
+	return int(min(max(g, 0), math.MaxInt32))
+}
+
+// geometricSteps lists the draws at which the formula at p steps from j+1
+// to j, for a spread of j: for each target draw it takes j = formula(target)
+// and bisects for the first m with formula(m) <= j. The targets sit on the
+// edges of the fast path's table cells, where its cubic is least accurate:
+// one per binary exponent 0..52, cycling through the cells, and every cell
+// at exponent 40, where the margin covers only about ±64 draws of each
+// ±1000 window.
+func geometricSteps(p float64) []uint64 {
+	var targets []uint64
+	for k := 0; k <= 52; k++ {
+		targets = append(targets, uint64(math.Ldexp(1+float64(37*k%256)/256, k)))
+	}
+	for i := 0; i < 256; i++ {
+		targets = append(targets, uint64(math.Ldexp(1+float64(i)/256, 40)))
+	}
+	var steps []uint64
+	seen := map[int]bool{}
+	for _, m := range targets {
+		j := formula(m, p)
+		if seen[j] {
+			continue
+		}
+		seen[j] = true
+		lo, hi := uint64(1), m // formula(hi) <= j
+		for lo < hi {
+			mid := lo + (hi-lo)/2
+			if formula(mid, p) <= j {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		steps = append(steps, lo)
+	}
+	return steps
+}
+
+// TestGeometricFastPathAtSteps checks the fast path where it can break: at
+// every draw within 1000 of the formula's steps, and at both ends of the
+// draw grid, for powers of two, their complements, the simulator's own
+// parameters and the extremes of p. The sweep must reach the fallback and
+// must take the fast path on at least 85% of its draws.
+func TestGeometricFastPathAtSteps(t *testing.T) {
+	n := float64(1 << 18)
+	ps := []float64{0.3, 0.7, 1e-9, math.SmallestNonzeroFloat64,
+		8 * math.Log(n) / n, 1 / (8 * math.Log(n))} // G(n,p) at n = 2^18 and Algorithm 1's 1/d
+	for k := 1; k <= 20; k++ {
+		ps = append(ps, math.Ldexp(1, -k))
+	}
+	for k := 1; k <= 10; k++ {
+		ps = append(ps, 1-math.Ldexp(1, -k))
+	}
+	var r RNG
+	points, fast := 0, 0
+	check := func(m uint64, p float64) {
+		got, f := r.geometric(m, p)
+		if want := formula(m, p); got != want {
+			t.Fatalf("p=%v m=%d: helper %d (fast %v), formula %d", p, m, got, f, want)
+		}
+		points++
+		if f {
+			fast++
+		}
+	}
+	for _, p := range ps {
+		check(1, p)
+		check(1<<53-1, p)
+		for _, step := range geometricSteps(p) {
+			lo, hi := max(step, 1001)-1000, min(step+1000, 1<<53-1)
+			for m := lo; m <= hi; m++ {
+				check(m, p)
+			}
+		}
+	}
+	if fast == points || fast < points*85/100 {
+		t.Fatalf("fast path decided %d of %d draws; want at least 85%%, and at least one fallback", fast, points)
+	}
+	t.Logf("fast path decided %d of %d draws", fast, points)
+}
+
+// FuzzGeometricFastPath compares the helper with the inversion formula at
+// one draw m, masked to the 53-bit grid (0 is skipped: Geometric redraws
+// it), and one parameter p, mapped into (0, 1) as FuzzGeometricMatchesFormula
+// maps it (1 is skipped: Geometric returns 0 without a draw).
+func FuzzGeometricFastPath(f *testing.F) {
+	f.Fuzz(func(t *testing.T, m uint64, p float64) {
+		m &= 1<<53 - 1
+		p = math.Abs(p)
+		if p > 1 {
+			p = 1 / p
+		}
+		if m == 0 || !(p > 0 && p < 1) {
+			t.Skip()
+		}
+		got, fast := new(RNG).geometric(m, p)
+		if want := formula(m, p); got != want {
+			t.Fatalf("p=%v m=%d: helper %d (fast %v), formula %d", p, m, got, fast, want)
+		}
+	})
+}
+
 func TestBinomialMoments(t *testing.T) {
 	r := New(12)
 	cases := []struct {
