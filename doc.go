@@ -35,7 +35,9 @@
 // from one neighbour search, the graph.ImplicitGeom cell-grid index, which
 // graph.Scratch builds into reusable storage and materializes in O(n + m);
 // the G1–G6 experiment battery in internal/expt maps broadcast and gossip
-// behaviour across this model class.
+// behaviour across this model class. graph.Diameter and DiameterSampled
+// run their BFS 64 sources at a time, one bit per source in a word per
+// node.
 //
 // internal/energy extends the paper's transmission-count measure to a
 // per-round radio energy model: every alive node is charged for exactly one
@@ -90,8 +92,14 @@
 // transmitter-side count), and a word-parallel dense kernel for every
 // round with Σ deg(tx) ≥ ⌈n/64⌉ — the word count of its resolution pass —
 // on a materialized graph and a binary-decidable channel: carry-save
-// hit accumulation into two Bitset planes and 64-receivers-at-a-time
-// resolution, branch-free and transmitter-side exact. The cores go to
+// hit accumulation into two Bitset planes, fed four transmitter rows at a
+// time so four row misses are in flight at once, and 64-receivers-at-a-time
+// resolution, branch-free and transmitter-side exact. A round is priced
+// only until the choice is settled: the out-degree sum stops at the first
+// partial sum past the one threshold that can still change the kernel,
+// and on a materialized graph the pull base Σ deg(uninformed) is the edge
+// count minus the informed nodes' in-degrees, so a fresh session pays for
+// one node instead of n. The cores go to
 // trials: each grid point fans its trials over Config.Workers goroutines
 // (0 = GOMAXPROCS), and trial seeds depend only on (seed, index), so the
 // worker count changes the wall clock, never a result. Orthogonally,

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -439,6 +441,79 @@ func TestDiameterSampled(t *testing.T) {
 	full := DiameterSampled(g, 100, r)
 	if full != exact {
 		t.Fatalf("sampled with k>=n should be exact: %d vs %d", full, exact)
+	}
+}
+
+// perSourceDiameter is the reference for maxEccentricity: one Eccentricity
+// call per source.
+func perSourceDiameter(g *Digraph, sources []NodeID) (diam int, strongly bool) {
+	strongly = true
+	for _, src := range sources {
+		ecc, reach := Eccentricity(g, src)
+		diam = max(diam, ecc)
+		if reach != g.N() {
+			strongly = false
+		}
+	}
+	return diam, strongly
+}
+
+// TestDiameterMatchesPerSourceBFS checks the 64-sources-at-a-time BFS behind
+// Diameter and DiameterSampled against one Eccentricity call per source, at
+// sizes on both sides of a 64-source batch, on paths, cycles, G(n,p) from
+// empty to complete and disconnected GNPHetero digraphs — value and strong
+// connectivity both — and on a sample that draws node 0 a second time.
+func TestDiameterMatchesPerSourceBFS(t *testing.T) {
+	r := rng.New(77)
+	for _, n := range []int{1, 2, 63, 64, 65, 129} {
+		graphs := map[string]*Digraph{"path": Path(n)}
+		if n >= 3 {
+			graphs["cycle"] = Cycle(n)
+		}
+		for _, p := range []float64{0, 1 / float64(n), 4 / float64(n), 0.5, 1} {
+			p = min(p, 1)
+			graphs[fmt.Sprintf("gnp p=%.3g", p)] = GNPDirected(n, p, r)
+		}
+		hetero, _ := GNPHetero(n, 0, min(2/float64(n), 1), r)
+		graphs["gnp-hetero"] = hetero
+		all := make([]NodeID, n)
+		for v := range all {
+			all[v] = NodeID(v)
+		}
+		for name, g := range graphs {
+			d, strong := Diameter(g)
+			wd, wstrong := perSourceDiameter(g, all)
+			if d != wd || strong != wstrong {
+				t.Fatalf("n=%d %s: Diameter = (%d, %v), per-source BFS (%d, %v)", n, name, d, strong, wd, wstrong)
+			}
+		}
+		if _, strong := Diameter(hetero); n >= 63 && strong {
+			t.Fatalf("n=%d: the sparse GNPHetero digraph is strongly connected, so the disconnected case is not covered", n)
+		}
+	}
+
+	// DiameterSampled always adds node 0; find a seed whose sample draws it
+	// again, across two batches of sources.
+	g := GNPDirected(129, 0.03, r)
+	const k = 100
+	found := false
+	for seed := uint64(0); seed < 200 && !found; seed++ {
+		sample := rng.New(seed).SampleWithoutReplacement(g.N(), k)
+		if !slices.Contains(sample, 0) {
+			continue
+		}
+		found = true
+		sources := []NodeID{0}
+		for _, v := range sample {
+			sources = append(sources, NodeID(v))
+		}
+		want, _ := perSourceDiameter(g, sources)
+		if got := DiameterSampled(g, k, rng.New(seed)); got != want {
+			t.Fatalf("seed %d: DiameterSampled = %d with node 0 sampled twice, per-source BFS %d", seed, got, want)
+		}
+	}
+	if !found {
+		t.Fatal("no seed sampled node 0")
 	}
 }
 

@@ -49,24 +49,18 @@ func Eccentricity(g *Digraph, src NodeID) (ecc, reachable int) {
 }
 
 // Diameter returns the exact directed diameter: the maximum over all ordered
-// pairs (u,v) with v reachable from u of dist(u,v). This runs one BFS per
-// node (O(n·m)); use DiameterSampled for large graphs. The second return
-// value is false if some ordered pair is unreachable (infinite diameter in
-// the strongly-connected sense); the reported value then covers reachable
-// pairs only.
+// pairs (u,v) with v reachable from u of dist(u,v). It runs a BFS from every
+// node, 64 sources at a time (see maxEccentricity): O(n·(n+m)) at worst,
+// like one BFS per node, and usually far less; use DiameterSampled for large
+// graphs. The second return value is false if some ordered pair is
+// unreachable (infinite diameter in the strongly-connected sense); the
+// reported value then covers reachable pairs only.
 func Diameter(g *Digraph) (int, bool) {
-	diam := 0
-	strongly := true
-	for v := 0; v < g.N(); v++ {
-		ecc, reach := Eccentricity(g, NodeID(v))
-		if reach != g.N() {
-			strongly = false
-		}
-		if ecc > diam {
-			diam = ecc
-		}
+	sources := make([]NodeID, g.N())
+	for v := range sources {
+		sources[v] = NodeID(v)
 	}
-	return diam, strongly
+	return maxEccentricity(g, sources)
 }
 
 // DiameterSampled estimates the diameter by running BFS from k sources
@@ -77,18 +71,72 @@ func DiameterSampled(g *Digraph, k int, r *rng.RNG) int {
 		d, _ := Diameter(g)
 		return d
 	}
-	diam := 0
-	ecc0, _ := Eccentricity(g, 0)
-	if ecc0 > diam {
-		diam = ecc0
-	}
+	sources := []NodeID{0}
 	for _, src := range r.SampleWithoutReplacement(g.N(), k) {
-		ecc, _ := Eccentricity(g, NodeID(src))
-		if ecc > diam {
-			diam = ecc
+		sources = append(sources, NodeID(src))
+	}
+	diam, _ := maxEccentricity(g, sources)
+	return diam
+}
+
+// maxEccentricity returns the largest Eccentricity over sources and whether
+// every source reaches every node. It runs the BFS of up to 64 sources
+// together: bit i of seen[v] means that source i of the batch has reached
+// v, and bit i of cur[v] that it reached v at the current level. Only the
+// nodes on the level's frontier list are visited, and a node joins a
+// frontier at most once per distinct distance from the batch's sources, so
+// a batch costs O(64·(n+m)) at worst — a path graph too — and never a scan
+// of all n nodes per level. A repeated source is harmless: its bits travel
+// together.
+func maxEccentricity(g *Digraph, sources []NodeID) (diam int, strongly bool) {
+	n := g.N()
+	seen := make([]uint64, n)
+	cur := make([]uint64, n)
+	next := make([]uint64, n)
+	var frontier, nextFrontier []NodeID
+	strongly = true
+	for len(sources) > 0 {
+		batch := sources[:min(64, len(sources))]
+		sources = sources[len(batch):]
+		frontier = frontier[:0]
+		for i, src := range batch {
+			if cur[src] == 0 {
+				frontier = append(frontier, src)
+			}
+			cur[src] |= 1 << i
+			seen[src] |= 1 << i
+		}
+		// A node on the frontier of level d is at distance d from some
+		// source, so the last non-empty level is the batch's largest
+		// eccentricity.
+		for d := 0; len(frontier) > 0; d++ {
+			diam = max(diam, d)
+			nextFrontier = nextFrontier[:0]
+			for _, u := range frontier {
+				reached := cur[u]
+				cur[u] = 0
+				for _, w := range g.Out(u) {
+					if fresh := reached &^ seen[w]; fresh != 0 {
+						if next[w] == 0 {
+							nextFrontier = append(nextFrontier, w)
+						}
+						next[w] |= fresh
+						seen[w] |= fresh
+					}
+				}
+			}
+			cur, next = next, cur
+			frontier, nextFrontier = nextFrontier, frontier
+		}
+		all := ^uint64(0) >> (64 - len(batch))
+		for v, s := range seen {
+			if s != all {
+				strongly = false
+			}
+			seen[v] = 0
 		}
 	}
-	return diam
+	return diam, strongly
 }
 
 // DegreeStats summarises in- and out-degree distributions.

@@ -20,9 +20,17 @@ import (
 //
 // Two single-word read-modify-writes per edge, no branches, no touched
 // list, and the working set is n/8 bytes per plane instead of 4n — at
-// n = 262144 both planes fit in L2 together. Resolution then runs 64
-// receivers at a time: under the binary collision rule a receiver decodes
-// iff it was hit exactly once, so per word
+// n = 262144 both planes fit in L2 together. What is left is the rows
+// themselves, which at that size sit in DRAM and are each read once, so on
+// a CSR the kernel gathers four transmitter rows at a time: it walks the
+// shortest row's length in lockstep, one hand-written mark per row per
+// step, then finishes the four longer tails, and takes the last 0–3
+// transmitters one row at a time. The four loads of a step are
+// independent, so four row misses are in flight instead of one; the planes
+// are order-independent (hit at least once, hit at least twice), so the
+// interleaving changes no delivered id, no order and no collision count.
+// Resolution then runs 64 receivers at a time: under the binary collision
+// rule a receiver decodes iff it was hit exactly once, so per word
 //
 //	delivered = hitOnce &^ hitTwice &^ informed
 //	collisions += popcount(hitTwice)
@@ -74,23 +82,45 @@ func denseOK(caps channelCaps) bool {
 func (d *denseState) deliver(g graph.Implicit, transmitters []graph.NodeID, informed Bitset) (delivered []graph.NodeID, collisions int) {
 	once, twice := d.hitOnce, d.hitTwice
 	if dg, ok := g.(*graph.Digraph); ok {
-		for _, u := range transmitters {
-			for _, w := range dg.Out(u) {
-				wi := uint32(w) >> 6
-				m := uint64(1) << (uint32(w) & 63)
+		// Four rows at a time, in lockstep up to the shortest one's length,
+		// then the four tails; the last 0–3 rows one at a time.
+		txs := transmitters
+		for ; len(txs) >= 4; txs = txs[4:] {
+			r0, r1 := dg.Out(txs[0]), dg.Out(txs[1])
+			r2, r3 := dg.Out(txs[2]), dg.Out(txs[3])
+			k := min(len(r0), len(r1), len(r2), len(r3))
+			a0, a1, a2, a3 := r0[:k], r1[:k], r2[:k], r3[:k]
+			for j, w0 := range a0 {
+				w1, w2, w3 := a1[j], a2[j], a3[j]
+				wi := uint32(w0) >> 6
+				m := uint64(1) << (uint32(w0) & 63)
+				twice[wi] |= once[wi] & m
+				once[wi] |= m
+				wi = uint32(w1) >> 6
+				m = uint64(1) << (uint32(w1) & 63)
+				twice[wi] |= once[wi] & m
+				once[wi] |= m
+				wi = uint32(w2) >> 6
+				m = uint64(1) << (uint32(w2) & 63)
+				twice[wi] |= once[wi] & m
+				once[wi] |= m
+				wi = uint32(w3) >> 6
+				m = uint64(1) << (uint32(w3) & 63)
 				twice[wi] |= once[wi] & m
 				once[wi] |= m
 			}
+			markRow(once, twice, r0[k:])
+			markRow(once, twice, r1[k:])
+			markRow(once, twice, r2[k:])
+			markRow(once, twice, r3[k:])
+		}
+		for _, u := range txs {
+			markRow(once, twice, dg.Out(u))
 		}
 	} else {
 		for _, u := range transmitters {
 			d.row = g.AppendOut(u, d.row[:0])
-			for _, w := range d.row {
-				wi := uint32(w) >> 6
-				m := uint64(1) << (uint32(w) & 63)
-				twice[wi] |= once[wi] & m
-				once[wi] |= m
-			}
+			markRow(once, twice, d.row)
 		}
 	}
 
@@ -112,4 +142,15 @@ func (d *denseState) deliver(g graph.Implicit, transmitters []graph.NodeID, info
 	}
 	d.out = delivered
 	return delivered, collisions
+}
+
+// markRow applies one carry-save mark per receiver in row: a receiver's bit
+// in twice is set once it is hit a second time, in once at the first hit.
+func markRow(once, twice Bitset, row []graph.NodeID) {
+	for _, w := range row {
+		wi := uint32(w) >> 6
+		m := uint64(1) << (uint32(w) & 63)
+		twice[wi] |= once[wi] & m
+		once[wi] |= m
+	}
 }

@@ -9,6 +9,8 @@ package radio
 // matrix under GOMAXPROCS ∈ {1, 2, 4}.
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -33,14 +35,14 @@ func (h hideCSR) AppendIn(v graph.NodeID, dst []graph.NodeID) []graph.NodeID {
 // TestDenseKernelAgainstReference checks the carry-save kernel directly
 // against the serial push kernel on adversarial rounds: identical delivered
 // sets in strictly ascending order, and — because both kernels are
-// transmitter-side exact — identical collision counts. Both the CSR fast
-// path and the AppendOut fallback are checked against the same reference.
+// transmitter-side exact — identical collision counts. Both the CSR gather
+// and the AppendOut fallback are checked against the same reference, on one
+// dense state reused across every round.
 func TestDenseKernelAgainstReference(t *testing.T) {
 	n := 2048
 	g := graph.GNPDirected(n, 4e-3, rng.New(91))
 	r := rng.New(92)
 	dn := newDenseState(n)
-	dnImplicit := newDenseState(n)
 	for trial := 0; trial < 30; trial++ {
 		informed := NewBitset(n)
 		var txs []graph.NodeID
@@ -53,28 +55,137 @@ func TestDenseKernelAgainstReference(t *testing.T) {
 				}
 			}
 		}
-		st := newDeliveryState(n)
-		wantD, wantC := st.deliver(g, 1, txs, informed, channelCaps{maxHits: 1})
+		checkDenseRound(t, fmt.Sprintf("trial %d", trial), dn, g, txs, informed)
+	}
+}
 
-		for name, got := range map[string]*denseState{"csr": dn, "implicit": dnImplicit} {
-			var gi graph.Implicit = g
-			if name == "implicit" {
-				gi = hideCSR{g}
+// checkDenseRound runs one round through the dense kernel's four-row gather
+// (CSR), its AppendOut path (hideCSR) and the serial push kernel, and fails
+// unless all three deliver the same ids in strictly ascending order with the
+// same collision count.
+func checkDenseRound(t *testing.T, label string, dn *denseState, g *graph.Digraph, txs []graph.NodeID, informed Bitset) {
+	t.Helper()
+	wantD, wantC := newDeliveryState(g.N()).deliver(g, 1, txs, informed, channelCaps{maxHits: 1})
+	for _, path := range []struct {
+		name string
+		g    graph.Implicit
+	}{{"gather", g}, {"implicit", hideCSR{g}}} {
+		gotD, gotC := dn.deliver(path.g, txs, informed)
+		if !equalNodeSlices(gotD, wantD) {
+			t.Fatalf("%s/%s: dense delivered %v, push %v", label, path.name, gotD, wantD)
+		}
+		for i := 1; i < len(gotD); i++ {
+			if gotD[i-1] >= gotD[i] {
+				t.Fatalf("%s/%s: dense output not strictly ascending at %d", label, path.name, i)
 			}
-			gotD, gotC := got.deliver(gi, txs, informed)
-			if !equalNodeSlices(gotD, wantD) {
-				t.Fatalf("trial %d/%s: dense delivered %d nodes, push %d", trial, name, len(gotD), len(wantD))
-			}
-			for i := 1; i < len(gotD); i++ {
-				if gotD[i-1] >= gotD[i] {
-					t.Fatalf("trial %d/%s: dense output not strictly ascending at %d", trial, name, i)
-				}
-			}
-			if gotC != wantC {
-				t.Fatalf("trial %d/%s: dense collisions %d, push exact count %d", trial, name, gotC, wantC)
+		}
+		if gotC != wantC {
+			t.Fatalf("%s/%s: dense collisions %d, push exact count %d", label, path.name, gotC, wantC)
+		}
+	}
+}
+
+// TestDenseGatherEdges drives the four-row gather where it can break: every
+// transmitter count from 0 to 9 (each remainder after the last group of
+// four), groups that mix a hub row, degree-1 leaves and an empty row with
+// the hub in each of the four lanes (so every lane's tail carries the
+// round), and transmitters listed twice, within a group and across groups.
+func TestDenseGatherEdges(t *testing.T) {
+	const n = 1024
+	const hub, leafA, leafB, empty = 0, 1, 2, 3
+	r := rng.New(17)
+	b := graph.NewBuilder(n)
+	for v := 1; v <= 600; v++ {
+		b.AddEdge(hub, graph.NodeID(v))
+	}
+	b.AddEdge(leafA, 700)
+	b.AddEdge(leafB, 5) // inside the hub's row: a collision whenever both transmit
+	for u := 4; u < n; u++ {
+		for d := 1 + r.Intn(40); d > 0; d-- {
+			if v := graph.NodeID(r.Intn(n)); v != graph.NodeID(u) {
+				b.AddEdge(graph.NodeID(u), v)
 			}
 		}
 	}
+	g := b.Build()
+	if g.OutDegree(hub) < 500 || g.OutDegree(leafA) != 1 || g.OutDegree(leafB) != 1 || g.OutDegree(empty) != 0 {
+		t.Fatal("test graph lost its hub, leaves or empty row")
+	}
+	informed := NewBitset(n)
+	for v := 0; v < n; v++ {
+		if r.Bernoulli(0.3) {
+			informed.Set(graph.NodeID(v))
+		}
+	}
+	// Rows of random length 1–40, so the lockstep walk and the tails both
+	// carry marks.
+	var rows []graph.NodeID
+	for _, v := range r.Perm(n - 4)[:9] {
+		rows = append(rows, graph.NodeID(v+4))
+	}
+	dn := newDenseState(n)
+	for c := 0; c <= 9; c++ {
+		checkDenseRound(t, fmt.Sprintf("%d transmitters", c), dn, g, rows[:c], informed)
+	}
+	mixed := []graph.NodeID{hub, leafA, empty, rows[0]}
+	for lane := 0; lane < 4; lane++ {
+		group := slices.Clone(mixed)
+		group[0], group[lane] = group[lane], group[0]
+		checkDenseRound(t, fmt.Sprintf("mixed group, hub in lane %d", lane), dn, g, group, informed)
+		checkDenseRound(t, fmt.Sprintf("mixed group and a tail, hub in lane %d", lane), dn, g,
+			append(append(slices.Clone(rows[1:5]), group...), leafB, empty), informed)
+	}
+	for _, txs := range [][]graph.NodeID{
+		{rows[0], rows[1], rows[0], rows[2]},
+		{hub, hub, leafA, empty},
+		{rows[0], rows[1], rows[2], rows[3], rows[4], rows[0]},
+		{leafA, rows[1], rows[2], rows[3], leafA},
+	} {
+		checkDenseRound(t, fmt.Sprintf("repeated transmitter %v", txs), dn, g, txs, informed)
+	}
+}
+
+// FuzzDenseKernel checks the four-row gather and the AppendOut path against
+// the serial push kernel on G(n, p) plus a hub: node 0's row reaches every
+// other node, and node 0 transmits at a seed-chosen position among k
+// transmitters drawn with replacement. n is 1 + n16 mod 1200; a sparse p
+// gives empty and degree-1 rows beside the hub.
+func FuzzDenseKernel(f *testing.F) {
+	f.Add(uint64(4), uint16(699), 0.001, uint8(9))
+	f.Add(uint64(2), uint16(299), 0.05, uint8(8))
+	f.Add(uint64(3), uint16(0), 0.5, uint8(3))
+	f.Fuzz(func(t *testing.T, seed uint64, n16 uint16, p float64, k uint8) {
+		if !(p >= 0 && p <= 1) {
+			t.Skip()
+		}
+		n := 1 + int(n16)%1200
+		r := rng.New(seed)
+		base := graph.GNPDirected(n, p, r)
+		b := graph.NewBuilder(n)
+		for u := 0; u < n; u++ {
+			for _, v := range base.Out(graph.NodeID(u)) {
+				b.AddEdge(graph.NodeID(u), v)
+			}
+		}
+		for v := 1; v < n; v++ {
+			b.AddEdge(0, graph.NodeID(v))
+		}
+		g := b.Build()
+		informed := NewBitset(n)
+		for v := 0; v < n; v++ {
+			if r.Bernoulli(0.3) {
+				informed.Set(graph.NodeID(v))
+			}
+		}
+		txs := make([]graph.NodeID, k)
+		for i := range txs {
+			txs[i] = graph.NodeID(r.Intn(n))
+		}
+		if k > 0 {
+			txs[r.Intn(int(k))] = 0
+		}
+		checkDenseRound(t, "fuzz", newDenseState(n), g, txs, informed)
+	})
 }
 
 // TestDensePlanesClearBetweenRounds pins the zero-state contract: the
@@ -243,6 +354,86 @@ func TestChooseKernel(t *testing.T) {
 		got := chooseKernel(c.forced, c.tx, c.outSum, c.uninSum, c.n, c.trackUnin, c.materialized, c.parallel, c.dense)
 		if got != c.want {
 			t.Errorf("%s: chooseKernel = %d, want %d", c.name, got, c.want)
+		}
+	}
+}
+
+// TestPriceLimitSettlesKernelChoice pins the bound that lets outDegSum stop
+// early: on CSR and ImplicitGeom graphs and random transmitter lists, with
+// the pull estimate uninSum + |tx| and the dense threshold ⌈n/64⌉ each set
+// one below, at and one above every prefix sum of the out-degrees, the
+// kernel chosen from the bounded sum equals the kernel chosen from the full
+// sum, under every combination of pull tracking, dense capability and
+// Options.Parallel. It also pins what outDegSum returns: the first prefix
+// sum above the limit, or the full sum when none is.
+func TestPriceLimitSettlesKernelChoice(t *testing.T) {
+	const n = 512
+	r := rng.New(29)
+	spec := graph.GeomSpec{N: n, Radius: 2 * graph.ConnectivityRadius(n), Torus: true}
+	graphs := []struct {
+		name string
+		g    graph.Implicit
+	}{
+		{"gnp", graph.GNPDirected(n, 0.02, r)},
+		{"rgg", graph.RGG(n, 2*graph.ConnectivityRadius(n), true, r)},
+		{"implicit-geom", graph.NewImplicitGeom(spec, r)},
+	}
+	bools := []bool{false, true}
+	for _, gc := range graphs {
+		_, materialized := gc.g.(*graph.Digraph)
+		for trial := 0; trial < 6; trial++ {
+			txs := make([]graph.NodeID, 1+r.Intn(12))
+			for i := range txs {
+				txs[i] = graph.NodeID(r.Intn(n))
+			}
+			prefix := []int64{0}
+			for _, u := range txs {
+				prefix = append(prefix, prefix[len(prefix)-1]+int64(gc.g.OutDegree(u)))
+			}
+			full := prefix[len(prefix)-1]
+			var targets []int64
+			for _, s := range prefix {
+				for d := int64(-1); d <= 1; d++ {
+					if s+d >= 0 && !slices.Contains(targets, s+d) {
+						targets = append(targets, s+d)
+					}
+				}
+			}
+			tx := int64(len(txs))
+			for _, pullAt := range targets {
+				uninSum := max(pullAt-tx, 0)
+				for _, denseAt := range targets {
+					if denseAt < 1 {
+						continue
+					}
+					nn := int(64*denseAt) - r.Intn(64) // ⌈nn/64⌉ = denseAt
+					for _, track := range bools {
+						lim := priceLimit(nn, len(txs), uninSum, track)
+						bounded := outDegSum(gc.g, txs, lim)
+						want := full
+						for _, s := range prefix {
+							if s > lim {
+								want = s
+								break
+							}
+						}
+						if bounded != want {
+							t.Fatalf("%s: outDegSum with limit %d = %d, want %d (prefix sums %v)",
+								gc.name, lim, bounded, want, prefix)
+						}
+						for _, dense := range bools {
+							for _, parallel := range bools {
+								k := chooseKernel(KernelAuto, len(txs), bounded, uninSum, nn, track, materialized, parallel, dense)
+								kFull := chooseKernel(KernelAuto, len(txs), full, uninSum, nn, track, materialized, parallel, dense)
+								if k != kFull {
+									t.Fatalf("%s: tx %d, full sum %d, uninSum %d, n %d, track %v, dense %v, parallel %v: bounded sum %d chooses %d, full sum chooses %d",
+										gc.name, tx, full, uninSum, nn, track, dense, parallel, bounded, k, kFull)
+								}
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }

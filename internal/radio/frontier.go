@@ -166,16 +166,20 @@ func (f *frontierState) remove(delivered []graph.NodeID) {
 // uninformedInSum returns Σ InDegree(v) over the uninformed nodes — the
 // pull kernel's per-round cost estimate, recomputed per Run segment (the
 // graph may change between segments) and maintained incrementally by the
-// engine as nodes are informed. The engine only calls it when g.CheapIn()
+// engine as nodes are informed. On a CSR it is M() minus the in-degrees of
+// informedList, the session's informed nodes, so a fresh session pays for
+// one node instead of n; implicit graphs have no edge count and scan the
+// informed bitset's zero bits. The engine only calls it when g.CheapIn()
 // holds (in-degrees cost O(row) or better).
-func uninformedInSum(g graph.Implicit, informed Bitset) int64 {
-	var sum int64
+func uninformedInSum(g graph.Implicit, informed Bitset, informedList []graph.NodeID) int64 {
 	if dg, ok := g.(*graph.Digraph); ok {
-		forEachUninformed(informed, dg.N(), func(v graph.NodeID) {
-			sum += int64(dg.InDegree(v))
-		})
+		sum := int64(dg.M())
+		for _, v := range informedList {
+			sum -= int64(dg.InDegree(v))
+		}
 		return sum
 	}
+	var sum int64
 	forEachUninformed(informed, g.N(), func(v graph.NodeID) {
 		sum += int64(g.InDegree(v))
 	})
@@ -183,20 +187,38 @@ func uninformedInSum(g graph.Implicit, informed Bitset) int64 {
 }
 
 // outDegSum returns Σ OutDegree(u) over the transmitter set — the push
-// kernel's exact per-round cost. O(|tx|) from the CSR offsets on a
-// materialized graph; implicit graphs pay a row enumeration per
-// transmitter, which is why the engine consults it only when the pull side
-// is a live alternative (trackUnin).
-func outDegSum(g graph.Implicit, txs []graph.NodeID) int64 {
+// kernel's exact per-round cost — or, once a partial sum exceeds lim, that
+// partial sum. The engine passes priceLimit, above which chooseKernel
+// returns the same kernel for every sum, so the partial sum settles the
+// choice exactly as the full sum would. O(|tx|) at most from the CSR
+// offsets on a materialized graph; implicit graphs pay a row enumeration
+// per transmitter, which is why the engine consults it only when the pull
+// side is a live alternative (trackUnin).
+func outDegSum(g graph.Implicit, txs []graph.NodeID, lim int64) int64 {
 	var sum int64
 	if dg, ok := g.(*graph.Digraph); ok {
 		for _, u := range txs {
-			sum += int64(dg.OutDegree(u))
+			if sum += int64(dg.OutDegree(u)); sum > lim {
+				return sum
+			}
 		}
 		return sum
 	}
 	for _, u := range txs {
-		sum += int64(g.OutDegree(u))
+		if sum += int64(g.OutDegree(u)); sum > lim {
+			return sum
+		}
 	}
 	return sum
+}
+
+// priceLimit is the outDegSum limit of a round with tx transmitters:
+// chooseKernel returns one kernel for every out-degree sum above it. With
+// pull tracking, every sum above uninSum + tx selects pull, which is decided
+// before dense; without it, only dense's admission at ⌈n/64⌉ reads the sum.
+func priceLimit(n, tx int, uninSum int64, trackUnin bool) int64 {
+	if trackUnin {
+		return uninSum + int64(tx)
+	}
+	return int64(n+63)/64 - 1
 }

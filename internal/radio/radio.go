@@ -37,7 +37,11 @@
 // sum (tracked incrementally) and picks the cheaper kernel — push
 // (radio.go), parallel push (parallel.go), the receiver-centric pull kernel
 // over the frontier list (frontier.go), or, from ⌈n/64⌉ transmitter edges
-// on a materialized graph, the word-parallel dense kernel (dense.go).
+// on a materialized graph, the word-parallel dense kernel (dense.go). The
+// out-degree sum is taken only until it passes the one threshold that can
+// still change the choice (priceLimit), and on a materialized graph the
+// frontier's sum starts each segment as M() minus the informed nodes'
+// in-degrees, so neither prices more than the choice needs.
 // Every round is executed, with one exception that waits for ROADMAP item
 // 10 (the next change to bench/): an energy-free FixedProb run still skips
 // fully silent rounds in O(1) through UniformRound. All configurations are
@@ -538,7 +542,7 @@ func (s *BroadcastSession) Run(g graph.Implicit, opt Options) *Result {
 	trackUnin := engineOverrides.Kernel == KernelAuto &&
 		!exactCollisions && g.CheapIn()
 	if trackUnin {
-		s.uninSum = uninformedInSum(g, s.informed)
+		s.uninSum = uninformedInSum(g, s.informed, s.informedList)
 	}
 	if opt.Energy != nil {
 		if s.energy == nil {
@@ -623,8 +627,10 @@ func (s *BroadcastSession) Run(g graph.Implicit, opt Options) *Result {
 		// scratch, valid until the next round.
 		var outSum int64
 		if engineOverrides.Kernel == KernelAuto && (trackUnin || dg != nil) {
-			// O(|tx|) on a CSR; implicit rows pay for it only when pull can.
-			outSum = outDegSum(g, transmitters)
+			// O(|tx|) at most on a CSR; implicit rows pay for it only when
+			// pull can. Pricing stops once the choice is settled.
+			outSum = outDegSum(g, transmitters,
+				priceLimit(s.n, len(transmitters), s.uninSum, trackUnin))
 		}
 		var delivered []graph.NodeID
 		var collisions int

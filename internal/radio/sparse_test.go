@@ -341,28 +341,54 @@ func TestStreamSilentRoundsMatchRoundByRound(t *testing.T) {
 // TestUninformedSumRecomputedPerSegment guards the mobility pattern:
 // graph.Scratch rebuilds the SAME *Digraph in place for every epoch, so
 // the pull-kernel cost base must be recomputed at each Run segment —
-// pointer identity proves nothing. With a silent protocol the sum is
-// untouched during the segment, so after Run it must equal a fresh
-// computation on the rebuilt topology (under the stale-cache bug it would
-// still reflect the first epoch's in-degrees).
+// pointer identity proves nothing. After the second segment the session's
+// sum must equal a bitset scan of the uninformed nodes' in-degrees on the
+// rebuilt topology (under the stale-cache bug it would still reflect the
+// first epoch's in-degrees). The silent case leaves the source as the only
+// informed node; the informing case has the first segment inform many
+// nodes, so the CSR base (M() minus the informed list's in-degrees) is
+// checked against the scan where the two walk different sides.
 func TestUninformedSumRecomputedPerSegment(t *testing.T) {
-	n := 256
-	sc := graph.NewScratch()
-	r := rng.New(31)
-	spec := graph.GeomSpec{N: n, Radius: graph.ConnectivityRadius(n), Torus: true}
-	g1, _ := sc.Geometric(spec, r)
+	for _, c := range []struct {
+		name      string
+		q         float64
+		minFirst  int // informed nodes required after the first segment
+		maxRounds int
+	}{
+		{"silent", 0, 1, 3},
+		{"informing", 0.3, 64, 8},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			n := 256
+			sc := graph.NewScratch()
+			r := rng.New(31)
+			// Heterogeneous radii make in-degrees differ from out-degrees.
+			rc := graph.ConnectivityRadius(n)
+			spec := graph.GeomSpec{N: n, Radius: rc, RadiusMax: 2 * rc, Torus: true}
+			g1, _ := sc.Geometric(spec, r)
 
-	sess := NewBroadcastSession(n, 0, &sbern{q: 0}, rng.New(1))
-	sess.Run(g1, Options{MaxRounds: 3})
+			p := &sbern{q: c.q}
+			sess := NewBroadcastSession(n, 0, p, rng.New(1))
+			sess.Run(g1, Options{MaxRounds: c.maxRounds})
+			if got := sess.Informed(); got < c.minFirst || got == n {
+				t.Fatalf("first segment informed %d of %d nodes, want at least %d and not all", got, n, c.minFirst)
+			}
 
-	spec.Radius = 3 * graph.ConnectivityRadius(n) // much denser epoch
-	g2, _ := sc.Geometric(spec, r)
-	if g1 != g2 {
-		t.Fatal("scratch no longer rebuilds in place; this test needs a same-pointer rebuild")
-	}
-	sess.Run(g2, Options{MaxRounds: 3})
-	if want := uninformedInSum(g2, sess.informed); sess.uninSum != want {
-		t.Fatalf("uninformed in-degree sum %d after in-place rebuild, want %d", sess.uninSum, want)
+			spec.Radius, spec.RadiusMax = 3*rc, 4*rc // much denser epoch
+			g2, _ := sc.Geometric(spec, r)
+			if g1 != g2 {
+				t.Fatal("scratch no longer rebuilds in place; this test needs a same-pointer rebuild")
+			}
+			p.q = 0 // the second segment is silent, so the sum is the segment's base
+			sess.Run(g2, Options{MaxRounds: 3})
+			var want int64
+			forEachUninformed(sess.informed, n, func(v graph.NodeID) {
+				want += int64(g2.InDegree(v))
+			})
+			if sess.uninSum != want {
+				t.Fatalf("uninformed in-degree sum %d after in-place rebuild, want %d", sess.uninSum, want)
+			}
+		})
 	}
 }
 
