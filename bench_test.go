@@ -158,15 +158,15 @@ func BenchmarkPrimitiveAlgorithm3Grid(b *testing.B) {
 
 // (Named Run, not Round: each op is a complete gossip run, so the per-round
 // allocation gate's 0 allocs/op does not apply; instead alloc_gate.sh pins
-// it to a small named budget. The GossipScratch recycles the session's n
-// rumor sets and engine buffers across runs — without it each op paid ~n
-// allocations just to re-create per-node knowledge.)
+// it to a small named budget. The Scratch parks the session, so its n
+// rumor sets and engine buffers are reset across runs — without it each op
+// paid ~n allocations just to re-create per-node knowledge.)
 func BenchmarkPrimitiveGossipRun(b *testing.B) {
 	n := 512
 	p := 8 * math.Log(float64(n)) / float64(n)
 	g := graph.GNPDirected(n, p, rng.New(2))
 	a := core.NewAlgorithm2(p)
-	sc := radio.NewGossipScratch()
+	sc := radio.NewScratch()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

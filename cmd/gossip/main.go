@@ -44,10 +44,10 @@ func main() {
 		fatal(err)
 	}
 
-	newScratch := func() any { return radio.NewGossipScratch() }
+	newScratch := func() any { return radio.NewScratch() }
 	out := sweep.RunTrialsScratch(*trials, *seed, *workers, newScratch, func(tr sweep.Trial) sweep.Metrics {
 		g := topo.Build(tr.Seed)
-		sc, _ := tr.Scratch.(*radio.GossipScratch)
+		sc, _ := tr.Scratch.(*radio.Scratch)
 		res := radio.RunGossipWith(sc, g, factory(), rng.New(rng.SubSeed(tr.Seed, 1)), radio.GossipOptions{
 			MaxRounds: budget, FullDuplex: *duplex, StopWhenComplete: true,
 		})

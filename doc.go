@@ -74,13 +74,18 @@
 // radio.BatchBroadcaster (all Bernoulli-phase protocols here do) hand the
 // engine their whole per-round transmitter set in one call, drawn by
 // geometric-skip sampling in O(transmitters) instead of one RNG flip per
-// informed node — bit-identical to the scalar path under the shared-draw
-// contract (see README.md and the radio package docs). Every skip is one
-// rng.Geometric draw, the inversion floor(log u / log1p(-p)); a fast path
-// estimates log u from a 256-cell table and a cubic, with no logarithm and
-// no division, and keeps its floor only where a derived error margin
-// proves it equal to the formula's, so every draw, and every G(n,p) graph
-// built by skipping, is bit-identical to the formula.
+// informed node. The per-node ShouldTransmit loop serves only protocols
+// without that call (Decay); for the rest ShouldTransmit is the
+// paper-literal oracle, held to the batch list every round by the
+// shared-draw contract's oracle test (see README.md and the radio package
+// docs). Every skip is one rng.Geometric draw, the inversion
+// floor(log u / log1p(-p)); a fast path estimates log u from a 256-cell
+// table and a cubic, with no logarithm and no division, and keeps its
+// floor only where a derived error margin proves it equal to the
+// formula's, so every draw, and every G(n,p) graph built by skipping, is
+// bit-identical to the formula. Both engines reuse per-worker storage the
+// same way: a radio.Scratch parks one broadcast and one gossip session and
+// resets the parked one in place for the next trial of the same size.
 //
 // On top of that sits the sparse round engine. Delivery is
 // direction-optimizing across four kernels selected per round from exact

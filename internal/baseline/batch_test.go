@@ -1,31 +1,113 @@
 package baseline
 
-// Batch-vs-scalar decision equivalence for the baseline protocols (see the
-// core package's batch_test.go for the paper's algorithms).
+// Engine-forcing equivalence for the baseline protocols (see the core
+// package's batch_test.go for the paper's algorithms), and the per-round
+// shared-draw oracle test over every BatchBroadcaster in core and baseline.
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/radio"
 	"repro/internal/rng"
 )
 
 // baselineForcings is the override matrix pinned by the baseline
-// equivalence tests: decision path × delivery kernel × skip. Collisions are
-// compared only between transmitter-side kernels (the pull kernel counts
-// uninformed-side collisions only).
+// equivalence tests: delivery kernel × skip. Collisions are compared only
+// between transmitter-side kernels (the pull kernel counts uninformed-side
+// collisions only).
 var baselineForcings = []struct {
 	name string
 	o    radio.EngineOverrides
 }{
-	{"scalar", radio.EngineOverrides{ScalarDecisions: true}},
 	{"push", radio.EngineOverrides{Kernel: radio.KernelPush}},
 	{"pull", radio.EngineOverrides{Kernel: radio.KernelPull}},
 	{"parallel", radio.EngineOverrides{Kernel: radio.KernelParallel}},
 	{"dense", radio.EngineOverrides{Kernel: radio.KernelDense}},
 	{"noskip", radio.EngineOverrides{DisableSkip: true}},
-	{"scalar-pull", radio.EngineOverrides{ScalarDecisions: true, Kernel: radio.KernelPull}},
+}
+
+// oracle wraps a BatchBroadcaster and checks the shared-draw contract in
+// every round the engine runs: asking ShouldTransmit for every informed
+// node, in informing order, must give exactly the AppendTransmitters list.
+// The engine runs on the batch list, so the run is the production one.
+type oracle struct {
+	radio.BatchBroadcaster
+	t      *testing.T
+	label  string
+	want   []graph.NodeID
+	rounds int // rounds checked with at least one transmitter
+}
+
+func (o *oracle) AppendTransmitters(round int, informed, dst []graph.NodeID) []graph.NodeID {
+	start := len(dst)
+	dst = o.BatchBroadcaster.AppendTransmitters(round, informed, dst)
+	o.want = o.want[:0]
+	for _, v := range informed {
+		if o.ShouldTransmit(round, v) {
+			o.want = append(o.want, v)
+		}
+	}
+	if got := dst[start:]; !slices.Equal(got, o.want) {
+		o.t.Fatalf("%s round %d: AppendTransmitters gave %d transmitters %v, ShouldTransmit %d %v",
+			o.label, round, len(got), got, len(o.want), o.want)
+	}
+	if len(o.want) > 0 {
+		o.rounds++
+	}
+	return dst
+}
+
+// TestShouldTransmitOracleMatchesAppendTransmitters runs every
+// BatchBroadcaster in core and baseline through the engine under the
+// oracle above: ShouldTransmit, the paper-literal per-node decision, must
+// name the batch transmitter list of every round, in the same order.
+func TestShouldTransmitOracleMatchesAppendTransmitters(t *testing.T) {
+	sparse := graph.GNPDirected(1024, 0.02, rng.New(1))
+	dense := graph.GNPDirected(512, 0.2, rng.New(2))
+	grid := graph.Grid2D(16, 16)
+	udg := graph.RGG(512, 2*graph.ConnectivityRadius(512), true, rng.New(9))
+	star := graph.Star(64)
+	for _, tc := range []struct {
+		name      string
+		g         *graph.Digraph
+		mk        func() radio.Broadcaster
+		maxRounds int
+	}{
+		{"algorithm1-sparse", sparse, func() radio.Broadcaster { return core.NewAlgorithm1(0.02) }, 20000},
+		{"algorithm1-dense", dense, func() radio.Broadcaster { return core.NewAlgorithm1(0.2) }, 20000},
+		{"algorithm1-ablated", sparse, func() radio.Broadcaster {
+			a := core.NewAlgorithm1(0.02)
+			a.DisablePhase2 = true
+			return a
+		}, 20000},
+		{"algorithm3", grid, func() radio.Broadcaster { return core.NewAlgorithm3(256, 30, 1) }, 20000},
+		{"algorithm3-udg", udg, func() radio.Broadcaster { return core.NewAlgorithm3(512, 20, 1) }, 20000},
+		{"tradeoff", grid, func() radio.Broadcaster { return core.NewTradeoff(256, 5, 1) }, 20000},
+		{"unknown-diameter", grid, func() radio.Broadcaster { return core.NewUnknownDiameter(256, 1) }, 20000},
+		{"flood", star, func() radio.Broadcaster { return Flood{} }, 10},
+		{"fixedprob", sparse, func() radio.Broadcaster { return &FixedProb{Q: 0.1} }, 400},
+		{"fixedprob-window", sparse, func() radio.Broadcaster { return &FixedProb{Q: 0.1, Window: 60} }, 4000},
+		{"fixedprob-udg-lowq", udg, func() radio.Broadcaster { return &FixedProb{Q: 0.004, Window: 300} }, 20000},
+		{"elsasser-gasieniec", sparse, func() radio.Broadcaster { return NewElsasserGasieniec(0.02) }, 4000},
+		{"elsasser-gasieniec-udg", udg, func() radio.Broadcaster { return NewElsasserGasieniec(0.03) }, 4000},
+		{"czumaj-rytter", sparse, func() radio.Broadcaster { return NewCzumajRytter(1024, 8, 1) }, 20000},
+	} {
+		for seed := uint64(0); seed < 3; seed++ {
+			b, ok := tc.mk().(radio.BatchBroadcaster)
+			if !ok {
+				t.Fatalf("%s does not implement radio.BatchBroadcaster", tc.name)
+			}
+			o := &oracle{BatchBroadcaster: b, t: t, label: tc.name}
+			res := radio.RunBroadcast(tc.g, 0, o, rng.New(seed), radio.Options{MaxRounds: tc.maxRounds})
+			if o.rounds == 0 || res.Informed < 2 {
+				t.Fatalf("%s seed=%d: %d transmitting rounds, %d informed; the oracle checked nothing",
+					tc.name, seed, o.rounds, res.Informed)
+			}
+		}
+	}
 }
 
 func TestBaselineBatchDecisionEquivalence(t *testing.T) {

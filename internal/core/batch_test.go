@@ -1,9 +1,10 @@
 package core
 
-// Batch-vs-scalar decision equivalence for every protocol in this package
-// that implements the radio fast-path interfaces: under the shared-draw
-// scheme the engine must produce bit-identical Results whichever decision
-// path it takes, for every seed.
+// Engine-forcing equivalence for every protocol in this package that
+// implements the radio fast-path interfaces: the engine must produce
+// bit-identical Results whichever delivery kernel it takes and whether or
+// not it skips, for every seed. The per-round shared-draw oracle test over
+// these protocols lives in the baseline package, which imports this one.
 
 import (
 	"testing"
@@ -14,29 +15,27 @@ import (
 )
 
 // engineForcings is the full override matrix the protocol-level equivalence
-// tests pin: decision path × delivery kernel × skip. Collisions are
-// excluded from the comparison (the pull kernel counts uninformed-side
-// collisions only — see the radio.Result.Collisions contract); everything
-// else must be bit-identical.
+// tests pin: delivery kernel × skip. Collisions are excluded from the
+// comparison (the pull kernel counts uninformed-side collisions only — see
+// the radio.Result.Collisions contract); everything else must be
+// bit-identical.
 var engineForcings = []struct {
 	name string
 	o    radio.EngineOverrides
 }{
-	{"scalar", radio.EngineOverrides{ScalarDecisions: true}},
 	{"push", radio.EngineOverrides{Kernel: radio.KernelPush}},
 	{"pull", radio.EngineOverrides{Kernel: radio.KernelPull}},
 	{"parallel", radio.EngineOverrides{Kernel: radio.KernelParallel}},
 	{"dense", radio.EngineOverrides{Kernel: radio.KernelDense}},
 	{"noskip", radio.EngineOverrides{DisableSkip: true}},
-	{"scalar-pull", radio.EngineOverrides{ScalarDecisions: true, Kernel: radio.KernelPull}},
 }
 
-// assertBatchScalarEquivalent runs the protocol factory through the engine
+// assertForcingsEquivalent runs the protocol factory through the engine
 // under every forcing with identical seeds and compares Results: first with
 // per-round history (which pins the informed trajectory and, for the
 // transmitter-side kernels, exact collision counts), then without history
 // so the adaptive pull kernel participates.
-func assertBatchScalarEquivalent(t *testing.T, name string, g *graph.Digraph,
+func assertForcingsEquivalent(t *testing.T, name string, g *graph.Digraph,
 	mk func() radio.Broadcaster, seed uint64, opt radio.Options) {
 	t.Helper()
 	defer radio.SetEngineOverrides(radio.EngineOverrides{})
@@ -106,25 +105,8 @@ func TestCoreBatchDecisionEquivalence(t *testing.T) {
 		{"unknown-diameter", grid, func() radio.Broadcaster { return NewUnknownDiameter(256, 1) }},
 	} {
 		for seed := uint64(0); seed < 4; seed++ {
-			assertBatchScalarEquivalent(t, tc.name, tc.g, tc.mk, seed,
+			assertForcingsEquivalent(t, tc.name, tc.g, tc.mk, seed,
 				radio.Options{MaxRounds: 20000})
-		}
-	}
-}
-
-// TestAlgorithm2BatchDecisionEquivalence pins that gossip reads no engine
-// override: Algorithm 2 runs the same under the ScalarDecisions forcing.
-func TestAlgorithm2BatchDecisionEquivalence(t *testing.T) {
-	g := graph.GNPDirected(192, 0.08, rng.New(3))
-	opt := radio.GossipOptions{MaxRounds: NewAlgorithm2(0.08).RoundBudget(192), StopWhenComplete: true}
-	for seed := uint64(0); seed < 3; seed++ {
-		batch := radio.RunGossip(g, NewAlgorithm2(0.08), rng.New(seed), opt)
-		radio.SetEngineOverrides(radio.EngineOverrides{ScalarDecisions: true})
-		scalar := radio.RunGossip(g, NewAlgorithm2(0.08), rng.New(seed), opt)
-		radio.SetEngineOverrides(radio.EngineOverrides{})
-		if batch.Rounds != scalar.Rounds || batch.CompleteRound != scalar.CompleteRound ||
-			batch.TotalTx != scalar.TotalTx || batch.KnownPairs != scalar.KnownPairs {
-			t.Fatalf("seed=%d: algorithm2 batch/scalar diverge", seed)
 		}
 	}
 }

@@ -1,11 +1,11 @@
 package expt
 
-// The engine-configuration invariance test of the batch fast path and the
-// delivery kernels: every figure and theorem experiment (F1–F2, E1–E12 at
-// reduced scale) must produce byte-identical tables for a fixed seed
-// whichever decision path (batch or scalar) and delivery kernel (serial or
-// receiver-sharded parallel) the engine uses. The X experiments are
-// excluded only because some report wall-clock columns.
+// The engine-configuration invariance test of the delivery kernels and
+// silent-round skipping: every figure and theorem experiment (F1–F2, E1–E12
+// at reduced scale) must produce byte-identical tables for a fixed seed
+// whichever delivery kernel (serial, pull, dense or receiver-sharded
+// parallel) the engine uses and whether or not it skips. The X experiments
+// are excluded only because some report wall-clock columns.
 
 import (
 	"testing"
@@ -50,22 +50,20 @@ func TestExperimentTablesInvariantUnderEngineConfiguration(t *testing.T) {
 	radio.SetEngineOverrides(radio.EngineOverrides{})
 	base := renderExperiments(t, equivalenceIDs)
 
-	// Every decision-path, delivery-kernel and skip forcing must reproduce
-	// the default tables byte for byte (no experiment in the battery renders
-	// collision counts, so even the pull kernel's uninformed-side counting
-	// is invisible here).
+	// Every delivery-kernel and skip forcing must reproduce the default
+	// tables byte for byte (no experiment in the battery renders collision
+	// counts, so even the pull kernel's uninformed-side counting is
+	// invisible here).
 	forcings := []struct {
 		name string
 		o    radio.EngineOverrides
 	}{
-		{"scalar decisions", radio.EngineOverrides{ScalarDecisions: true}},
 		{"push kernel", radio.EngineOverrides{Kernel: radio.KernelPush}},
 		{"pull kernel", radio.EngineOverrides{Kernel: radio.KernelPull}},
 		{"parallel kernel", radio.EngineOverrides{Kernel: radio.KernelParallel}},
 		{"dense kernel", radio.EngineOverrides{Kernel: radio.KernelDense}},
 		{"skip disabled", radio.EngineOverrides{DisableSkip: true}},
-		{"scalar+pull+noskip", radio.EngineOverrides{
-			ScalarDecisions: true, Kernel: radio.KernelPull, DisableSkip: true}},
+		{"pull+noskip", radio.EngineOverrides{Kernel: radio.KernelPull, DisableSkip: true}},
 	}
 	for _, f := range forcings {
 		radio.SetEngineOverrides(f.o)

@@ -156,19 +156,17 @@ func ByID(id string) (Experiment, bool) {
 // --- shared helpers ---
 
 // trialScratch is the per-worker scratch bundle the harness reuses across
-// trials: graph-builder storage and simulation-session buffers. One lives in
-// each sweep worker (see sweep.RunTrialsScratch), so trial loops allocate
-// only protocol state instead of rebuilding every adjacency and counter
-// array per trial.
+// trials: graph-builder storage and the parked broadcast and gossip
+// sessions. One lives in each sweep worker (see sweep.RunTrialsScratch), so
+// trial loops allocate only protocol state instead of rebuilding every
+// adjacency and counter array per trial.
 type trialScratch struct {
-	graph  *graph.Scratch
-	radio  *radio.Scratch
-	gossip *radio.GossipScratch
+	graph *graph.Scratch
+	radio *radio.Scratch
 }
 
 func newTrialScratch() any {
-	return &trialScratch{graph: graph.NewScratch(), radio: radio.NewScratch(),
-		gossip: radio.NewGossipScratch()}
+	return &trialScratch{graph: graph.NewScratch(), radio: radio.NewScratch()}
 }
 
 // scratchOf unwraps the per-worker bundle (fresh buffers when the trial

@@ -185,7 +185,7 @@ func g2Campaign() campaign.Campaign {
 			out := runSweep(cfg, seed, func(tr sweep.Trial) sweep.Metrics {
 				ts := scratchOf(tr)
 				g, _ := ts.graph.Geometric(spec, rng.New(tr.Seed))
-				res := radio.RunGossipWith(ts.gossip, g, mk(), rng.New(rng.SubSeed(tr.Seed, 1)),
+				res := radio.RunGossipWith(ts.radio, g, mk(), rng.New(rng.SubSeed(tr.Seed, 1)),
 					radio.GossipOptions{MaxRounds: budget, StopWhenComplete: true})
 				m := sweep.Metrics{"success": 0, "rounds": math.NaN(),
 					"txPerNode": res.TxPerNode(), "maxNodeTx": float64(res.MaxNodeTx)}

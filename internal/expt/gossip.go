@@ -73,7 +73,7 @@ func e6Campaign() campaign.Campaign {
 					ts := scratchOf(tr)
 					g := graph.GNPDirected(p0.n, p, rng.New(tr.Seed))
 					a := core.NewAlgorithm2(p)
-					res := radio.RunGossipWith(ts.gossip, g, a, rng.New(rng.SubSeed(tr.Seed, 1)), radio.GossipOptions{
+					res := radio.RunGossipWith(ts.radio, g, a, rng.New(rng.SubSeed(tr.Seed, 1)), radio.GossipOptions{
 						MaxRounds: a.RoundBudget(p0.n), StopWhenComplete: true,
 					})
 					return gossipMetrics(res)
@@ -93,7 +93,7 @@ func e6Campaign() campaign.Campaign {
 				return runSweep(cfg, seed, func(tr sweep.Trial) sweep.Metrics {
 					ts := scratchOf(tr)
 					g := graph.GNPDirected(n, p, rng.New(tr.Seed))
-					res := radio.RunGossipWith(ts.gossip, g, makeProto(), rng.New(rng.SubSeed(tr.Seed, 1)),
+					res := radio.RunGossipWith(ts.radio, g, makeProto(), rng.New(rng.SubSeed(tr.Seed, 1)),
 						radio.GossipOptions{MaxRounds: caps, StopWhenComplete: true})
 					return gossipMetrics(res)
 				})
@@ -118,7 +118,7 @@ func e6Campaign() campaign.Campaign {
 					ts := scratchOf(tr)
 					g := graph.GNPDirected(nc, pc, rng.New(tr.Seed))
 					a := core.NewAlgorithm2(pc)
-					res := radio.RunGossipWith(ts.gossip, g, a, rng.New(rng.SubSeed(tr.Seed, 1)), radio.GossipOptions{
+					res := radio.RunGossipWith(ts.radio, g, a, rng.New(rng.SubSeed(tr.Seed, 1)), radio.GossipOptions{
 						MaxRounds: a.RoundBudget(nc), StopWhenComplete: true,
 					})
 					m := sweep.Metrics{"success": 0, "rounds": math.NaN(), "tx": float64(res.TotalTx)}

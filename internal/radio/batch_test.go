@@ -2,7 +2,7 @@ package radio
 
 // Equivalence tests for the engine's alternative code paths: the batch
 // decision fast path (BatchBroadcaster) and the receiver-sharded parallel
-// delivery kernel must be bit-identical to the scalar/serial paths, and
+// delivery kernel must be bit-identical to the per-node/serial paths, and
 // gossip's one decision path must match a scalar per-node reference.
 
 import (
@@ -48,6 +48,10 @@ func (p *pulse) AppendTransmitters(_ int, _ []graph.NodeID, dst []graph.NodeID) 
 func (p *pulse) OnInformed(_ int, v graph.NodeID) { p.informed = append(p.informed, v) }
 func (p *pulse) Quiesced(int) bool                { return false }
 
+// scalarOnly hides a protocol's AppendTransmitters, so the engine decides
+// through its per-node ShouldTransmit loop, the path Decay takes.
+type scalarOnly struct{ Broadcaster }
+
 func resultsEqual(a, b *Result) bool {
 	if a.Rounds != b.Rounds || a.InformedRound != b.InformedRound ||
 		a.Informed != b.Informed || a.TotalTx != b.TotalTx ||
@@ -74,9 +78,7 @@ func TestBatchDecisionPathMatchesScalar(t *testing.T) {
 	run := func() *Result { return RunBroadcast(g, 0, &pulse{q: 0.2}, rng.New(99), opt) }
 
 	batch := run()
-	SetEngineOverrides(EngineOverrides{ScalarDecisions: true})
-	scalar := run()
-	SetEngineOverrides(EngineOverrides{})
+	scalar := RunBroadcast(g, 0, scalarOnly{&pulse{q: 0.2}}, rng.New(99), opt)
 	if !resultsEqual(batch, scalar) {
 		t.Fatalf("batch and scalar decision paths diverge:\nbatch  %+v\nscalar %+v", batch, scalar)
 	}

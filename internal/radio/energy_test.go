@@ -173,8 +173,9 @@ func TestEngineEnergyMatchesNaiveReplay(t *testing.T) {
 
 // TestEnergyEquivalenceAcrossEngineConfigurations is the satellite
 // equivalence extension: per-node energy, residual charge and lifetime
-// rounds must be bit-identical whichever decision path (batch/scalar) and
-// delivery kernel (serial/parallel) the engine uses, on both G(n,p) and UDG
+// rounds must be bit-identical whichever decision path (batch, or the
+// per-node loop a protocol without AppendTransmitters gets) and delivery
+// kernel (serial/parallel) the engine uses, on both G(n,p) and UDG
 // topologies.
 func TestEnergyEquivalenceAcrossEngineConfigurations(t *testing.T) {
 	defer SetEngineOverrides(EngineOverrides{})
@@ -188,20 +189,18 @@ func TestEnergyEquivalenceAcrossEngineConfigurations(t *testing.T) {
 		{"udg", graph.RGG(n, 2*graph.ConnectivityRadius(n), true, rng.New(4))},
 	}
 	spec := &energy.Spec{Model: energy.CC2420(), Budget: 60, TrackPartition: true}
-	run := func(g *graph.Digraph) *Result {
-		return RunBroadcast(g, 0, &bern{q: 0.05}, rng.New(99),
-			Options{MaxRounds: 500, Energy: spec})
+	run := func(g *graph.Digraph, p Broadcaster) *Result {
+		return RunBroadcast(g, 0, p, rng.New(99), Options{MaxRounds: 500, Energy: spec})
 	}
 	for _, tp := range tops {
 		SetEngineOverrides(EngineOverrides{})
-		base := run(tp.g)
+		base := run(tp.g, &bern{q: 0.05})
 		if base.Energy.DeadCount == 0 {
 			t.Fatalf("%s: no deaths; the equivalence test is not exercising depletion", tp.name)
 		}
-		SetEngineOverrides(EngineOverrides{ScalarDecisions: true})
-		scalar := run(tp.g)
+		scalar := run(tp.g, scalarOnly{&bern{q: 0.05}})
 		SetEngineOverrides(EngineOverrides{Kernel: KernelParallel})
-		parallel := run(tp.g)
+		parallel := run(tp.g, &bern{q: 0.05})
 		for _, alt := range []*Result{scalar, parallel} {
 			if alt.Rounds != base.Rounds || alt.Informed != base.Informed || alt.TotalTx != base.TotalTx {
 				t.Fatalf("%s: engine results diverge under overrides", tp.name)

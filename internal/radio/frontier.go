@@ -34,13 +34,9 @@ func newFrontierState(n int) *frontierState {
 	return &frontierState{txMark: NewBitset(n)}
 }
 
-// reset invalidates the frontier for a fresh session on n nodes.
-func (f *frontierState) reset(n int) {
-	if len(f.txMark)*64 < n {
-		f.txMark = NewBitset(n)
-	} else {
-		f.txMark.Reset()
-	}
+// reset invalidates the frontier for a fresh session on the same nodes.
+func (f *frontierState) reset() {
+	f.txMark.Reset()
 	f.list = f.list[:0]
 	f.ok = false
 }

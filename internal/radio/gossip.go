@@ -99,6 +99,7 @@ type GossipSession struct {
 	slab       []uint64 // single backing store for all n rumor sets
 	knownPairs int64
 	rounds     int // absolute round clock across segments
+	completeAt int // absolute round in which gossip completed; -1 until then
 
 	// scratch buffers reused across rounds and segments
 	hits         []int32
@@ -130,9 +131,8 @@ func NewGossipSession(n int) *GossipSession {
 	}
 	for v := 0; v < n; v++ {
 		s.know[v] = rumorSet(s.slab[v*words : (v+1)*words])
-		s.know[v].add(graph.NodeID(v))
 	}
-	s.knownPairs = int64(n)
+	s.reset()
 	return s
 }
 
@@ -149,34 +149,25 @@ func (s *GossipSession) reset() {
 	}
 	s.knownPairs = int64(s.n)
 	s.rounds = 0
+	s.completeAt = -1
+	if s.n == 1 {
+		s.completeAt = 0 // a lone node knows every rumor from the start
+	}
 }
 
-// GossipScratch recycles a gossip session across runs, the gossip analogue
-// of Scratch for broadcast: trial loops running many same-n gossip
-// simulations reset one session's storage per run instead of reallocating
-// the n rumor sets and engine buffers. A GossipScratch must not be shared
-// between concurrent runs (give each sweep worker its own, as
-// sweep.RunTrialsScratch does).
-type GossipScratch struct {
-	sess *GossipSession
-}
-
-// NewGossipScratch returns an empty scratch; buffers materialise on first use.
-func NewGossipScratch() *GossipScratch { return &GossipScratch{} }
-
-// NewGossipSessionWith is NewGossipSession with storage borrowed from sc:
-// a same-n session held by the scratch is reset and reused, anything else is
+// NewGossipSessionWith is NewGossipSession on the gossip session parked in
+// sc (see Scratch): a same-n session is reset and reused, anything else is
 // allocated fresh and parked in sc for the next call. sc may be nil.
-func NewGossipSessionWith(sc *GossipScratch, n int) *GossipSession {
-	if sc != nil && sc.sess != nil && sc.sess.n == n {
-		sc.sess.reset()
-		return sc.sess
+func NewGossipSessionWith(sc *Scratch, n int) *GossipSession {
+	if sc == nil {
+		return NewGossipSession(n)
 	}
-	s := NewGossipSession(n)
-	if sc != nil {
-		sc.sess = s
+	if s := sc.gossip; s != nil && s.n == n {
+		s.reset()
+		return s
 	}
-	return s
+	sc.gossip = NewGossipSession(n)
+	return sc.gossip
 }
 
 // KnownPairs returns Σ_v |rumors known to v| (n² means complete).
@@ -211,12 +202,11 @@ func (s *GossipSession) Run(g *graph.Digraph, p Gossiper, protoRNG *rng.RNG, opt
 	n := s.n
 	res := &GossipResult{
 		Protocol:      p.Name(),
-		CompleteRound: -1,
+		CompleteRound: s.completeAt,
 		PerNodeTx:     make([]int32, n),
 		KnownPairs:    s.knownPairs,
 	}
-	if s.Complete() {
-		res.CompleteRound = s.rounds
+	if s.completeAt >= 0 {
 		return res
 	}
 
@@ -298,7 +288,9 @@ func (s *GossipSession) Run(g *graph.Digraph, p Gossiper, protoRNG *rng.RNG, opt
 			})
 		}
 		if s.knownPairs >= totalTarget {
-			res.CompleteRound = round
+			if s.completeAt < 0 {
+				s.completeAt = round
+			}
 			if opt.StopWhenComplete {
 				break
 			}
@@ -306,6 +298,7 @@ func (s *GossipSession) Run(g *graph.Digraph, p Gossiper, protoRNG *rng.RNG, opt
 	}
 	s.transmitters = transmitters
 	s.touched = touched
+	res.CompleteRound = s.completeAt
 	for _, c := range res.PerNodeTx {
 		if int(c) > res.MaxNodeTx {
 			res.MaxNodeTx = int(c)
@@ -320,9 +313,9 @@ func RunGossip(g *graph.Digraph, p Gossiper, protoRNG *rng.RNG, opt GossipOption
 	return NewGossipSession(g.N()).Run(g, p, protoRNG, opt)
 }
 
-// RunGossipWith is RunGossip with session storage borrowed from sc (see
-// GossipScratch): the trial-loop form that keeps repeated same-n runs from
+// RunGossipWith is RunGossip on the gossip session parked in sc (see
+// Scratch): the trial-loop form that keeps repeated same-n runs from
 // reallocating per-node rumor sets.
-func RunGossipWith(sc *GossipScratch, g *graph.Digraph, p Gossiper, protoRNG *rng.RNG, opt GossipOptions) *GossipResult {
+func RunGossipWith(sc *Scratch, g *graph.Digraph, p Gossiper, protoRNG *rng.RNG, opt GossipOptions) *GossipResult {
 	return NewGossipSessionWith(sc, g.N()).Run(g, p, protoRNG, opt)
 }

@@ -39,7 +39,7 @@ func implicitTestGraphs(t *testing.T) map[string]struct {
 }
 
 // TestImplicitBitIdenticalToMaterialized is the headline pin: every kernel
-// forcing × decision path × skip setting × energy metering produces the
+// forcing × skip setting × energy metering produces the
 // same result whether the engine reads CSR rows or re-derives them.
 func TestImplicitBitIdenticalToMaterialized(t *testing.T) {
 	defer SetEngineOverrides(EngineOverrides{})
@@ -49,13 +49,12 @@ func TestImplicitBitIdenticalToMaterialized(t *testing.T) {
 		o    EngineOverrides
 	}{
 		{"default", EngineOverrides{}},
-		{"scalar", EngineOverrides{ScalarDecisions: true}},
 		{"push", EngineOverrides{Kernel: KernelPush}},
 		{"pull", EngineOverrides{Kernel: KernelPull}},
 		{"parallel", EngineOverrides{Kernel: KernelParallel}},
 		{"dense", EngineOverrides{Kernel: KernelDense}},
 		{"noskip", EngineOverrides{DisableSkip: true}},
-		{"scalar-pull-noskip", EngineOverrides{ScalarDecisions: true, Kernel: KernelPull, DisableSkip: true}},
+		{"pull-noskip", EngineOverrides{Kernel: KernelPull, DisableSkip: true}},
 	}
 	specs := map[string]func() *energy.Spec{
 		"nometer": func() *energy.Spec { return nil },

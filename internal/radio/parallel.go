@@ -46,10 +46,17 @@ type parallelDeliverer struct {
 	merged  []graph.NodeID     // concatenated delivered scratch
 }
 
-func newParallelDeliverer(n, workers int) *parallelDeliverer {
+// parallelWorkers resolves Options.Workers: 0 or less means GOMAXPROCS.
+func parallelWorkers(workers int) int {
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+		return runtime.GOMAXPROCS(0)
 	}
+	return workers
+}
+
+// newParallelDeliverer builds the kernel for n nodes and a resolved
+// (positive) worker count.
+func newParallelDeliverer(n, workers int) *parallelDeliverer {
 	shift := uint(0)
 	for (n-1)>>shift >= workers {
 		shift++

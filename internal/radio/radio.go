@@ -18,17 +18,19 @@
 // The engine accounts energy as the paper does: the total number of
 // transmissions and the per-node transmission counts.
 //
-// # Decision-phase fast path
+// # Decision phase
 //
 // Most of the paper's protocols are Bernoulli-style: in a given round every
 // eligible node transmits independently with some probability q. The
 // per-node path (one virtual ShouldTransmit call and one RNG draw per
 // informed node per round) is then pure overhead: geometric-skip sampling
-// can draw the ~nq transmitters directly. Protocols opt in by implementing
-// BatchBroadcaster; the engine batch-collects the round's transmitters in
-// one call and skips the scalar loop. Both paths must select the same
-// transmitter sequence from the same randomness (the shared-draw contract,
-// see BatchBroadcaster), so engine results are independent of the path.
+// can draw the ~nq transmitters directly. Every such protocol implements
+// BatchBroadcaster, and the engine collects the round's transmitters in one
+// AppendTransmitters call. The per-node ShouldTransmit loop serves only
+// protocols without it (Decay and test protocols). For a BatchBroadcaster,
+// ShouldTransmit stays the paper-literal oracle: asked for every informed
+// node, it reports the AppendTransmitters list (the shared-draw contract,
+// see BatchBroadcaster), which a per-round oracle test pins.
 //
 // # The sparse round engine
 //
@@ -107,18 +109,16 @@ type Broadcaster interface {
 	Quiesced(round int) bool
 }
 
-// BatchBroadcaster is the optional decision-phase fast path. When a
-// Broadcaster implements it, the engine replaces the per-informed-node
-// ShouldTransmit loop with a single AppendTransmitters call per round.
+// BatchBroadcaster is the decision-phase fast path. When a Broadcaster
+// implements it, the engine replaces the per-informed-node ShouldTransmit
+// loop with a single AppendTransmitters call per round.
 //
 // Contract (the shared-draw scheme): for any round, AppendTransmitters must
-// append exactly the nodes for which ShouldTransmit would report true, in
-// the same (informing) order, and the two paths must consume protocol
-// randomness identically — the practical recipe is to draw the round's
-// transmitter set once (in BeginRound or lazily on the first decision
-// query) and have both ShouldTransmit and AppendTransmitters read from it.
-// The batch equivalence tests in core and baseline enforce this for every
-// implementation in the repository.
+// append exactly the nodes for which ShouldTransmit reports true, in the
+// same (informing) order — the practical recipe is to draw the round's
+// transmitter set once, in BeginRound, and have both ShouldTransmit and
+// AppendTransmitters read from it. A per-round oracle test enforces this
+// for every implementation in core and baseline.
 type BatchBroadcaster interface {
 	Broadcaster
 	// AppendTransmitters appends this round's transmitters to dst and
@@ -176,16 +176,14 @@ const (
 	KernelDense
 )
 
-// EngineOverrides force specific broadcast engine code paths, for the
+// EngineOverrides force specific broadcast delivery paths, for the
 // equivalence tests and for debugging. All combinations are bit-identical
 // on the informed trajectory, per-node transmissions, rounds and energy
 // report; only Result.Collisions may differ under KernelPull (see the
-// Result.Collisions contract). Gossip has one decision path and one kernel
-// and ignores every override.
+// Result.Collisions contract). The decision path is not forceable: it
+// follows from whether the protocol implements BatchBroadcaster. Gossip has
+// one decision path and one kernel and ignores every override.
 type EngineOverrides struct {
-	// ScalarDecisions disables the batch decision fast path even for
-	// BatchBroadcasters.
-	ScalarDecisions bool
 	// Kernel pins the broadcast delivery kernel instead of the per-round
 	// cost model. Every reception model is served by every kernel (channel
 	// draws are hashed, not streamed — see reception.go), so the pin is
@@ -307,49 +305,20 @@ func (r *Result) TxPerNode() float64 {
 	return float64(r.TotalTx) / float64(len(r.PerNodeTx))
 }
 
-// Scratch holds the allocation-heavy session state — the informed bitset,
-// per-node counters, the informed list, and the delivery kernels' buffers —
-// for reuse across trials. The experiment harness keeps one Scratch per
-// worker; NewBroadcastSessionWith borrows the buffers, so at most one
-// session may use a Scratch at a time, and a session's Result must be
-// consumed before the Scratch hosts the next session.
+// Scratch parks one BroadcastSession and one GossipSession for reuse across
+// trials. The experiment harness keeps one Scratch per worker:
+// NewBroadcastSessionWith and NewGossipSessionWith reset the parked session
+// of their kind in place when its node count matches, and park a fresh one
+// otherwise. So at most one session of each kind may use a Scratch at a
+// time, and a session's Result must be consumed before the Scratch hosts
+// the next session of that kind.
 type Scratch struct {
-	n            int
-	informed     Bitset
-	perNodeTx    []int32
-	informedList []graph.NodeID
-	txbuf        []graph.NodeID
-	st           *deliveryState
-	fr           *frontierState
-	par          *parallelDeliverer
-	dn           *denseState   // lazily created on the first dense round
-	energy       *energy.State // lazily created on the first energy-enabled session
+	broadcast *BroadcastSession
+	gossip    *GossipSession
 }
 
-// NewScratch returns an empty scratch; buffers are sized on first use and
-// resized when the node count changes.
+// NewScratch returns an empty scratch; sessions are parked on first use.
 func NewScratch() *Scratch { return &Scratch{} }
-
-// acquire readies the scratch for an n-node session and hands out buffers.
-func (sc *Scratch) acquire(n int) {
-	if sc.n != n {
-		sc.n = n
-		sc.informed = NewBitset(n)
-		sc.perNodeTx = make([]int32, n)
-		sc.informedList = make([]graph.NodeID, 0, n)
-		sc.txbuf = make([]graph.NodeID, 0, n)
-		sc.st = newDeliveryState(n)
-		sc.fr = newFrontierState(n)
-		sc.par = nil
-		sc.dn = nil
-		return
-	}
-	sc.informed.Reset()
-	clear(sc.perNodeTx)
-	sc.informedList = sc.informedList[:0]
-	sc.txbuf = sc.txbuf[:0]
-	sc.fr.reset(n)
-}
 
 // BroadcastSession carries broadcast state — the informed set, the protocol
 // instance, the round clock, and the energy accounting — across multiple Run
@@ -377,16 +346,49 @@ type BroadcastSession struct {
 
 	energy     *energy.State // non-nil once an energy spec was captured
 	energySpec *energy.Spec  // the captured spec, for mid-session change detection
+	bank       *energy.State // storage for the banks this session starts itself
 
-	sc  *Scratch // non-nil when buffers are borrowed
 	st  *deliveryState
 	fr  *frontierState
-	par *parallelDeliverer
-	dn  *denseState
+	par *parallelDeliverer // created on the first parallel segment
+	dn  *denseState        // created on the first dense round
 
 	// Pull-kernel cost tracking: Σ InDegree over uninformed nodes for the
 	// current Run segment's graph, decremented as nodes are informed.
 	uninSum int64
+}
+
+// newBroadcastSession allocates the storage of an n-node session.
+func newBroadcastSession(n int) *BroadcastSession {
+	return &BroadcastSession{
+		n:          n,
+		informed:   NewBitset(n),
+		perNodeTx:  make([]int32, n),
+		informedAt: -1,
+		st:         newDeliveryState(n),
+		fr:         newFrontierState(n),
+	}
+}
+
+// reset returns a parked session to the state newBroadcastSession leaves
+// it in, keeping its buffers, kernels and battery-bank storage.
+func (s *BroadcastSession) reset() {
+	s.informed.Reset()
+	clear(s.perNodeTx)
+	s.fr.reset()
+	*s = BroadcastSession{
+		n:            s.n,
+		informed:     s.informed,
+		informedList: s.informedList[:0],
+		txbuf:        s.txbuf[:0],
+		perNodeTx:    s.perNodeTx,
+		informedAt:   -1,
+		bank:         s.bank,
+		st:           s.st,
+		fr:           s.fr,
+		par:          s.par,
+		dn:           s.dn,
+	}
 }
 
 // NewBroadcastSession starts a session: protocol p is initialised for an
@@ -395,8 +397,8 @@ func NewBroadcastSession(n int, src graph.NodeID, p Broadcaster, protoRNG *rng.R
 	return NewBroadcastSessionWith(nil, n, src, p, protoRNG)
 }
 
-// NewBroadcastSessionWith is NewBroadcastSession borrowing buffers from sc
-// (which may be nil for one-shot sessions).
+// NewBroadcastSessionWith is NewBroadcastSession on the broadcast session
+// parked in sc (see Scratch); sc may be nil for one-shot sessions.
 func NewBroadcastSessionWith(sc *Scratch, n int, src graph.NodeID, p Broadcaster, protoRNG *rng.RNG) *BroadcastSession {
 	if n < 1 {
 		panic("radio: broadcast session needs n >= 1")
@@ -404,31 +406,19 @@ func NewBroadcastSessionWith(sc *Scratch, n int, src graph.NodeID, p Broadcaster
 	if src < 0 || int(src) >= n {
 		panic("radio: source out of range")
 	}
-	s := &BroadcastSession{
-		n:          n,
-		proto:      p,
-		informedAt: -1,
+	var s *BroadcastSession
+	switch {
+	case sc == nil:
+		s = newBroadcastSession(n)
+	case sc.broadcast != nil && sc.broadcast.n == n:
+		s = sc.broadcast
+		s.reset()
+	default:
+		s = newBroadcastSession(n)
+		sc.broadcast = s
 	}
-	if b, ok := p.(BatchBroadcaster); ok {
-		s.batch = b
-	}
-	if sc != nil {
-		sc.acquire(n)
-		s.sc = sc
-		s.informed = sc.informed
-		s.perNodeTx = sc.perNodeTx
-		s.informedList = sc.informedList
-		s.txbuf = sc.txbuf
-		s.st = sc.st
-		s.fr = sc.fr
-		s.par = sc.par
-		s.dn = sc.dn
-	} else {
-		s.informed = NewBitset(n)
-		s.perNodeTx = make([]int32, n)
-		s.st = newDeliveryState(n)
-		s.fr = newFrontierState(n)
-	}
+	s.proto = p
+	s.batch, _ = p.(BatchBroadcaster)
 	p.Begin(n, src, protoRNG)
 	// One Split keeps protocol-stream consumption identical to every prior
 	// release; the child's first draw seeds the hashed channel layer, so
@@ -453,9 +443,10 @@ func (s *BroadcastSession) Quiesced() bool { return s.quiesced }
 
 // EnergyState returns the session's battery bank (nil when the energy model
 // is disabled). Pass it as energy.Spec{Resume: ...} to a later session to
-// model repeated campaigns on one charge. When the session borrowed a
-// Scratch, the state aliases scratch storage: it stays valid only until the
-// scratch hosts another *energy-enabled* session that does not resume it.
+// model repeated campaigns on one charge. When the session came from a
+// Scratch, a bank it started itself is storage the parked session reuses:
+// it stays valid only until the scratch hosts another *energy-enabled*
+// session that does not resume it.
 func (s *BroadcastSession) EnergyState() *energy.State { return s.energy }
 
 // initEnergy captures an energy spec on the session's first segment.
@@ -470,17 +461,11 @@ func (s *BroadcastSession) initEnergy(spec *energy.Spec) {
 		spec.Resume.Rebase()
 		s.energy = spec.Resume
 	} else {
-		var st *energy.State
-		if s.sc != nil {
-			if s.sc.energy == nil {
-				s.sc.energy = energy.NewState()
-			}
-			st = s.sc.energy
-		} else {
-			st = energy.NewState()
+		if s.bank == nil {
+			s.bank = energy.NewState()
 		}
-		st.Start(*spec, s.n)
-		s.energy = st
+		s.bank.Start(*spec, s.n)
+		s.energy = s.bank
 	}
 	s.energySpec = spec
 	// Nodes informed before round 1 (the source) never pay a receive cost
@@ -520,13 +505,13 @@ func (s *BroadcastSession) Run(g graph.Implicit, opt Options) *Result {
 	}
 	caps := model.resolve(s.chanSeed)
 	parallel := opt.Parallel || engineOverrides.Kernel == KernelParallel
-	if parallel && s.par == nil {
-		s.par = newParallelDeliverer(s.n, opt.Workers)
-		if s.sc != nil {
-			s.sc.par = s.par
+	if parallel {
+		// A later segment, or a later session on a parked one, may ask for
+		// a different worker count than the kept deliverer was built with.
+		if w := parallelWorkers(opt.Workers); s.par == nil || s.par.workers != w {
+			s.par = newParallelDeliverer(s.n, w)
 		}
 	}
-	useBatch := s.batch != nil && !engineOverrides.ScalarDecisions
 	// Collision-exactness consumers pin transmitter-side kernels (see the
 	// Result.Collisions contract); an explicit override forcing wins.
 	exactCollisions := opt.RecordHistory || opt.Tracer != nil
@@ -587,13 +572,14 @@ func (s *BroadcastSession) Run(g graph.Implicit, opt Options) *Result {
 			opt.Tracer.RoundStart(round)
 		}
 
-		// Decision phase: informedList is in informing order; both paths
-		// iterate a stable order so protocol RNG consumption is
-		// deterministic. Protocol decisions (and randomness) are drawn
-		// before the battery veto, so the energy model never perturbs a
-		// protocol's schedule — a depleted radio just fails to emit.
+		// Decision phase: informedList is in informing order; the per-node
+		// loop, which serves only protocols without AppendTransmitters,
+		// iterates it so protocol RNG consumption is deterministic.
+		// Protocol decisions (and randomness) are drawn before the battery
+		// veto, so the energy model never perturbs a protocol's schedule —
+		// a depleted radio just fails to emit.
 		transmitters = transmitters[:0]
-		if useBatch {
+		if s.batch != nil {
 			transmitters = s.batch.AppendTransmitters(round, s.informedList, transmitters)
 		} else {
 			for _, v := range s.informedList {
@@ -642,9 +628,6 @@ func (s *BroadcastSession) Run(g graph.Implicit, opt Options) *Result {
 		case KernelDense:
 			if s.dn == nil {
 				s.dn = newDenseState(s.n)
-				if s.sc != nil {
-					s.sc.dn = s.dn
-				}
 			}
 			delivered, collisions = s.dn.deliver(g, transmitters, s.informed)
 		case KernelParallel:
@@ -725,13 +708,6 @@ func (s *BroadcastSession) Run(g graph.Implicit, opt Options) *Result {
 		}
 	}
 	s.txbuf = transmitters[:0]
-	if s.sc != nil {
-		// Hand grown buffers back so the next borrower reuses the capacity.
-		// The contents stay valid for this session's further segments; the
-		// next acquire truncates them.
-		s.sc.txbuf = s.txbuf
-		s.sc.informedList = s.informedList
-	}
 
 	res.Rounds = s.rounds
 	res.Informed = len(s.informedList)
@@ -843,8 +819,9 @@ func RunBroadcast(g graph.Implicit, src graph.NodeID, p Broadcaster, protoRNG *r
 	return NewBroadcastSession(g.N(), src, p, protoRNG).Run(g, opt)
 }
 
-// RunBroadcastWith is RunBroadcast reusing sc's buffers (the trial-loop fast
-// path: the experiment harness calls it with one Scratch per worker).
+// RunBroadcastWith is RunBroadcast on the broadcast session parked in sc (the
+// trial-loop fast path: the experiment harness calls it with one Scratch per
+// worker).
 func RunBroadcastWith(sc *Scratch, g graph.Implicit, src graph.NodeID, p Broadcaster, protoRNG *rng.RNG, opt Options) *Result {
 	return NewBroadcastSessionWith(sc, g.N(), src, p, protoRNG).Run(g, opt)
 }

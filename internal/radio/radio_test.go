@@ -346,6 +346,32 @@ func TestGossipTDMACompleteGraph(t *testing.T) {
 	}
 }
 
+// TestGossipCompleteRoundRecordedOnce: one sender per round on K4 completes
+// gossip in round 4, and the session reports round 4 from then on, whether
+// the segment stops there, runs its full schedule, or comes after the
+// segment that completed.
+func TestGossipCompleteRoundRecordedOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		segments   []GossipOptions
+		wantRounds int // rounds the last segment executed
+	}{
+		{"stop at completion", []GossipOptions{{MaxRounds: 50, StopWhenComplete: true}}, 4},
+		{"full schedule", []GossipOptions{{MaxRounds: 50}}, 50},
+		{"second segment", []GossipOptions{{MaxRounds: 20}, {MaxRounds: 5}}, 0},
+	} {
+		sess := NewGossipSession(4)
+		var res *GossipResult
+		for _, opt := range tc.segments {
+			res = sess.Run(graph.Complete(4), &tdma{}, rng.New(1), opt)
+		}
+		if res.CompleteRound != 4 || res.Rounds != tc.wantRounds {
+			t.Errorf("%s: CompleteRound %d after %d rounds, want 4 after %d",
+				tc.name, res.CompleteRound, res.Rounds, tc.wantRounds)
+		}
+	}
+}
+
 func TestGossipHalfDuplexBlocksTransmitterReception(t *testing.T) {
 	// Two nodes, both transmit every round: under half-duplex neither ever
 	// receives; under full duplex each receives the other's rumor in round 1

@@ -150,21 +150,28 @@ func (binaryModel) resolve(uint64) channelCaps { return channelCaps{maxHits: 1} 
 // (see the package notes).
 func Fade(p float64) ReceptionModel {
 	probPanic("Fade", p)
-	return fadeModel{p: p}
+	return vetoModel{name: "fade", p: p, domain: fadeDomain}
 }
 
-type fadeModel struct{ p float64 }
+// vetoModel is a receiver-veto channel: in each round each receiver is
+// independently unavailable with probability p, drawn from the model's own
+// hash domain. Fade and Jam are the two instances.
+type vetoModel struct {
+	name   string
+	p      float64
+	domain uint64
+}
 
-func (m fadeModel) Name() string { return fmt.Sprintf("fade(%g)", m.p) }
-func (m fadeModel) resolve(seed uint64) channelCaps {
+func (m vetoModel) Name() string { return fmt.Sprintf("%s(%g)", m.name, m.p) }
+func (m vetoModel) resolve(seed uint64) channelCaps {
 	if m.p == 0 {
 		return channelCaps{maxHits: 1}
 	}
-	thresh := pThreshold(m.p)
+	thresh, domain := pThreshold(m.p), m.domain
 	return channelCaps{
 		maxHits: 1,
 		recvOK: func(round int, rx graph.NodeID) bool {
-			return chanDraw(seed, uint64(round), uint64(rx), fadeDomain) >= thresh
+			return chanDraw(seed, uint64(round), uint64(rx), domain) >= thresh
 		},
 	}
 }
@@ -240,23 +247,7 @@ func (m sinrModel) resolve(uint64) channelCaps { return channelCaps{maxHits: m.k
 // are taken before the veto.
 func Jam(rate float64) ReceptionModel {
 	probPanic("Jam", rate)
-	return jamModel{rate: rate}
-}
-
-type jamModel struct{ rate float64 }
-
-func (m jamModel) Name() string { return fmt.Sprintf("jam(%g)", m.rate) }
-func (m jamModel) resolve(seed uint64) channelCaps {
-	if m.rate == 0 {
-		return channelCaps{maxHits: 1}
-	}
-	thresh := pThreshold(m.rate)
-	return channelCaps{
-		maxHits: 1,
-		recvOK: func(round int, rx graph.NodeID) bool {
-			return chanDraw(seed, uint64(round), uint64(rx), jamDomain) >= thresh
-		},
-	}
+	return vetoModel{name: "jam", p: rate, domain: jamDomain}
 }
 
 // filterRecv applies a recvOK capability to the delivered list in place,

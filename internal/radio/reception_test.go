@@ -21,13 +21,12 @@ var receptionForcings = []struct {
 	o    EngineOverrides
 }{
 	{"default", EngineOverrides{}},
-	{"scalar", EngineOverrides{ScalarDecisions: true}},
 	{"push", EngineOverrides{Kernel: KernelPush}},
 	{"pull", EngineOverrides{Kernel: KernelPull}},
 	{"parallel", EngineOverrides{Kernel: KernelParallel}},
 	{"dense", EngineOverrides{Kernel: KernelDense}},
 	{"noskip", EngineOverrides{DisableSkip: true}},
-	{"scalar-pull-noskip", EngineOverrides{ScalarDecisions: true, Kernel: KernelPull, DisableSkip: true}},
+	{"pull-noskip", EngineOverrides{Kernel: KernelPull, DisableSkip: true}},
 }
 
 // TestChannelModelForcingsBitIdentical is the channel-layer counterpart of
@@ -201,7 +200,6 @@ func TestSINRCaptureSemantics(t *testing.T) {
 	check(SINRThreshold(0.25, 0.1).resolve(1), []graph.NodeID{1, 2, 3}, 1, 0) // K=4
 	// The pull kernel must apply the same limit.
 	fr := newFrontierState(4)
-	fr.reset(4)
 	fr.sync(informed, 4)
 	if d, _ := fr.deliver(g, 1, []graph.NodeID{1, 2}, capture); len(d) != 1 {
 		t.Fatalf("pull kernel under capture: delivered %d, want 1", len(d))

@@ -95,9 +95,9 @@ func assertSameResult(t *testing.T, label string, want, got *Result) {
 }
 
 // TestEngineConfigurationsBitIdentical is the headline equivalence pin:
-// push / pull / parallel / adaptive kernels, batch / scalar decisions, and
-// skip on / off must all yield the same informed trajectory, transmissions,
-// rounds and energy, on G(n,p) and UDG, with and without battery budgets.
+// push / pull / parallel / adaptive kernels and skip on / off must all
+// yield the same informed trajectory, transmissions, rounds and energy, on
+// G(n,p) and UDG, with and without battery budgets.
 func TestEngineConfigurationsBitIdentical(t *testing.T) {
 	defer SetEngineOverrides(EngineOverrides{})
 
@@ -106,13 +106,12 @@ func TestEngineConfigurationsBitIdentical(t *testing.T) {
 		o    EngineOverrides
 	}{
 		{"default", EngineOverrides{}},
-		{"scalar", EngineOverrides{ScalarDecisions: true}},
 		{"push", EngineOverrides{Kernel: KernelPush}},
 		{"pull", EngineOverrides{Kernel: KernelPull}},
 		{"parallel", EngineOverrides{Kernel: KernelParallel}},
 		{"dense", EngineOverrides{Kernel: KernelDense}},
 		{"noskip", EngineOverrides{DisableSkip: true}},
-		{"scalar-pull-noskip", EngineOverrides{ScalarDecisions: true, Kernel: KernelPull, DisableSkip: true}},
+		{"pull-noskip", EngineOverrides{Kernel: KernelPull, DisableSkip: true}},
 	}
 	specs := map[string]func() *energy.Spec{
 		"nometer": func() *energy.Spec { return nil },

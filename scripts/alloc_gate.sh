@@ -28,7 +28,7 @@ fi
 awk '
 BEGIN {
   # Named per-run budgets. GossipRun allocates its GossipResult + PerNodeTx
-  # per op (the session itself is GossipScratch-recycled); measured 3
+  # per op (the session itself is parked in a radio.Scratch); measured 3
   # allocs/op, budget 8 for headroom.
   budget["BenchmarkPrimitiveGossipRun"] = 8
 }
