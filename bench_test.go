@@ -361,14 +361,23 @@ func bigRGGGraph() *graph.Digraph {
 // RGG-round isolation: a fixed transmitter set pulsing every round through
 // the delivery kernel on the big geometric graph — the steady-state cost of
 // one simulated round on the workload class the geometric experiments run.
-func BenchmarkPrimitiveRGGRound262144(b *testing.B) {
+func BenchmarkPrimitiveRGGRound262144(b *testing.B) { benchRGGRound262144(b, false) }
+
+// BenchmarkPrimitiveRepeatedRound262144 is the RGG round with one pulse set
+// repeated every round: once a round delivers nothing, every later round is
+// served from its kernel result, as a livelocked flood's rounds are. Per-op
+// is the cost of such a round against the RGG round's kernel, and the
+// alloc gate holds it to 0 allocs/op as well.
+func BenchmarkPrimitiveRepeatedRound262144(b *testing.B) { benchRGGRound262144(b, true) }
+
+func benchRGGRound262144(b *testing.B, repeat bool) {
 	g := bigRGGGraph()
 	n := g.N()
 	txs := make([]graph.NodeID, 0, n/64)
 	for v := 0; v < n; v += 64 {
 		txs = append(txs, graph.NodeID(v))
 	}
-	sess := radio.NewBroadcastSession(n, 0, &pulseSet{txs: txs}, rng.New(18))
+	sess := radio.NewBroadcastSession(n, 0, &pulseSet{txs: txs, repeat: repeat}, rng.New(18))
 	b.ReportAllocs()
 	b.ResetTimer()
 	sess.Run(g, radio.Options{MaxRounds: b.N})
@@ -416,26 +425,50 @@ func BenchmarkPrimitiveDecisionScalar262144(b *testing.B) { benchDecisionPhase(b
 // informed, so per-op measures the steady-state delivery kernel (hit
 // counting, collision resolution, scratch reuse) with a ~42k-edge round.
 
+// pulseSet sends its fixed set txs in odd rounds and the same set shifted
+// up by one id in even rounds. The engine serves a round that repeats an
+// idle predecessor's transmitters from that round's kernel result, so the
+// alternation is what keeps a kernel in every timed round. With repeat set
+// every round sends txs, and the rounds after the first idle one are
+// served without a kernel.
 type pulseSet struct {
-	txs  []graph.NodeID
-	isTx []bool
+	txs    []graph.NodeID
+	repeat bool
+	n      int
+	isTx   []bool
 }
 
 func (p *pulseSet) Name() string { return "pulse-set" }
 func (p *pulseSet) Begin(n int, _ graph.NodeID, _ *rng.RNG) {
-	// The set is round-invariant, so membership (scalar path) and the batch
-	// copy agree — the shared-draw contract without any per-round draw.
+	// The sets are fixed per round parity, so membership (scalar path) and
+	// the batch list agree — the shared-draw contract without any draw.
+	p.n = n
 	p.isTx = make([]bool, n)
 	for _, v := range p.txs {
 		p.isTx[v] = true
 	}
 }
-func (p *pulseSet) BeginRound(int)                            {}
-func (p *pulseSet) ShouldTransmit(_ int, v graph.NodeID) bool { return p.isTx[v] }
-func (p *pulseSet) OnInformed(int, graph.NodeID)              {}
-func (p *pulseSet) Quiesced(int) bool                         { return false }
-func (p *pulseSet) AppendTransmitters(_ int, _ []graph.NodeID, dst []graph.NodeID) []graph.NodeID {
-	return append(dst, p.txs...)
+
+// shifted reports whether round sends the shifted set.
+func (p *pulseSet) shifted(round int) bool { return !p.repeat && round%2 == 0 }
+
+func (p *pulseSet) BeginRound(int) {}
+func (p *pulseSet) ShouldTransmit(round int, v graph.NodeID) bool {
+	if p.shifted(round) {
+		v = graph.NodeID((int(v) + p.n - 1) % p.n)
+	}
+	return p.isTx[v]
+}
+func (p *pulseSet) OnInformed(int, graph.NodeID) {}
+func (p *pulseSet) Quiesced(int) bool            { return false }
+func (p *pulseSet) AppendTransmitters(round int, _ []graph.NodeID, dst []graph.NodeID) []graph.NodeID {
+	if !p.shifted(round) {
+		return append(dst, p.txs...)
+	}
+	for _, v := range p.txs {
+		dst = append(dst, graph.NodeID((int(v)+1)%p.n))
+	}
+	return dst
 }
 
 func benchDeliveryPhase(b *testing.B, parallel bool) {

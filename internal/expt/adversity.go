@@ -84,18 +84,20 @@ func x5Campaign() campaign.Campaign {
 				makeProto: func() radio.Broadcaster { return core.NewAlgorithm3(n, diam, 2) },
 				// Jam each node independently with the given rate per round; the
 				// schedule draws from a per-trial stream so protocol randomness
-				// is untouched and trials stay deterministic.
+				// is untouched and trials stay deterministic. The engine does
+				// not keep a round's jam list, so one buffer serves the trial.
 				makeOpts: func(seed uint64) radio.Options {
 					jr := rng.New(rng.SubSeed(seed, 7))
+					var jammed []graph.NodeID
 					return radio.Options{
 						MaxRounds: 100000,
 						Jammed: func(round int) []graph.NodeID {
-							var out []graph.NodeID
+							jammed = jammed[:0]
 							k := jr.Binomial(n, rate)
 							for _, idx := range jr.SampleWithoutReplacement(n, k) {
-								out = append(out, graph.NodeID(idx))
+								jammed = append(jammed, graph.NodeID(idx))
 							}
-							return out
+							return jammed
 						},
 					}
 				},

@@ -90,6 +90,11 @@ func (f *frontierState) sync(informed Bitset, n int) {
 // reception stays on the frontier. The returned slice is scratch, valid
 // until the next deliver call.
 func (f *frontierState) deliver(g graph.Implicit, round int, transmitters []graph.NodeID, caps channelCaps) (delivered []graph.NodeID, collisions int) {
+	if len(f.list) == 0 {
+		// Pull examines only frontier nodes: with none left, no transmitter
+		// needs marking.
+		return f.out[:0], 0
+	}
 	dg, _ := g.(*graph.Digraph)
 	for _, u := range transmitters {
 		f.txMark.Set(u)

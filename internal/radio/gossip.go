@@ -31,7 +31,8 @@ type GossipOptions struct {
 	// Default false (half-duplex), matching the broadcast model.
 	FullDuplex bool
 	// StopWhenComplete ends the run as soon as every node knows every
-	// rumor; false runs the full schedule for faithful energy accounting.
+	// rumor, before round 1 for a segment of a complete session; false runs
+	// the full schedule for faithful energy accounting.
 	StopWhenComplete bool
 	// RecordHistory captures per-round knowledge growth.
 	RecordHistory bool
@@ -206,7 +207,7 @@ func (s *GossipSession) Run(g *graph.Digraph, p Gossiper, protoRNG *rng.RNG, opt
 		PerNodeTx:     make([]int32, n),
 		KnownPairs:    s.knownPairs,
 	}
-	if s.completeAt >= 0 {
+	if opt.StopWhenComplete && s.completeAt >= 0 {
 		return res
 	}
 

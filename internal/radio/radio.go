@@ -44,6 +44,23 @@
 // still change the choice (priceLimit), and on a materialized graph the
 // frontier's sum starts each segment as M() minus the informed nodes'
 // in-degrees, so neither prices more than the choice needs.
+//
+// A round whose kernel result is already known runs no kernel: when its
+// transmitter list (after the battery filter) equals the previous round's
+// element by element, both rounds are in one Run segment, the previous
+// round's kernel delivered nothing before any veto, and the channel has no
+// per-edge draw (no LossyChannel), the round delivers nothing and reports
+// the previous round's collision count without pricing. A kernel's output
+// and the kernel choice are pure functions of the graph, the transmitter
+// list, the informed set and the channel's capabilities; an empty delivery
+// changes neither the informed set nor the pull estimate; and delivered ids
+// come out sorted whatever the transmitter order. The segment condition
+// covers callers that rebuild the graph in place between segments. This
+// serves the rounds of a livelocked flood (experiment C1). Everything after
+// the kernel runs as in any round: the Jammed callback, the receiver
+// vetoes, OnInformed, tracer callbacks, history rows and the energy
+// accounting.
+//
 // Every round is executed, with one exception that waits for ROADMAP item
 // 10 (the next change to bench/): an energy-free FixedProb run still skips
 // fully silent rounds in O(1) through UniformRound. All configurations are
@@ -227,7 +244,10 @@ type Options struct {
 	Reception ReceptionModel
 	// Jammed, when non-nil, returns the receivers whose channel is occupied
 	// by external interference in the given round: a jammed node cannot
-	// receive that round (the noise collides with any transmission).
+	// receive that round (the noise collides with any transmission). The
+	// engine calls it once per executed round, even when the round delivers
+	// nothing, and does not keep the returned slice after the round, so the
+	// callback may reuse one buffer.
 	Jammed func(round int) []graph.NodeID
 	// Energy, when non-nil, enables the per-round radio energy model (see
 	// internal/energy): every alive node is charged for exactly one state
@@ -335,6 +355,8 @@ type BroadcastSession struct {
 	informed     Bitset
 	informedList []graph.NodeID
 	txbuf        []graph.NodeID // per-round transmitter scratch
+	prevTx       []graph.NodeID // the previous round's transmitters; Run swaps it with txbuf
+	jamMark      Bitset         // dropJammed's marks, clear between rounds; made on the first jammed segment
 	rounds       int            // absolute round clock across segments
 	quiesced     bool
 
@@ -381,6 +403,8 @@ func (s *BroadcastSession) reset() {
 		informed:     s.informed,
 		informedList: s.informedList[:0],
 		txbuf:        s.txbuf[:0],
+		prevTx:       s.prevTx[:0],
+		jamMark:      s.jamMark,
 		perNodeTx:    s.perNodeTx,
 		informedAt:   -1,
 		bank:         s.bank,
@@ -537,13 +561,24 @@ func (s *BroadcastSession) Run(g graph.Implicit, opt Options) *Result {
 		}
 	}
 	en := s.energy // nil keeps the whole model off the hot path
+	if opt.Jammed != nil && s.jamMark == nil {
+		s.jamMark = NewBitset(s.n)
+	}
 
 	res := &Result{Protocol: s.proto.Name()}
 	if opt.RecordHistory {
 		res.History = append(res.History, RoundStat{Round: s.rounds, Informed: len(s.informedList)})
 	}
 
-	transmitters := s.txbuf
+	transmitters, prevTx := s.txbuf, s.prevTx
+	// idle says the previous round executed in this segment ran a kernel
+	// that delivered nothing, before any veto, under a channel without
+	// per-edge draws; idleColl is that kernel's collision count. A round
+	// repeating its transmitters has the same kernel output (see the
+	// package notes); rounds skipped as silent in between change none of
+	// its inputs. A segment may run on a graph rebuilt in place, so idle
+	// starts false in every Run.
+	idle, idleColl := false, 0
 	// Silent-round skipping (UniformRound, until ROADMAP item 10) applies
 	// only when no energy state must be charged for the skipped rounds and
 	// no per-round observer (history rows, tracer callbacks, jamming
@@ -578,7 +613,7 @@ func (s *BroadcastSession) Run(g graph.Implicit, opt Options) *Result {
 		// Protocol decisions (and randomness) are drawn before the battery
 		// veto, so the energy model never perturbs a protocol's schedule —
 		// a depleted radio just fails to emit.
-		transmitters = transmitters[:0]
+		transmitters, prevTx = prevTx[:0], transmitters
 		if s.batch != nil {
 			transmitters = s.batch.AppendTransmitters(round, s.informedList, transmitters)
 		} else {
@@ -610,37 +645,44 @@ func (s *BroadcastSession) Run(g graph.Implicit, opt Options) *Result {
 		// ⌈n/64⌉ on a materialized graph, push otherwise. Every kernel
 		// resolves receptions through the same channel capabilities, so
 		// selection is model-independent. The returned slice is kernel
-		// scratch, valid until the next round.
-		var outSum int64
-		if engineOverrides.Kernel == KernelAuto && (trackUnin || dg != nil) {
-			// O(|tx|) at most on a CSR; implicit rows pay for it only when
-			// pull can. Pricing stops once the choice is settled.
-			outSum = outDegSum(g, transmitters,
-				priceLimit(s.n, len(transmitters), s.uninSum, trackUnin))
-		}
+		// scratch, valid until the next round. A round that repeats an idle
+		// round's transmitters (see idle) takes that round's empty output
+		// and collision count without pricing or delivering.
 		var delivered []graph.NodeID
 		var collisions int
-		switch chooseKernel(engineOverrides.Kernel, len(transmitters), outSum, s.uninSum,
-			s.n, trackUnin, dg != nil, parallel, denseOK(caps)) {
-		case KernelPull:
-			s.fr.sync(s.informed, s.n)
-			delivered, collisions = s.fr.deliver(g, round, transmitters, caps)
-		case KernelDense:
-			if s.dn == nil {
-				s.dn = newDenseState(s.n)
+		if idle && slices.Equal(transmitters, prevTx) {
+			collisions = idleColl
+		} else {
+			var outSum int64
+			if engineOverrides.Kernel == KernelAuto && (trackUnin || dg != nil) {
+				// O(|tx|) at most on a CSR; implicit rows pay for it only
+				// when pull can. Pricing stops once the choice is settled.
+				outSum = outDegSum(g, transmitters,
+					priceLimit(s.n, len(transmitters), s.uninSum, trackUnin))
 			}
-			delivered, collisions = s.dn.deliver(g, transmitters, s.informed)
-		case KernelParallel:
-			delivered, collisions = s.par.deliver(g, round, transmitters, s.informed, caps)
-		default:
-			delivered, collisions = s.st.deliver(g, round, transmitters, s.informed, caps)
+			switch chooseKernel(engineOverrides.Kernel, len(transmitters), outSum, s.uninSum,
+				s.n, trackUnin, dg != nil, parallel, denseOK(caps)) {
+			case KernelPull:
+				s.fr.sync(s.informed, s.n)
+				delivered, collisions = s.fr.deliver(g, round, transmitters, caps)
+			case KernelDense:
+				if s.dn == nil {
+					s.dn = newDenseState(s.n)
+				}
+				delivered, collisions = s.dn.deliver(g, transmitters, s.informed)
+			case KernelParallel:
+				delivered, collisions = s.par.deliver(g, round, transmitters, s.informed, caps)
+			default:
+				delivered, collisions = s.st.deliver(g, round, transmitters, s.informed, caps)
+			}
+			idle, idleColl = len(delivered) == 0 && caps.edgeOK == nil, collisions
 		}
 		// Receiver-side vetoes, applied before the frontier removal so a
 		// vetoed node stays uninformed AND on the pull frontier: the jamming
 		// callback, the model's receiver availability, the duty-cycle sleep
 		// gate, and the battery.
 		if opt.Jammed != nil {
-			delivered = dropJammed(delivered, opt.Jammed(round))
+			delivered = dropJammed(s.jamMark, delivered, opt.Jammed(round))
 		}
 		if caps.recvOK != nil {
 			delivered = filterRecv(delivered, round, caps.recvOK)
@@ -707,7 +749,7 @@ func (s *BroadcastSession) Run(g graph.Implicit, opt Options) *Result {
 			break
 		}
 	}
-	s.txbuf = transmitters[:0]
+	s.txbuf, s.prevTx = transmitters[:0], prevTx[:0]
 
 	res.Rounds = s.rounds
 	res.Informed = len(s.informedList)
@@ -789,23 +831,30 @@ func chooseKernel(forced DeliveryKernel, tx int, outSum, uninSum int64, n int, t
 	return push
 }
 
-// dropJammed removes jammed receivers from the delivered list, preserving
-// order. Both inputs are small; jammed lists are scanned linearly.
-func dropJammed(delivered, jammed []graph.NodeID) []graph.NodeID {
+// dropJammed removes jammed receivers from the delivered list in place,
+// preserving order, in O(|delivered| + |jammed|): it marks the jammed ids in
+// mark, an all-clear set over the session's nodes, filters, and clears the
+// marks again. Ids outside the set's range are ignored; repeated or
+// unsorted jam lists are fine.
+func dropJammed(mark Bitset, delivered, jammed []graph.NodeID) []graph.NodeID {
 	if len(jammed) == 0 || len(delivered) == 0 {
 		return delivered
 	}
+	words := uint32(len(mark))
+	for _, j := range jammed {
+		if uint32(j)>>6 < words {
+			mark.Set(j)
+		}
+	}
 	out := delivered[:0]
 	for _, v := range delivered {
-		hit := false
-		for _, j := range jammed {
-			if j == v {
-				hit = true
-				break
-			}
-		}
-		if !hit {
+		if !mark.Get(v) {
 			out = append(out, v)
+		}
+	}
+	for _, j := range jammed {
+		if uint32(j)>>6 < words {
+			mark.Clear(j)
 		}
 	}
 	return out

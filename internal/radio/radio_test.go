@@ -349,7 +349,8 @@ func TestGossipTDMACompleteGraph(t *testing.T) {
 // TestGossipCompleteRoundRecordedOnce: one sender per round on K4 completes
 // gossip in round 4, and the session reports round 4 from then on, whether
 // the segment stops there, runs its full schedule, or comes after the
-// segment that completed.
+// segment that completed. A later segment of a complete session runs its
+// full schedule unless it stops at completion.
 func TestGossipCompleteRoundRecordedOnce(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -358,7 +359,9 @@ func TestGossipCompleteRoundRecordedOnce(t *testing.T) {
 	}{
 		{"stop at completion", []GossipOptions{{MaxRounds: 50, StopWhenComplete: true}}, 4},
 		{"full schedule", []GossipOptions{{MaxRounds: 50}}, 50},
-		{"second segment", []GossipOptions{{MaxRounds: 20}, {MaxRounds: 5}}, 0},
+		{"second segment", []GossipOptions{{MaxRounds: 20}, {MaxRounds: 5}}, 5},
+		{"second segment, stop at completion",
+			[]GossipOptions{{MaxRounds: 20}, {MaxRounds: 5, StopWhenComplete: true}}, 0},
 	} {
 		sess := NewGossipSession(4)
 		var res *GossipResult

@@ -7,6 +7,7 @@ package radio
 // correct on handcrafted capture/veto instances.
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/energy"
@@ -251,26 +252,32 @@ func TestFadeVetoKeepsFrontier(t *testing.T) {
 	}
 }
 
-// TestDropJammedEdgeCases: the jam filter's boundary behaviour.
+// TestDropJammedEdgeCases: the jam filter's boundary behaviour on a
+// 10-node session. The filter keeps the delivered order, ignores jam ids
+// outside the node range, takes repeated and unsorted jam lists, and leaves
+// its mark set clear after every call.
 func TestDropJammedEdgeCases(t *testing.T) {
-	if got := dropJammed(nil, []graph.NodeID{1, 2}); len(got) != 0 {
-		t.Fatalf("empty delivered: got %v", got)
-	}
-	d := []graph.NodeID{3, 4, 5}
-	if got := dropJammed(d, nil); len(got) != 3 {
-		t.Fatalf("no jammers must keep all: got %v", got)
-	}
-	if got := dropJammed([]graph.NodeID{3, 4, 5}, []graph.NodeID{3, 4, 5}); len(got) != 0 {
-		t.Fatalf("all jammed: got %v", got)
-	}
-	// Duplicate jam IDs must not over-remove distinct receivers.
-	if got := dropJammed([]graph.NodeID{3, 4, 5}, []graph.NodeID{4, 4, 4}); len(got) != 2 ||
-		got[0] != 3 || got[1] != 5 {
-		t.Fatalf("duplicate jammer ids: got %v, want [3 5]", got)
-	}
-	// Order preserved.
-	if got := dropJammed([]graph.NodeID{9, 1, 7, 2}, []graph.NodeID{1, 2}); len(got) != 2 ||
-		got[0] != 9 || got[1] != 7 {
-		t.Fatalf("order not preserved: got %v", got)
+	mark := NewBitset(10)
+	ids := func(v ...graph.NodeID) []graph.NodeID { return v }
+	for _, tc := range []struct {
+		name                    string
+		delivered, jammed, want []graph.NodeID
+	}{
+		{"empty delivered", nil, ids(1, 2), nil},
+		{"no jammers", ids(3, 4, 5), nil, ids(3, 4, 5)},
+		{"all jammed", ids(3, 4, 5), ids(3, 4, 5), nil},
+		{"repeated jam ids", ids(3, 4, 5), ids(4, 4, 4), ids(3, 5)},
+		{"order kept", ids(9, 1, 7, 2), ids(1, 2), ids(9, 7)},
+		{"unsorted jam list", ids(0, 2, 4, 6, 8), ids(8, 0, 6, 3), ids(2, 4)},
+		{"out-of-range ids", ids(0, 9), ids(-1, 10, 63, 64, 1<<30, -1<<31), ids(0, 9)},
+		{"mixed with out-of-range", ids(1, 5, 9), ids(12, 5, -3, 5), ids(1, 9)},
+	} {
+		got := dropJammed(mark, slices.Clone(tc.delivered), tc.jammed)
+		if !equalNodeSlices(got, tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
+		}
+		if c := mark.Count(); c != 0 {
+			t.Fatalf("%s: %d marks left set after the call", tc.name, c)
+		}
 	}
 }

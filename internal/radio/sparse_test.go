@@ -188,15 +188,19 @@ func TestKernelForcingsPreserveHistory(t *testing.T) {
 // the serial push kernel on adversarial rounds: same delivered set (in
 // ascending id order — the sorted-output contract the engine relies on),
 // and a collision count equal to push's count restricted to uninformed
-// receivers.
+// receivers. The last round has transmitters but an empty frontier, and
+// every round must leave the transmitter marks clear.
 func TestPullKernelAgainstReference(t *testing.T) {
 	n := 2048
 	g := graph.GNPDirected(n, 4e-3, rng.New(91))
 	r := rng.New(92)
-	for trial := 0; trial < 30; trial++ {
+	for trial := 0; trial <= 30; trial++ {
 		informed := NewBitset(n)
 		var txs []graph.NodeID
 		frac := 0.1 + 0.8*r.Float64()
+		if trial == 30 {
+			frac = 1 // every node informed: an empty frontier
+		}
 		for v := 0; v < n; v++ {
 			if r.Bernoulli(frac) {
 				informed.Set(graph.NodeID(v))
@@ -241,6 +245,12 @@ func TestPullKernelAgainstReference(t *testing.T) {
 		}
 		if gotC != wantColl {
 			t.Fatalf("trial %d: pull collisions %d, want uninformed-side count %d", trial, gotC, wantColl)
+		}
+		if trial == 30 && (len(txs) == 0 || len(fr.list) != 0 || len(gotD) != 0) {
+			t.Fatalf("empty-frontier round: %d transmitters, frontier %d, delivered %d", len(txs), len(fr.list), len(gotD))
+		}
+		if c := fr.txMark.Count(); c != 0 {
+			t.Fatalf("trial %d: %d transmitter marks left set", trial, c)
 		}
 		txs = txs[:0]
 	}

@@ -373,8 +373,12 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 }
 
 // SampleWithoutReplacement returns k distinct uniform values from [0, n) in
-// increasing order, drawn by Floyd's algorithm and then sorted: O(k log k),
-// with no O(n) allocation. It panics if k > n or either is negative.
+// increasing order, drawn by Floyd's algorithm: k draws, never an O(n)
+// allocation. When n ≤ 64·k the draws mark a bitset of ⌈n/64⌉ ≤ k words and
+// the result is read off it in order, O(k); sparser samples keep a map and
+// sort, O(k log k). Both take the same draws, so the result and the
+// generator state afterwards do not depend on the branch. It panics if
+// k > n or either is negative.
 func (r *RNG) SampleWithoutReplacement(n, k int) []int {
 	if k < 0 || n < 0 || k > n {
 		panic("rng: invalid SampleWithoutReplacement arguments")
@@ -382,8 +386,24 @@ func (r *RNG) SampleWithoutReplacement(n, k int) []int {
 	if k == 0 {
 		return nil
 	}
-	chosen := make(map[int]struct{}, k)
 	out := make([]int, 0, k)
+	if n <= 64*k {
+		chosen := make([]uint64, (n+63)/64)
+		for j := n - k; j < n; j++ {
+			t := r.Intn(j + 1)
+			if chosen[t>>6]&(1<<(t&63)) != 0 {
+				t = j
+			}
+			chosen[t>>6] |= 1 << (t & 63)
+		}
+		for w, word := range chosen {
+			for ; word != 0; word &= word - 1 {
+				out = append(out, w<<6+bits.TrailingZeros64(word))
+			}
+		}
+		return out
+	}
+	chosen := make(map[int]struct{}, k)
 	for j := n - k; j < n; j++ {
 		t := r.Intn(j + 1)
 		if _, dup := chosen[t]; dup {

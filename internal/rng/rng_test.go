@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -482,6 +483,45 @@ func TestSampleWithoutReplacement(t *testing.T) {
 			}
 		}
 	}
+}
+
+// floydMapSort is the map-and-sort Floyd sample that
+// SampleWithoutReplacement replaces with a bitset when n ≤ 64·k: the
+// reference for FuzzSampleWithoutReplacement.
+func floydMapSort(r *RNG, n, k int) []int {
+	if k == 0 {
+		return nil
+	}
+	chosen := make(map[int]struct{}, k)
+	out := make([]int, 0, k)
+	for j := n - k; j < n; j++ {
+		t := r.Intn(j + 1)
+		if _, dup := chosen[t]; dup {
+			t = j
+		}
+		chosen[t] = struct{}{}
+		out = append(out, t)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// FuzzSampleWithoutReplacement holds both branches of the sampler to the
+// map-and-sort reference: the same values in the same order, and the same
+// generator state afterwards.
+func FuzzSampleWithoutReplacement(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint64, n, k int) {
+		n = int(uint(n) % (1 << 16))
+		k = int(uint(k) % uint(n+1))
+		r, twin := New(seed), New(seed)
+		got, want := r.SampleWithoutReplacement(n, k), floydMapSort(twin, n, k)
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d k=%d: sample %v, reference %v", n, k, got, want)
+		}
+		if *r != *twin {
+			t.Fatalf("n=%d k=%d: generator state differs from the reference's", n, k)
+		}
+	})
 }
 
 func TestSampleWithoutReplacementPanics(t *testing.T) {
