@@ -386,7 +386,9 @@ func benchRGGRound262144(b *testing.B, repeat bool) {
 // --- decision-phase isolation: one Bernoulli round over a fully informed
 // network, batch (geometric-skip) vs scalar (per-node membership loop).
 // Per-op is per simulated round; the batch path's cost is O(nq), the
-// scalar path's O(n).
+// scalar path's O(n·nq): ShouldTransmit scans the round's drawn list, a
+// cost only the shared-draw oracle pays, since the engine never asks
+// ShouldTransmit of a BatchBroadcaster.
 
 func benchDecisionPhase(b *testing.B, n int, batch bool) {
 	q := 16.0 / float64(n) // ~16 transmitters per round

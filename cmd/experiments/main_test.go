@@ -54,6 +54,7 @@ func TestFlagValidation(t *testing.T) {
 		{"-run", "F1", "-shard", "banana", "-format", "jsonl"},
 		{"-run", "F1", "-shard", "4/2", "-format", "jsonl", "-checkpoint", "x"},
 		{"-run", "F1", "-format", "yaml"},
+		{"-run", "C5", "-channel", "fading", "-format", "jsonl"}, // not a channel leg
 	}
 	for _, args := range cases {
 		if code, _, _ := cli(t, args...); code != 1 {

@@ -70,12 +70,9 @@ type FixedProb struct {
 	Q      float64
 	Window int
 
-	informedAt []int
-	r          *rng.RNG
-	informedN  int
-	retiredN   int
-	queue      radio.WindowQueue // informed, window not yet expired
-	txs        radio.TxSet       // this round's transmitters (shared-draw set)
+	r     *rng.RNG
+	queue radio.WindowQueue // informed, window not yet expired
+	txs   radio.TxSet       // this round's transmitters (shared-draw set)
 }
 
 // Name implements radio.Broadcaster.
@@ -86,13 +83,8 @@ func (f *FixedProb) Begin(n int, src graph.NodeID, r *rng.RNG) {
 	if !(f.Q >= 0 && f.Q <= 1) { // NaN fails too
 		panic("baseline: FixedProb needs q in [0,1]")
 	}
-	f.informedAt = make([]int, n)
-	for i := range f.informedAt {
-		f.informedAt[i] = -1
-	}
 	f.queue.Reset()
-	f.txs.Reset(n)
-	f.informedN, f.retiredN = 0, 0
+	f.txs.Reset()
 	f.r = r
 }
 
@@ -102,10 +94,10 @@ func (f *FixedProb) Begin(n int, src graph.NodeID, r *rng.RNG) {
 // contract, so a silent round consumes no randomness.
 func (f *FixedProb) BeginRound(round int) {
 	if f.Window > 0 {
-		f.retiredN += f.queue.Expire(f.informedAt, f.Window, round)
+		f.queue.Expire(f.Window, round)
 	}
 	f.txs.BeginRound()
-	f.txs.DrawListStream(f.r, f.queue.Live(), f.Q, round)
+	f.txs.DrawListStream(f.r, f.queue.Live(), f.Q)
 }
 
 // RoundProb implements radio.UniformRound: every round is a Bernoulli(Q)
@@ -124,10 +116,9 @@ func (f *FixedProb) SkipSilent(from, to int) int {
 	round := from
 	for round <= to {
 		if f.Window > 0 {
-			f.retiredN += f.queue.Expire(f.informedAt, f.Window, round)
+			f.queue.Expire(f.Window, round)
 		}
-		live := f.queue.Live()
-		k := len(live)
+		k := len(f.queue.Live())
 		if k == 0 {
 			return round
 		}
@@ -135,7 +126,7 @@ func (f *FixedProb) SkipSilent(from, to int) int {
 		if f.Window > 0 {
 			// The head expires at expRound, shrinking the candidate list;
 			// the per-round stream arithmetic changes there.
-			if expRound := f.informedAt[live[0]] + f.Window + 1; expRound-round < max {
+			if expRound := f.queue.HeadRound() + f.Window + 1; expRound-round < max {
 				max = expRound - round
 			}
 		}
@@ -149,16 +140,12 @@ func (f *FixedProb) SkipSilent(from, to int) int {
 }
 
 // OnInformed implements radio.Broadcaster.
-func (f *FixedProb) OnInformed(round int, v graph.NodeID) {
-	f.informedAt[v] = round
-	f.informedN++
-	f.queue.Push(v)
-}
+func (f *FixedProb) OnInformed(round int, v graph.NodeID) { f.queue.Push(v, round) }
 
 // ShouldTransmit implements radio.Broadcaster: membership in the round's
 // pre-drawn transmitter set.
 func (f *FixedProb) ShouldTransmit(round int, v graph.NodeID) bool {
-	return f.txs.Contains(v, round)
+	return f.txs.Contains(v)
 }
 
 // AppendTransmitters implements radio.BatchBroadcaster.
@@ -166,10 +153,9 @@ func (f *FixedProb) AppendTransmitters(round int, _ []graph.NodeID, dst []graph.
 	return f.txs.AppendTo(dst)
 }
 
-// Quiesced implements radio.Broadcaster.
-func (f *FixedProb) Quiesced(int) bool {
-	return f.Window > 0 && f.retiredN == f.informedN
-}
+// Quiesced implements radio.Broadcaster: true once every window has
+// expired; without a window a node stays active forever.
+func (f *FixedProb) Quiesced(int) bool { return f.Window > 0 && len(f.queue.Live()) == 0 }
 
 // Decay is the Bar-Yehuda–Goldreich–Itai randomised broadcast protocol.
 // Time is divided into phases of L = ⌈log₂ n⌉ rounds. At the start of each
@@ -293,17 +279,16 @@ type ElsasserGasieniec struct {
 	// Phase3Beta scales the Phase-3 budget ⌈Phase3Beta·log₂ n⌉ (default 8).
 	Phase3Beta float64
 
-	n          int
-	d          float64
-	diam       int
-	p2prob     float64
-	p3prob     float64
-	phase3To   int
-	informedAt []int
-	all        []graph.NodeID // every informed node, informing order
-	eligible   []graph.NodeID // informed during Phases 1-2 (rounds <= diam)
-	txs        radio.TxSet    // this round's transmitters (shared-draw set)
-	r          *rng.RNG
+	n        int
+	d        float64
+	diam     int
+	p2prob   float64
+	p3prob   float64
+	phase3To int
+	all      []graph.NodeID // every informed node, informing order
+	eligible []graph.NodeID // informed during Phases 1-2 (rounds <= diam)
+	txs      radio.TxSet    // this round's transmitters (shared-draw set)
+	r        *rng.RNG
 }
 
 // NewElsasserGasieniec returns the protocol for edge probability p.
@@ -341,13 +326,9 @@ func (e *ElsasserGasieniec) Begin(n int, src graph.NodeID, r *rng.RNG) {
 		beta = 8
 	}
 	e.phase3To = e.diam + int(math.Ceil(beta*math.Log2(float64(n))))
-	e.informedAt = make([]int, n)
-	for i := range e.informedAt {
-		e.informedAt[i] = -1
-	}
 	e.all = e.all[:0]
 	e.eligible = e.eligible[:0]
-	e.txs.Reset(n)
+	e.txs.Reset()
 }
 
 // BeginRound implements radio.Broadcaster: draw the round's transmitter set
@@ -358,20 +339,19 @@ func (e *ElsasserGasieniec) BeginRound(round int) {
 	switch {
 	case round <= e.diam-1:
 		// Phase 1: flood — every informed node transmits.
-		e.txs.AddAll(e.all, round)
+		e.txs.AddAll(e.all)
 	case round == e.diam:
-		e.txs.DrawList(e.r, e.all, e.p2prob, round)
+		e.txs.DrawList(e.r, e.all, e.p2prob)
 	case round <= e.phase3To:
 		// Phase 3: only nodes informed during Phases 1–2 participate
-		// (Phase 2 is round e.diam, so informedAt <= e.diam qualifies).
+		// (Phase 2 is round e.diam, so informing round <= e.diam qualifies).
 		// Stream-drawn, so silent trickle rounds consume no randomness.
-		e.txs.DrawListStream(e.r, e.eligible, e.p3prob, round)
+		e.txs.DrawListStream(e.r, e.eligible, e.p3prob)
 	}
 }
 
 // OnInformed implements radio.Broadcaster.
 func (e *ElsasserGasieniec) OnInformed(round int, v graph.NodeID) {
-	e.informedAt[v] = round
 	e.all = append(e.all, v)
 	if round <= e.diam {
 		e.eligible = append(e.eligible, v)
@@ -381,7 +361,7 @@ func (e *ElsasserGasieniec) OnInformed(round int, v graph.NodeID) {
 // ShouldTransmit implements radio.Broadcaster: membership in the round's
 // pre-drawn transmitter set.
 func (e *ElsasserGasieniec) ShouldTransmit(round int, v graph.NodeID) bool {
-	return e.txs.Contains(v, round)
+	return e.txs.Contains(v)
 }
 
 // AppendTransmitters implements radio.BatchBroadcaster.
@@ -446,14 +426,14 @@ func (u *UniformGossip) Begin(n int, r *rng.RNG) {
 	}
 	u.n = n
 	u.r = r
-	u.txs.Reset(n)
+	u.txs.Reset()
 }
 
 // BeginRound implements radio.Gossiper: draw the round's Bernoulli(Q)
 // transmitter set once, under radio.TxSet's stream contract.
 func (u *UniformGossip) BeginRound(round int) {
 	u.txs.BeginRound()
-	u.txs.DrawRangeStream(u.r, u.n, u.Q, round)
+	u.txs.DrawRangeStream(u.r, u.n, u.Q)
 }
 
 // AppendTransmitters implements radio.Gossiper.

@@ -19,7 +19,11 @@
 // from checkpoints without re-running anything.
 package campaign
 
-import "repro/internal/sweep"
+import (
+	"fmt"
+
+	"repro/internal/sweep"
+)
 
 // Config controls experiment scale and reproducibility. It is shared by
 // every campaign (internal/expt aliases it as expt.Config).
@@ -50,6 +54,23 @@ type Config struct {
 	// Workers says; any other value leaves the trial pool to Workers.
 	// Results are bit-identical either way — only scheduling changes.
 	Parallelism string
+}
+
+// Check rejects a GraphMode or Channel outside the values documented
+// above. The campaigns treat any other string as "every leg", so a typo
+// would otherwise run the whole grid.
+func (c Config) Check() error {
+	switch c.GraphMode {
+	case "", "csr", "implicit":
+	default:
+		return fmt.Errorf("campaign: unknown graph mode %q (want csr, implicit, or empty for every representation)", c.GraphMode)
+	}
+	switch c.Channel {
+	case "", "binary", "fade", "duty":
+	default:
+		return fmt.Errorf("campaign: unknown channel %q (want binary, fade, duty, or empty for every model)", c.Channel)
+	}
+	return nil
 }
 
 // Samples is the result of one grid point: per-metric sample vectors,

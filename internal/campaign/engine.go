@@ -70,6 +70,9 @@ func Run(units []Unit, opt RunOptions) (*ResultSet, error) {
 	if opt.Resume && opt.Checkpoint == "" {
 		return nil, fmt.Errorf("campaign: resume requires a checkpoint path")
 	}
+	if err := opt.Config.Check(); err != nil {
+		return nil, err
+	}
 
 	// Enumerate the global point list and validate key uniqueness.
 	var tasks []task

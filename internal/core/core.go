@@ -158,7 +158,7 @@ func (a *Algorithm1) Begin(n int, src graph.NodeID, r *rng.RNG) {
 	}
 	a.phase3To = a.phase3From + p3len - 1
 	a.active = a.active[:0]
-	a.txs.Reset(n)
+	a.txs.Reset()
 }
 
 // OnInformed implements radio.Broadcaster: nodes informed during Phases 1
@@ -180,11 +180,11 @@ func (a *Algorithm1) BeginRound(round int) {
 	switch {
 	case round <= a.t:
 		// Phase 1: every active node transmits once, then retires.
-		a.txs.AddAll(a.active, round)
+		a.txs.AddAll(a.active)
 		a.active = a.active[:0]
 	case round == a.phase2Round:
 		// Phase 2: one shot with probability 1/(d^T p); retire either way.
-		a.txs.DrawList(a.r, a.active, a.p2prob, round)
+		a.txs.DrawList(a.r, a.active, a.p2prob)
 		a.active = a.active[:0]
 	case round >= a.phase3From && round <= a.phase3To:
 		// Phase 3: geometric trickle under radio.TxSet's stream contract,
@@ -192,14 +192,14 @@ func (a *Algorithm1) BeginRound(round int) {
 		// consumes none). Transmitters retire during the draw, so the
 		// active list only shrinks on transmitting rounds and keeps its
 		// informing order.
-		a.active = a.txs.RetireListStream(a.r, a.active, a.p3prob, round)
+		a.active = a.txs.RetireListStream(a.r, a.active, a.p3prob)
 	}
 }
 
 // ShouldTransmit implements radio.Broadcaster: membership in the round's
 // pre-drawn transmitter set.
 func (a *Algorithm1) ShouldTransmit(round int, v graph.NodeID) bool {
-	return a.txs.Contains(v, round)
+	return a.txs.Contains(v)
 }
 
 // AppendTransmitters implements radio.BatchBroadcaster.
@@ -261,7 +261,7 @@ func (a *Algorithm2) Begin(n int, r *rng.RNG) {
 	a.q = clampProb(1 / a.d)
 	a.r = r
 	a.n = n
-	a.txs.Reset(n)
+	a.txs.Reset()
 }
 
 // RoundBudget returns the schedule length for an n-node network.
@@ -279,7 +279,7 @@ func (a *Algorithm2) RoundBudget(n int) int {
 // under radio.TxSet's stream contract.
 func (a *Algorithm2) BeginRound(round int) {
 	a.txs.BeginRound()
-	a.txs.DrawRangeStream(a.r, a.n, a.q, round)
+	a.txs.DrawRangeStream(a.r, a.n, a.q)
 }
 
 // AppendTransmitters implements radio.Gossiper.

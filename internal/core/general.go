@@ -37,14 +37,11 @@ type GeneralBroadcast struct {
 	// informed (the paper's β·log² n).
 	Window int
 
-	informedAt []int
-	r          *rng.RNG
-	seq        *rng.RNG
-	curProb    float64
-	informedN  int
-	retiredN   int
-	queue      radio.WindowQueue // informed, window not yet expired
-	txs        radio.TxSet       // this round's transmitters (shared-draw set)
+	r       *rng.RNG
+	seq     *rng.RNG
+	curProb float64
+	queue   radio.WindowQueue // informed, window not yet expired
+	txs     radio.TxSet       // this round's transmitters (shared-draw set)
 }
 
 // NewAlgorithm3 builds the paper's configuration: α with λ = log₂(n/D) and
@@ -104,20 +101,14 @@ func (g *GeneralBroadcast) Begin(n int, src graph.NodeID, r *rng.RNG) {
 	if g.Window < 1 {
 		panic("core: GeneralBroadcast needs Window >= 1")
 	}
-	g.informedAt = make([]int, n)
-	for i := range g.informedAt {
-		g.informedAt[i] = -1
-	}
 	g.queue.Reset()
-	g.txs.Reset(n)
+	g.txs.Reset()
 	g.r = r
 	// The shared selection sequence is common randomness: all nodes know it
 	// (it is part of the algorithm description, like Czumaj–Rytter's
 	// selection sequences). Derive it from the protocol RNG so each run gets
 	// a fresh sequence deterministically.
 	g.seq = r.Split(0xa15e1ec7)
-	g.informedN = 0
-	g.retiredN = 0
 	g.curProb = 0
 }
 
@@ -133,22 +124,20 @@ func (g *GeneralBroadcast) Begin(n int, src graph.NodeID, r *rng.RNG) {
 func (g *GeneralBroadcast) BeginRound(round int) {
 	k := g.Dist.Sample(g.seq)
 	g.curProb = math.Pow(2, -float64(k))
-	g.retiredN += g.queue.Expire(g.informedAt, g.Window, round)
+	g.queue.Expire(g.Window, round)
 	g.txs.BeginRound()
-	g.txs.DrawList(g.r, g.queue.Live(), g.curProb, round)
+	g.txs.DrawList(g.r, g.queue.Live(), g.curProb)
 }
 
 // OnInformed implements radio.Broadcaster.
 func (g *GeneralBroadcast) OnInformed(round int, v graph.NodeID) {
-	g.informedAt[v] = round
-	g.informedN++
-	g.queue.Push(v)
+	g.queue.Push(v, round)
 }
 
 // ShouldTransmit implements radio.Broadcaster: membership in the round's
 // pre-drawn transmitter set.
 func (g *GeneralBroadcast) ShouldTransmit(round int, v graph.NodeID) bool {
-	return g.txs.Contains(v, round)
+	return g.txs.Contains(v)
 }
 
 // AppendTransmitters implements radio.BatchBroadcaster.
@@ -157,7 +146,5 @@ func (g *GeneralBroadcast) AppendTransmitters(round int, _ []graph.NodeID, dst [
 }
 
 // Quiesced implements radio.Broadcaster: true once every informed node's
-// activity window has expired.
-func (g *GeneralBroadcast) Quiesced(round int) bool {
-	return g.retiredN == g.informedN
-}
+// activity window has expired, i.e. the queue is empty.
+func (g *GeneralBroadcast) Quiesced(round int) bool { return len(g.queue.Live()) == 0 }

@@ -3,6 +3,7 @@ package energy
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -118,7 +119,7 @@ func (st *State) Start(spec Spec, n int) {
 		if spec.Schedule.active() {
 			st.sched = *spec.Schedule
 			st.hasSched = true
-			st.listenPhase = grow64(st.listenPhase, st.sched.Period)
+			st.listenPhase = slices.Grow(st.listenPhase[:0], st.sched.Period)[:st.sched.Period]
 			for c := range st.listenPhase {
 				st.listenPhase[c] = 0
 			}
@@ -128,16 +129,16 @@ func (st *State) Start(spec Spec, n int) {
 		}
 	}
 
-	st.spent = growF(st.spent, n)
-	st.anchor = grow32(st.anchor, n)
-	st.status = growU8(st.status, n)
+	st.spent = slices.Grow(st.spent[:0], n)[:n]
+	st.anchor = slices.Grow(st.anchor[:0], n)[:n]
+	st.status = slices.Grow(st.status[:0], n)[:n]
 	for i := 0; i < n; i++ {
 		st.spent[i] = 0
 		st.anchor[i] = 0
 		st.status[i] = statusListening
 	}
 	if st.limited {
-		st.budget = growF(st.budget, n)
+		st.budget = slices.Grow(st.budget[:0], n)[:n]
 		if spec.Budgets != nil {
 			for i, b := range spec.Budgets {
 				if b <= 0 {
@@ -153,7 +154,7 @@ func (st *State) Start(spec Spec, n int) {
 				st.budget[i] = spec.Budget
 			}
 		}
-		st.key = grow64(st.key, n)
+		st.key = slices.Grow(st.key[:0], n)[:n]
 	}
 	if st.trackPartition && len(st.bfsSeen) < n {
 		// Sized here so CheckPartition stays allocation-free in the round
@@ -638,34 +639,4 @@ func (st *State) fixKey(v graph.NodeID) {
 	k := st.predictKey(v)
 	st.key[v] = k
 	st.nextCheck = min(st.nextCheck, k)
-}
-
-// --- storage growth helpers (reuse capacity across Start calls) ---
-
-func growF(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func grow64(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
-	}
-	return s[:n]
-}
-
-func grow32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func growU8(s []uint8, n int) []uint8 {
-	if cap(s) < n {
-		return make([]uint8, n)
-	}
-	return s[:n]
 }

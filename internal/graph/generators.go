@@ -356,13 +356,5 @@ func RandomGeometric(n int, rmin, rmax float64, r *rng.RNG) (*Digraph, []Geometr
 			pts[i].Radius = rmin + (rmax-rmin)*r.Float64()
 		}
 	}
-	g := GeometricFromPoints(pts)
-	return g, pts
-}
-
-// GeometricFromPoints builds the heterogeneous-range geometric digraph for a
-// fixed set of points (u → v iff dist(u,v) ≤ pts[u].Radius) via the cell-grid
-// index (see Scratch.FromPoints).
-func GeometricFromPoints(pts []GeometricPoint) *Digraph {
-	return NewScratch().FromPoints(pts, false)
+	return NewScratch().FromPoints(pts, false), pts
 }

@@ -115,9 +115,6 @@ func NewImplicitGNP(n int, p float64, seed uint64) *ImplicitGNP {
 // N returns the number of nodes.
 func (g *ImplicitGNP) N() int { return g.n }
 
-// P returns the edge probability.
-func (g *ImplicitGNP) P() float64 { return g.p }
-
 // AppendOut appends row u — strictly increasing, self-loop-free — to dst.
 // The row is a fresh geometric-skip pass over the n-1 possible targets,
 // seeded by SubSeed(seed, u), so repeated calls append identical sequences
@@ -273,9 +270,6 @@ func (ig *ImplicitGeom) N() int { return len(ig.pts) }
 // Points returns the indexed point set. The slice is internal storage and
 // must not be modified (moving a point would desynchronise the grid).
 func (ig *ImplicitGeom) Points() []GeometricPoint { return ig.pts }
-
-// Torus reports whether distances wrap around the unit square.
-func (ig *ImplicitGeom) Torus() bool { return ig.torus }
 
 // appendRow appends v's neighbours in one direction: out-rows keep
 // candidates inside v's own radius, in-rows keep candidates whose radius

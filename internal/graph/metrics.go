@@ -234,8 +234,8 @@ func IsWeaklyConnected(g *Digraph) bool {
 }
 
 // Layering partitions nodes by BFS distance from src: Layering[d] holds the
-// nodes at distance d. Unreachable nodes are omitted. Used by the layer-based
-// experiments for Theorem 4.2.
+// nodes at distance d. Unreachable nodes are omitted. No experiment calls
+// it; the graph tests use it to check LayeredRandom's layer structure.
 func Layering(g *Digraph, src NodeID) [][]NodeID {
 	dist := BFS(g, src)
 	maxD := 0

@@ -67,13 +67,17 @@ func validIDs() string {
 
 // Expand is the jobqueue.Expander over the expt registry: it enumerates
 // every selected experiment's grid for the spec's scale and returns the
-// per-point trial count stamped into records.
+// per-point trial count stamped into records. An unknown experiment ID,
+// graph mode or channel is an error.
 func Expand(spec jobqueue.JobSpec) ([]jobqueue.PointRef, int, error) {
 	es, err := selectExperiments(spec)
 	if err != nil {
 		return nil, 0, err
 	}
 	cfg := config(spec)
+	if err := cfg.Check(); err != nil {
+		return nil, 0, err
+	}
 	var points []jobqueue.PointRef
 	for _, e := range es {
 		for _, pt := range e.Campaign.Points(cfg) {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -37,15 +38,17 @@ func TestExpandAllCoversRegistry(t *testing.T) {
 func TestExpandSelectionErrors(t *testing.T) {
 	cases := []struct {
 		name string
-		ids  []string
+		spec jobqueue.JobSpec
 		want string
 	}{
-		{"empty", nil, "selects no experiments"},
-		{"unknown", []string{"ZZ99"}, "unknown experiment"},
-		{"duplicate", []string{"F1", "F1"}, "listed twice"},
+		{"empty", jobqueue.JobSpec{}, "selects no experiments"},
+		{"unknown", jobqueue.JobSpec{Experiments: []string{"ZZ99"}}, "unknown experiment"},
+		{"duplicate", jobqueue.JobSpec{Experiments: []string{"F1", "F1"}}, "listed twice"},
+		{"unknown channel", jobqueue.JobSpec{Experiments: []string{"C5"}, Channel: "fading"}, "unknown channel"},
+		{"unknown graph mode", jobqueue.JobSpec{Experiments: []string{"S1"}, Full: true, GraphMode: "csv"}, "unknown graph mode"},
 	}
 	for _, tc := range cases {
-		_, _, err := Expand(jobqueue.JobSpec{Experiments: tc.ids})
+		_, _, err := Expand(tc.spec)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
 		}
@@ -123,4 +126,52 @@ func TestRunPointMatchesSingleProcessRun(t *testing.T) {
 	if len(truth) != len(pts) {
 		t.Fatalf("truth has %d records for %d expanded points", len(truth), len(pts))
 	}
+}
+
+// FuzzExpand drives the spec→grid path with arbitrary experiment lists
+// (comma-separated), scales, graph modes and channels. Expand must never
+// panic; it returns an error or a non-empty point list whose (campaign,
+// key) pairs are non-empty and unique; and a graph mode or channel outside
+// the documented values is always an error.
+func FuzzExpand(f *testing.F) {
+	f.Add("all", false, "", "")
+	f.Add("all", true, "", "")
+	for _, ch := range []string{"", "binary", "fade", "duty", "fading"} {
+		f.Add("C5", false, "", ch)
+	}
+	for _, mode := range []string{"implicit", "csr", "csv"} {
+		f.Add("S1", true, mode, "")
+	}
+	f.Add("", false, "", "")
+	f.Add("E1,E1", false, "", "")
+	f.Add("ZZ99", false, "", "")
+	f.Add(" E1", false, "", "")
+	f.Fuzz(func(t *testing.T, experiments string, full bool, graphMode, channel string) {
+		spec := jobqueue.JobSpec{Full: full, GraphMode: graphMode, Channel: channel}
+		if experiments != "" {
+			spec.Experiments = strings.Split(experiments, ",")
+		}
+		pts, _, err := Expand(spec)
+		legal := slices.Contains([]string{"", "csr", "implicit"}, graphMode) &&
+			slices.Contains([]string{"", "binary", "fade", "duty"}, channel)
+		if !legal && err == nil {
+			t.Fatalf("graph mode %q, channel %q: Expand accepted the spec", graphMode, channel)
+		}
+		if err != nil {
+			return
+		}
+		if len(pts) == 0 {
+			t.Fatalf("%+v: no error and no points", spec)
+		}
+		seen := make(map[jobqueue.PointRef]bool, len(pts))
+		for _, p := range pts {
+			if p.Campaign == "" || p.Key == "" {
+				t.Fatalf("%+v: empty campaign or key in %+v", spec, p)
+			}
+			if seen[p] {
+				t.Fatalf("%+v: point %s/%s listed twice", spec, p.Campaign, p.Key)
+			}
+			seen[p] = true
+		}
+	})
 }

@@ -35,6 +35,9 @@
 // Complete acknowledges a point only once its record is an fsync'd line
 // of records.jsonl. A queue reopened over the same directories, after a
 // SIGKILL included, rebuilds every logged job as a Resume submit would.
+// A logged spec that no longer expands refuses the restore, and NewQueue
+// returns the error: an experiment ID, graph mode or channel the Expander
+// does not know is one.
 // A restart keeps jobs, records and manifest holes. It resets leases,
 // attempt counts, backoff gates, the requeue, retry and duplicate
 // counters, and the ETA: points in flight run again, and a poison point

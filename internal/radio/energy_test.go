@@ -24,14 +24,14 @@ type bern struct {
 func (b *bern) Name() string { return "bern" }
 func (b *bern) Begin(n int, _ graph.NodeID, r *rng.RNG) {
 	b.r = r
-	b.set.Reset(n)
+	b.set.Reset()
 	b.informed = b.informed[:0]
 }
 func (b *bern) BeginRound(round int) {
 	b.set.BeginRound()
-	b.set.DrawList(b.r, b.informed, b.q, round)
+	b.set.DrawList(b.r, b.informed, b.q)
 }
-func (b *bern) ShouldTransmit(round int, v graph.NodeID) bool { return b.set.Contains(v, round) }
+func (b *bern) ShouldTransmit(round int, v graph.NodeID) bool { return b.set.Contains(v) }
 func (b *bern) AppendTransmitters(_ int, _ []graph.NodeID, dst []graph.NodeID) []graph.NodeID {
 	return b.set.AppendTo(dst)
 }

@@ -30,7 +30,10 @@
 // protocols without it (Decay and test protocols). For a BatchBroadcaster,
 // ShouldTransmit stays the paper-literal oracle: asked for every informed
 // node, it reports the AppendTransmitters list (the shared-draw contract,
-// see BatchBroadcaster), which a per-round oracle test pins.
+// see BatchBroadcaster), which a per-round oracle test pins. The protocols
+// draw that list through TxSet, which keeps nothing but the list: its
+// membership answer is a scan of it, a cost the engine never pays because
+// it never asks ShouldTransmit of a BatchBroadcaster.
 //
 // # The sparse round engine
 //

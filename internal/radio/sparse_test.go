@@ -31,14 +31,14 @@ type sbern struct {
 func (b *sbern) Name() string { return "sbern" }
 func (b *sbern) Begin(n int, _ graph.NodeID, r *rng.RNG) {
 	b.r = r
-	b.set.Reset(n)
+	b.set.Reset()
 	b.informed = b.informed[:0]
 }
 func (b *sbern) BeginRound(round int) {
 	b.set.BeginRound()
-	b.set.DrawListStream(b.r, b.informed, b.q, round)
+	b.set.DrawListStream(b.r, b.informed, b.q)
 }
-func (b *sbern) ShouldTransmit(round int, v graph.NodeID) bool { return b.set.Contains(v, round) }
+func (b *sbern) ShouldTransmit(round int, v graph.NodeID) bool { return b.set.Contains(v) }
 func (b *sbern) AppendTransmitters(_ int, _ []graph.NodeID, dst []graph.NodeID) []graph.NodeID {
 	return b.set.AppendTo(dst)
 }
@@ -299,13 +299,13 @@ func TestStreamSilentRoundsMatchRoundByRound(t *testing.T) {
 
 		// Path A: execute 400 rounds one by one.
 		var a TxSet
-		a.Reset(len(list))
+		a.Reset()
 		ra := rng.New(seed)
 		type sel struct{ round, node int }
 		var selsA []sel
 		for round := 1; round <= 400; round++ {
 			a.BeginRound()
-			a.DrawListStream(ra, list, q, round)
+			a.DrawListStream(ra, list, q)
 			for _, v := range a.Pending() {
 				selsA = append(selsA, sel{round, int(v)})
 			}
@@ -313,7 +313,7 @@ func TestStreamSilentRoundsMatchRoundByRound(t *testing.T) {
 
 		// Path B: skip silent spans, draw only rounds with selections.
 		var b TxSet
-		b.Reset(len(list))
+		b.Reset()
 		rb := rng.New(seed)
 		var selsB []sel
 		round := 1
@@ -324,7 +324,7 @@ func TestStreamSilentRoundsMatchRoundByRound(t *testing.T) {
 				break
 			}
 			b.BeginRound()
-			b.DrawListStream(rb, list, q, round)
+			b.DrawListStream(rb, list, q)
 			if len(b.Pending()) == 0 {
 				t.Fatalf("seed %d: round %d was predicted non-silent but drew nothing", seed, round)
 			}

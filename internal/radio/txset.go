@@ -1,19 +1,20 @@
 package radio
 
 import (
+	"slices"
+
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
 
 // TxSet is the shared-draw building block behind every Bernoulli-phase
-// protocol: the current round's transmitter set, drawn exactly once in
-// BeginRound. A broadcast protocol reads it on both decision paths —
-// ShouldTransmit answers membership, AppendTransmitters copies the set —
-// and a gossip protocol only copies it. Centralising it keeps the
-// batch/scalar equivalence contract in one place instead of six protocols.
+// protocol: the current round's transmitter list, drawn exactly once in
+// BeginRound. The engine reads only that list (AppendTransmitters copies
+// it); ShouldTransmit, the paper-literal per-node oracle, scans it.
+// Centralising it keeps the batch/scalar equivalence contract in one place
+// instead of six protocols.
 type TxSet struct {
 	pending []graph.NodeID
-	txRound []int // txRound[v] == r iff v transmits in round r
 
 	// Cross-round stream state (the stream-draw contract, see
 	// DrawListStream): gap is the number of candidate positions left to
@@ -26,45 +27,30 @@ type TxSet struct {
 	streamOK bool
 }
 
-// Reset readies the set for a fresh run on an n-node network, reusing the
-// sentinel array when its capacity suffices (the allocation-free trial-loop
-// contract). Clearing restores the "round 0" sentinel, which no live round
-// ever uses (rounds are 1-based), so stale membership cannot leak across
-// runs.
-func (s *TxSet) Reset(n int) {
+// Reset readies the set for a fresh run: it empties the list, keeping its
+// capacity (the allocation-free trial-loop contract), and drops the carried
+// stream gap.
+func (s *TxSet) Reset() {
 	s.pending = s.pending[:0]
 	s.streamOK = false
-	if cap(s.txRound) < n {
-		s.txRound = make([]int, n)
-		return
-	}
-	s.txRound = s.txRound[:n]
-	clear(s.txRound)
 }
 
-// BeginRound clears the pending set for a new round.
+// BeginRound clears the list for a new round.
 func (s *TxSet) BeginRound() { s.pending = s.pending[:0] }
 
-// Add puts v into the given round's transmitter set.
-func (s *TxSet) Add(v graph.NodeID, round int) {
-	s.pending = append(s.pending, v)
-	s.txRound[v] = round
-}
+// Add puts v into the round's list.
+func (s *TxSet) Add(v graph.NodeID) { s.pending = append(s.pending, v) }
 
-// AddAll puts every node of list into the round's set (the flood phases).
-func (s *TxSet) AddAll(list []graph.NodeID, round int) {
-	for _, v := range list {
-		s.Add(v, round)
-	}
-}
+// AddAll puts every node of list into the round's list (the flood phases).
+func (s *TxSet) AddAll(list []graph.NodeID) { s.pending = append(s.pending, list...) }
 
 // DrawList skip-samples the candidate list with per-node probability p into
-// the round's set: one Geometric draw per selected node plus one overshoot,
+// the round's list: one Geometric draw per selected node plus one overshoot,
 // instead of one Bernoulli per candidate.
-func (s *TxSet) DrawList(r *rng.RNG, list []graph.NodeID, p float64, round int) {
+func (s *TxSet) DrawList(r *rng.RNG, list []graph.NodeID, p float64) {
 	it := r.SkipSample(len(list), p)
 	for i, ok := it.Next(); ok; i, ok = it.Next() {
-		s.Add(list[i], round)
+		s.Add(list[i])
 	}
 }
 
@@ -89,8 +75,8 @@ func (s *TxSet) ensureStream(r *rng.RNG, q float64) {
 // which only FixedProb still does (StreamSilentRounds). Per-round
 // marginals are unchanged: every candidate is still selected independently
 // with probability q.
-func (s *TxSet) DrawListStream(r *rng.RNG, list []graph.NodeID, q float64, round int) {
-	s.drawStream(r, list, q, round, false)
+func (s *TxSet) DrawListStream(r *rng.RNG, list []graph.NodeID, q float64) {
+	s.drawStream(r, list, q, false)
 }
 
 // RetireListStream is DrawListStream for candidates that retire on
@@ -98,19 +84,19 @@ func (s *TxSet) DrawListStream(r *rng.RNG, list []graph.NodeID, q float64, round
 // the same randomness, removes the selected candidates from list in place,
 // and returns the survivors in their original order. Only the segments
 // between selected positions are copied, so a silent round costs O(1).
-func (s *TxSet) RetireListStream(r *rng.RNG, list []graph.NodeID, q float64, round int) []graph.NodeID {
-	return s.drawStream(r, list, q, round, true)
+func (s *TxSet) RetireListStream(r *rng.RNG, list []graph.NodeID, q float64) []graph.NodeID {
+	return s.drawStream(r, list, q, true)
 }
 
 // drawStream is the one stream loop behind DrawListStream and
 // RetireListStream; with retire set it compacts the unselected candidates
 // to the front of list and returns them, otherwise it returns list as is.
-func (s *TxSet) drawStream(r *rng.RNG, list []graph.NodeID, q float64, round int, retire bool) []graph.NodeID {
+func (s *TxSet) drawStream(r *rng.RNG, list []graph.NodeID, q float64, retire bool) []graph.NodeID {
 	k := len(list)
 	if q >= 1 {
 		// Degenerate flood round: everyone transmits, no randomness, and the
 		// carried gap (if any) is untouched.
-		s.AddAll(list, round)
+		s.AddAll(list)
 		if retire {
 			return list[:0]
 		}
@@ -129,7 +115,7 @@ func (s *TxSet) drawStream(r *rng.RNG, list []graph.NodeID, q float64, round int
 			}
 			keep += sel - pos
 		}
-		s.Add(list[sel], round)
+		s.Add(list[sel])
 		pos = sel + 1
 		s.gap = r.Geometric(q)
 	}
@@ -142,10 +128,10 @@ func (s *TxSet) drawStream(r *rng.RNG, list []graph.NodeID, q float64, round int
 
 // DrawRangeStream is DrawListStream over the id range [0, n) — the gossip
 // case, where every node is a candidate.
-func (s *TxSet) DrawRangeStream(r *rng.RNG, n int, q float64, round int) {
+func (s *TxSet) DrawRangeStream(r *rng.RNG, n int, q float64) {
 	if q >= 1 {
 		for v := 0; v < n; v++ {
-			s.Add(graph.NodeID(v), round)
+			s.Add(graph.NodeID(v))
 		}
 		return
 	}
@@ -156,7 +142,7 @@ func (s *TxSet) DrawRangeStream(r *rng.RNG, n int, q float64, round int) {
 	pos := 0
 	for pos+s.gap < n {
 		pos += s.gap
-		s.Add(graph.NodeID(pos), round)
+		s.Add(graph.NodeID(pos))
 		pos++
 		s.gap = r.Geometric(q)
 	}
@@ -189,45 +175,57 @@ func (s *TxSet) StreamSilentRounds(r *rng.RNG, k int, q float64, max int) int {
 	return m
 }
 
-// Contains reports whether v is in the given round's set (the scalar
-// ShouldTransmit body).
-func (s *TxSet) Contains(v graph.NodeID, round int) bool { return s.txRound[v] == round }
+// Contains reports whether v is in the round's list, the ShouldTransmit
+// body: a scan of the list, O(|list|) per call. The engine never asks
+// ShouldTransmit of a BatchBroadcaster, and every TxSet protocol is one, so
+// only the shared-draw oracle test and callers that forward the scalar
+// decision by hand reach it.
+func (s *TxSet) Contains(v graph.NodeID) bool { return slices.Contains(s.pending, v) }
 
-// AppendTo appends the round's set to dst (the AppendTransmitters body).
+// AppendTo appends the round's list to dst (the AppendTransmitters body).
 func (s *TxSet) AppendTo(dst []graph.NodeID) []graph.NodeID { return append(dst, s.pending...) }
 
-// Pending returns this round's selected set in selection order (aliases
+// Pending returns this round's selected list in selection order (aliases
 // internal storage; valid until the next BeginRound).
 func (s *TxSet) Pending() []graph.NodeID { return s.pending }
 
 // WindowQueue is the activity-window queue shared by the window-based
-// protocols (GeneralBroadcast, FixedProb): nodes enter in informing order,
-// and because informing times are non-decreasing along that order, window
-// expiry always pops from the head.
+// protocols (GeneralBroadcast, FixedProb): nodes enter in informing order
+// with their informing round beside them, and because informing rounds are
+// non-decreasing along that order, window expiry always pops from the
+// head. The queue is the protocols' only record of who is informed and
+// when.
 type WindowQueue struct {
-	active []graph.NodeID
-	head   int
+	nodes []graph.NodeID
+	at    []int // at[i] is the round nodes[i] was informed in
+	head  int
 }
 
-// Reset empties the queue for a fresh run.
+// Reset empties the queue for a fresh run, keeping its capacity.
 func (q *WindowQueue) Reset() {
-	q.active = q.active[:0]
+	q.nodes = q.nodes[:0]
+	q.at = q.at[:0]
 	q.head = 0
 }
 
-// Push appends a newly informed node.
-func (q *WindowQueue) Push(v graph.NodeID) { q.active = append(q.active, v) }
-
-// Expire pops every node whose activity window [informedAt+1,
-// informedAt+window] has passed as of round, returning how many retired.
-func (q *WindowQueue) Expire(informedAt []int, window, round int) int {
-	n := 0
-	for q.head < len(q.active) && informedAt[q.active[q.head]]+window < round {
-		q.head++
-		n++
-	}
-	return n
+// Push appends v, informed in round; rounds must not decrease from one
+// Push to the next.
+func (q *WindowQueue) Push(v graph.NodeID, round int) {
+	q.nodes = append(q.nodes, v)
+	q.at = append(q.at, round)
 }
 
+// Expire pops every node whose activity window [at+1, at+window] has
+// passed as of round.
+func (q *WindowQueue) Expire(window, round int) {
+	for q.head < len(q.nodes) && q.at[q.head]+window < round {
+		q.head++
+	}
+}
+
+// HeadRound returns the informing round of the oldest live node, the next
+// to expire. Valid only while Live is non-empty.
+func (q *WindowQueue) HeadRound() int { return q.at[q.head] }
+
 // Live returns the not-yet-expired nodes in informing order.
-func (q *WindowQueue) Live() []graph.NodeID { return q.active[q.head:] }
+func (q *WindowQueue) Live() []graph.NodeID { return q.nodes[q.head:] }

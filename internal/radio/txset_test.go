@@ -11,39 +11,102 @@ import (
 )
 
 // TestTxSetResetReusesBuffer pins the allocation-free trial-loop contract:
-// once a TxSet has been sized, Reset must not allocate again for the same
-// (or any smaller) network.
+// Reset keeps the list's capacity, so refilling it to its earlier size,
+// whole or node by node, allocates nothing.
 func TestTxSetResetReusesBuffer(t *testing.T) {
-	var s TxSet
-	s.Reset(256)
-	if allocs := testing.AllocsPerRun(100, func() { s.Reset(256) }); allocs != 0 {
-		t.Fatalf("Reset(256) allocates %v per run after warm-up, want 0", allocs)
+	list := make([]graph.NodeID, 256)
+	for i := range list {
+		list[i] = graph.NodeID(i)
 	}
-	// Shrinking and re-growing within the original capacity must reuse too.
-	if allocs := testing.AllocsPerRun(100, func() { s.Reset(64); s.Reset(256) }); allocs != 0 {
-		t.Fatalf("Reset(64)+Reset(256) allocates %v per run, want 0", allocs)
+	var s TxSet
+	s.AddAll(list)
+	if allocs := testing.AllocsPerRun(100, func() { s.Reset(); s.AddAll(list) }); allocs != 0 {
+		t.Fatalf("Reset+AddAll(256) allocates %v per run after warm-up, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		s.Reset()
+		for _, v := range list {
+			s.Add(v)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Reset+256×Add allocates %v per run after warm-up, want 0", allocs)
 	}
 }
 
-// TestTxSetResetClearsSentinels pins the correctness half of the reuse: a
-// round sentinel written before Reset must not make Contains report a stale
-// membership afterwards.
-func TestTxSetResetClearsSentinels(t *testing.T) {
+// TestTxSetNoMembersAfterResetOrBeginRound pins that membership is the
+// current round's list only: once Reset or BeginRound has run, no node of
+// an earlier round is a member, and a later Add makes exactly its node one.
+func TestTxSetNoMembersAfterResetOrBeginRound(t *testing.T) {
+	const n = 16
 	var s TxSet
-	s.Reset(16)
-	s.BeginRound()
-	s.Add(graph.NodeID(5), 9)
-	if !s.Contains(5, 9) {
-		t.Fatal("Add(5, round 9) not visible to Contains")
+	for _, c := range []struct {
+		name  string
+		empty func()
+	}{{"Reset", s.Reset}, {"BeginRound", s.BeginRound}} {
+		s.BeginRound()
+		s.AddAll([]graph.NodeID{5, 0, 9})
+		for _, v := range []graph.NodeID{5, 0, 9} {
+			if !s.Contains(v) {
+				t.Fatalf("%s: added node %d not a member", c.name, v)
+			}
+		}
+		c.empty()
+		for v := range n {
+			if s.Contains(graph.NodeID(v)) {
+				t.Fatalf("%s: node %d still a member", c.name, v)
+			}
+		}
+		s.Add(3)
+		for v := range n {
+			if got := s.Contains(graph.NodeID(v)); got != (v == 3) {
+				t.Fatalf("%s then Add(3): Contains(%d) = %v", c.name, v, got)
+			}
+		}
 	}
-	s.Reset(16)
-	if s.Contains(5, 9) {
-		t.Fatal("stale round sentinel survived Reset: node 5 still in round 9's set")
-	}
-	// The cleared array must behave exactly like a fresh one for round 1.
-	s.BeginRound()
-	if s.Contains(5, 1) || s.Contains(0, 1) {
-		t.Fatal("fresh round reports phantom members after Reset")
+}
+
+// TestWindowQueueMatchesPerNodeRounds checks the queue, which keeps each
+// node's informing round beside it, against the construction it replaces:
+// a per-node informedAt array read by a head-pop loop. Pushes at random
+// non-decreasing rounds are interleaved with Expire at random windows and
+// rounds; after every step both must hold the same live nodes in the same
+// order, and the queue's head round must be the head node's informedAt.
+func TestWindowQueueMatchesPerNodeRounds(t *testing.T) {
+	const n = 500
+	r := rng.New(17)
+	var q WindowQueue
+	for run := 0; run < 20; run++ {
+		q.Reset()
+		informedAt := make([]int, n)
+		var active []graph.NodeID
+		head := 0
+		perm := r.Perm(n)
+		pushed, round := 0, 0
+		for step := 0; step < 2*n; step++ {
+			if pushed < n && r.Intn(2) == 0 {
+				round += r.Intn(3)
+				v := graph.NodeID(perm[pushed])
+				pushed++
+				q.Push(v, round)
+				informedAt[v] = round
+				active = append(active, v)
+			} else {
+				round += r.Intn(3)
+				window := 1 + r.Intn(8)
+				q.Expire(window, round)
+				for head < len(active) && informedAt[active[head]]+window < round {
+					head++
+				}
+			}
+			if live, want := q.Live(), active[head:]; !slices.Equal(live, want) {
+				t.Fatalf("run %d step %d: live %v, reference %v", run, step, live, want)
+			}
+			if head < len(active) {
+				if got, want := q.HeadRound(), informedAt[active[head]]; got != want {
+					t.Fatalf("run %d step %d: head round %d, reference %d", run, step, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -77,8 +140,6 @@ func TestRetireListStreamMatchesStatusFilter(t *testing.T) {
 					list[i] = graph.NodeID((7*i + 3) % n) // distinct, not sorted
 				}
 				var got, want TxSet
-				got.Reset(n)
-				want.Reset(n)
 				gotList, wantList := slices.Clone(list), slices.Clone(list)
 				gotR, wantR := rng.New(uint64(k)+11), rng.New(uint64(k)+11)
 				passive := make([]bool, n)
@@ -92,10 +153,10 @@ func TestRetireListStreamMatchesStatusFilter(t *testing.T) {
 						round += gs
 					}
 					got.BeginRound()
-					gotList = got.RetireListStream(gotR, gotList, q, round)
+					gotList = got.RetireListStream(gotR, gotList, q)
 
 					want.BeginRound()
-					want.DrawListStream(wantR, wantList, q, round)
+					want.DrawListStream(wantR, wantList, q)
 					if sel := want.Pending(); len(sel) > 0 {
 						for _, v := range sel {
 							passive[v] = true
@@ -116,7 +177,7 @@ func TestRetireListStreamMatchesStatusFilter(t *testing.T) {
 						t.Fatalf("round %d: survivors %v, reference %v", round, gotList, wantList)
 					}
 					for _, v := range got.Pending() {
-						if !got.Contains(v, round) {
+						if !got.Contains(v) {
 							t.Fatalf("round %d: selected %d not a member", round, v)
 						}
 					}
@@ -128,8 +189,8 @@ func TestRetireListStreamMatchesStatusFilter(t *testing.T) {
 				}
 				got.BeginRound()
 				want.BeginRound()
-				got.DrawListStream(gotR, fresh, q, 1000)
-				want.DrawListStream(wantR, fresh, q, 1000)
+				got.DrawListStream(gotR, fresh, q)
+				want.DrawListStream(wantR, fresh, q)
 				if !slices.Equal(got.Pending(), want.Pending()) {
 					t.Fatalf("next draw %v, reference %v", got.Pending(), want.Pending())
 				}
@@ -152,17 +213,14 @@ func TestRetireListStreamAllocFree(t *testing.T) {
 	}
 	list := slices.Clone(master)
 	var s TxSet
-	s.Reset(n)
 	r := rng.New(5)
 	s.BeginRound()
-	s.RetireListStream(r, list, 1, 1) // grow the pending set to n
-	round := 1
+	s.RetireListStream(r, list, 1) // grow the pending set to n
 	allocs := testing.AllocsPerRun(100, func() {
-		round++
 		list = list[:n]
 		copy(list, master)
 		s.BeginRound()
-		list = s.RetireListStream(r, list, 0.3, round)
+		list = s.RetireListStream(r, list, 0.3)
 	})
 	if allocs != 0 {
 		t.Fatalf("RetireListStream allocates %v per round on a warmed list, want 0", allocs)

@@ -125,9 +125,6 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 	return hi
 }
 
-// Bool returns a fair coin flip.
-func (r *RNG) Bool() bool { return r.Uint64()&1 == 1 }
-
 // Bernoulli returns true with probability p (clamped to [0,1]).
 func (r *RNG) Bernoulli(p float64) bool {
 	if p <= 0 {

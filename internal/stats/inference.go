@@ -1,10 +1,6 @@
 package stats
 
-import (
-	"math"
-
-	"repro/internal/rng"
-)
+import "repro/internal/rng"
 
 // PermutationTest estimates the one-sided p-value for the hypothesis
 // mean(xs) < mean(ys) by randomly re-assigning the pooled samples `iters`
@@ -69,58 +65,4 @@ func BootstrapCI(xs []float64, confidence float64, iters int, r *rng.RNG) (lo, h
 	}
 	alpha := (1 - confidence) / 2
 	return Quantile(means, alpha), Quantile(means, 1-alpha)
-}
-
-// MannWhitneyU computes the Mann–Whitney U statistic for ys versus xs and
-// returns the normal-approximation z-score for the hypothesis that ys tends
-// to be larger. For sample sizes >= 8 the approximation is standard; use
-// PermutationTest for smaller samples. Ties receive average ranks.
-func MannWhitneyU(xs, ys []float64) (u, z float64) {
-	nx, ny := len(xs), len(ys)
-	if nx == 0 || ny == 0 {
-		panic("stats: MannWhitneyU needs non-empty samples")
-	}
-	type tagged struct {
-		v    float64
-		isY  bool
-		rank float64
-	}
-	all := make([]tagged, 0, nx+ny)
-	for _, v := range xs {
-		all = append(all, tagged{v: v})
-	}
-	for _, v := range ys {
-		all = append(all, tagged{v: v, isY: true})
-	}
-	// Insertion sort by value (samples are small in this codebase).
-	for i := 1; i < len(all); i++ {
-		for j := i; j > 0 && all[j].v < all[j-1].v; j-- {
-			all[j], all[j-1] = all[j-1], all[j]
-		}
-	}
-	// Average ranks over tie groups (1-based ranks).
-	for i := 0; i < len(all); {
-		j := i
-		for j < len(all) && all[j].v == all[i].v {
-			j++
-		}
-		avg := float64(i+1+j) / 2 // mean of ranks i+1..j
-		for k := i; k < j; k++ {
-			all[k].rank = avg
-		}
-		i = j
-	}
-	ry := 0.0
-	for _, t := range all {
-		if t.isY {
-			ry += t.rank
-		}
-	}
-	u = ry - float64(ny)*float64(ny+1)/2
-	mu := float64(nx) * float64(ny) / 2
-	sigma := math.Sqrt(float64(nx) * float64(ny) * float64(nx+ny+1) / 12)
-	if sigma == 0 {
-		return u, 0
-	}
-	return u, (u - mu) / sigma
 }

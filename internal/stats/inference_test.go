@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/rng"
@@ -107,60 +106,5 @@ func TestBootstrapCIPanics(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestMannWhitneyUShift(t *testing.T) {
-	r := rng.New(10)
-	xs := make([]float64, 40)
-	ys := make([]float64, 40)
-	for i := range xs {
-		xs[i] = r.Normal()
-		ys[i] = r.Normal() + 1.5
-	}
-	_, z := MannWhitneyU(xs, ys)
-	if z < 3 {
-		t.Fatalf("shifted samples z=%v, want strongly positive", z)
-	}
-	_, zRev := MannWhitneyU(ys, xs)
-	if zRev > -3 {
-		t.Fatalf("reverse comparison z=%v, want strongly negative", zRev)
-	}
-}
-
-func TestMannWhitneyUNull(t *testing.T) {
-	r := rng.New(11)
-	xs := make([]float64, 50)
-	ys := make([]float64, 50)
-	for i := range xs {
-		xs[i] = r.Normal()
-		ys[i] = r.Normal()
-	}
-	_, z := MannWhitneyU(xs, ys)
-	if math.Abs(z) > 3 {
-		t.Fatalf("null z=%v implausibly large", z)
-	}
-}
-
-func TestMannWhitneyUTies(t *testing.T) {
-	// All equal: U should equal its mean, z = 0.
-	xs := []float64{5, 5, 5}
-	ys := []float64{5, 5, 5}
-	u, z := MannWhitneyU(xs, ys)
-	if u != 4.5 || z != 0 {
-		t.Fatalf("all-ties u=%v z=%v, want 4.5, 0", u, z)
-	}
-}
-
-func TestMannWhitneyUKnown(t *testing.T) {
-	// ys all above xs: U = nx*ny (maximal).
-	xs := []float64{1, 2}
-	ys := []float64{3, 4, 5}
-	u, z := MannWhitneyU(xs, ys)
-	if u != 6 {
-		t.Fatalf("u=%v, want 6", u)
-	}
-	if z <= 0 {
-		t.Fatalf("z=%v, want positive", z)
 	}
 }

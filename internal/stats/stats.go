@@ -1,14 +1,13 @@
-// Package stats provides the summary statistics, fits, and goodness-of-fit
-// helpers used by the experiment harness.
-//
-// The experiments in this repository validate asymptotic *shapes* (rounds
-// growing like log n, transmissions like log² n / λ, ...), so alongside the
-// usual mean/variance/quantile machinery the package offers least-squares
-// fits against arbitrary predictor transforms and log-log slope estimation.
+// Package stats provides the summary statistics and tests the experiment
+// harness and the command-line tools report: moments and quantiles
+// (Summarize, Quantile, Mean), a normal-approximation confidence interval
+// (MeanCI) and a one-sided permutation test (PermutationTest). FitLinear
+// and BootstrapCI are kept for the planned tests that check the paper's
+// asymptotic claims (rounds growing like log n, transmissions like
+// log² n / λ, ...) against fitted slopes and resampled intervals.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -54,12 +53,6 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// String renders the summary compactly for experiment logs.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g sd=%.3g min=%.4g med=%.4g max=%.4g",
-		s.N, s.Mean, s.StdDev, s.Min, s.Median, s.Max)
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics. It does not mutate xs.
 // It panics on an empty sample or q outside [0,1].
@@ -98,26 +91,6 @@ func MeanCI(xs []float64, z float64) (mean, halfWidth float64) {
 
 // Mean returns the arithmetic mean. It panics on an empty sample.
 func Mean(xs []float64) float64 { return Summarize(xs).Mean }
-
-// MaxInt returns the maximum of an integer sample (0 on empty).
-func MaxInt(xs []int) int {
-	m := 0
-	for i, x := range xs {
-		if i == 0 || x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Floats converts an int sample to float64 for the statistics helpers.
-func Floats(xs []int) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
-	}
-	return out
-}
 
 // LinearFit holds the result of a simple least-squares regression
 // y ≈ Slope·x + Intercept.
@@ -162,185 +135,4 @@ func FitLinear(xs, ys []float64) LinearFit {
 		fit.R2 = (sxy * sxy) / (sxx * syy)
 	}
 	return fit
-}
-
-// FitPowerLaw fits y ≈ C·x^k by regressing log y on log x and returns
-// (k, C, R² in log space). All inputs must be strictly positive.
-func FitPowerLaw(xs, ys []float64) (exponent, coeff, r2 float64) {
-	lx := make([]float64, len(xs))
-	ly := make([]float64, len(ys))
-	for i := range xs {
-		if xs[i] <= 0 || ys[i] <= 0 {
-			panic("stats: FitPowerLaw needs positive data")
-		}
-		lx[i] = math.Log(xs[i])
-		ly[i] = math.Log(ys[i])
-	}
-	f := FitLinear(lx, ly)
-	return f.Slope, math.Exp(f.Intercept), f.R2
-}
-
-// Ratio returns element-wise ys[i]/xs[i]; used to check that a measured
-// quantity tracks a predicted scaling (the ratios should be near-constant).
-func Ratio(ys, xs []float64) []float64 {
-	if len(xs) != len(ys) {
-		panic("stats: Ratio length mismatch")
-	}
-	out := make([]float64, len(xs))
-	for i := range xs {
-		out[i] = ys[i] / xs[i]
-	}
-	return out
-}
-
-// RelSpread returns (max-min)/mean of xs — a scale-free measure of how
-// constant a sequence of ratios is. Panics on empty input or zero mean.
-func RelSpread(xs []float64) float64 {
-	s := Summarize(xs)
-	if s.Mean == 0 {
-		panic("stats: RelSpread with zero mean")
-	}
-	return (s.Max - s.Min) / math.Abs(s.Mean)
-}
-
-// Histogram bins values into k equal-width buckets over [min, max].
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-	Width    float64
-}
-
-// NewHistogram builds a histogram of xs with k bins. Values exactly at Max
-// fall in the last bin. Panics if k <= 0 or xs is empty.
-func NewHistogram(xs []float64, k int) *Histogram {
-	if k <= 0 {
-		panic("stats: histogram needs k > 0")
-	}
-	s := Summarize(xs)
-	h := &Histogram{Min: s.Min, Max: s.Max, Counts: make([]int, k)}
-	if s.Max == s.Min {
-		h.Width = 1
-		h.Counts[0] = len(xs)
-		return h
-	}
-	h.Width = (s.Max - s.Min) / float64(k)
-	for _, x := range xs {
-		b := int((x - s.Min) / h.Width)
-		if b >= k {
-			b = k - 1
-		}
-		h.Counts[b]++
-	}
-	return h
-}
-
-// ChiSquareUniform returns the chi-square statistic of observed counts
-// against a uniform expectation. Degrees of freedom = len(counts)-1.
-func ChiSquareUniform(counts []int) float64 {
-	if len(counts) == 0 {
-		panic("stats: ChiSquareUniform of empty counts")
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	want := float64(total) / float64(len(counts))
-	if want == 0 {
-		return 0
-	}
-	chi := 0.0
-	for _, c := range counts {
-		d := float64(c) - want
-		chi += d * d / want
-	}
-	return chi
-}
-
-// ChiSquare returns the chi-square statistic of observed counts against the
-// expected probabilities (which must sum to ~1). Bins with expected count
-// below 1e-12 are skipped to avoid division blow-ups.
-func ChiSquare(counts []int, probs []float64) float64 {
-	if len(counts) != len(probs) {
-		panic("stats: ChiSquare length mismatch")
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	chi := 0.0
-	for i, c := range counts {
-		want := probs[i] * float64(total)
-		if want < 1e-12 {
-			continue
-		}
-		d := float64(c) - want
-		chi += d * d / want
-	}
-	return chi
-}
-
-// SuccessRate returns the fraction of true values and a Wilson-score
-// half-width at z (robust near 0 and 1, unlike the normal approximation).
-func SuccessRate(outcomes []bool, z float64) (rate, halfWidth float64) {
-	if len(outcomes) == 0 {
-		panic("stats: SuccessRate of empty sample")
-	}
-	n := float64(len(outcomes))
-	k := 0.0
-	for _, b := range outcomes {
-		if b {
-			k++
-		}
-	}
-	p := k / n
-	z2 := z * z
-	den := 1 + z2/n
-	center := (p + z2/(2*n)) / den
-	half := z * math.Sqrt(p*(1-p)/n+z2/(4*n*n)) / den
-	_ = center
-	return p, half
-}
-
-// GeomMean returns the geometric mean of a strictly positive sample.
-func GeomMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: GeomMean of empty sample")
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			panic("stats: GeomMean needs positive data")
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
-// Log2 is a convenience base-2 logarithm used across experiment code.
-func Log2(x float64) float64 { return math.Log2(x) }
-
-// CeilLog2 returns ceil(log2(n)) for n >= 1 (0 for n == 1).
-func CeilLog2(n int) int {
-	if n < 1 {
-		panic("stats: CeilLog2 needs n >= 1")
-	}
-	k, v := 0, 1
-	for v < n {
-		v <<= 1
-		k++
-	}
-	return k
-}
-
-// FloorLog2 returns floor(log2(n)) for n >= 1.
-func FloorLog2(n int) int {
-	if n < 1 {
-		panic("stats: FloorLog2 needs n >= 1")
-	}
-	k := -1
-	for n > 0 {
-		n >>= 1
-		k++
-	}
-	return k
 }

@@ -128,136 +128,3 @@ func TestFitLinearPanics(t *testing.T) {
 		}()
 	}
 }
-
-func TestFitPowerLaw(t *testing.T) {
-	xs := []float64{1, 2, 4, 8, 16}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = 5 * math.Pow(x, 1.5)
-	}
-	k, c, r2 := FitPowerLaw(xs, ys)
-	if !almostEq(k, 1.5, 1e-9) || !almostEq(c, 5, 1e-9) || !almostEq(r2, 1, 1e-9) {
-		t.Fatalf("power fit k=%v c=%v r2=%v", k, c, r2)
-	}
-}
-
-func TestRatioAndRelSpread(t *testing.T) {
-	r := Ratio([]float64{2, 4, 6}, []float64{1, 2, 3})
-	for _, v := range r {
-		if v != 2 {
-			t.Fatalf("ratio %v", r)
-		}
-	}
-	if got := RelSpread(r); got != 0 {
-		t.Fatalf("RelSpread of constant = %v", got)
-	}
-	if got := RelSpread([]float64{1, 3}); !almostEq(got, 1, 1e-12) {
-		t.Fatalf("RelSpread([1,3]) = %v, want 1", got)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{0, 0.1, 0.5, 0.9, 1.0}, 2)
-	if h.Counts[0] != 2 || h.Counts[1] != 3 {
-		t.Fatalf("histogram counts %v", h.Counts)
-	}
-	hc := NewHistogram([]float64{5, 5, 5}, 3)
-	if hc.Counts[0] != 3 {
-		t.Fatalf("constant histogram %v", hc.Counts)
-	}
-}
-
-func TestChiSquareUniform(t *testing.T) {
-	if got := ChiSquareUniform([]int{10, 10, 10}); got != 0 {
-		t.Fatalf("uniform chi-square %v", got)
-	}
-	if got := ChiSquareUniform([]int{0, 30}); !almostEq(got, 30, 1e-12) {
-		t.Fatalf("skewed chi-square %v, want 30", got)
-	}
-}
-
-func TestChiSquareAgainstPMF(t *testing.T) {
-	// Sampling from a known pmf should give small chi-square for 3 dof.
-	r := rng.New(3)
-	probs := []float64{0.5, 0.25, 0.125, 0.125}
-	counts := make([]int, 4)
-	const n = 100000
-	for i := 0; i < n; i++ {
-		u := r.Float64()
-		switch {
-		case u < 0.5:
-			counts[0]++
-		case u < 0.75:
-			counts[1]++
-		case u < 0.875:
-			counts[2]++
-		default:
-			counts[3]++
-		}
-	}
-	if chi := ChiSquare(counts, probs); chi > 16.27 { // p=0.001 at 3 dof
-		t.Fatalf("chi-square %v too large", chi)
-	}
-}
-
-func TestSuccessRate(t *testing.T) {
-	rate, hw := SuccessRate([]bool{true, true, false, false}, 1.96)
-	if rate != 0.5 {
-		t.Fatalf("rate %v", rate)
-	}
-	if hw <= 0 || hw >= 1 {
-		t.Fatalf("half-width %v", hw)
-	}
-	rate1, _ := SuccessRate([]bool{true}, 1.96)
-	if rate1 != 1 {
-		t.Fatalf("rate of all-true %v", rate1)
-	}
-}
-
-func TestGeomMean(t *testing.T) {
-	if got := GeomMean([]float64{1, 4}); !almostEq(got, 2, 1e-12) {
-		t.Fatalf("GeomMean %v", got)
-	}
-}
-
-func TestLogHelpers(t *testing.T) {
-	cases := []struct{ n, ceil, floor int }{
-		{1, 0, 0}, {2, 1, 1}, {3, 2, 1}, {4, 2, 2}, {5, 3, 2}, {1024, 10, 10}, {1025, 11, 10},
-	}
-	for _, c := range cases {
-		if got := CeilLog2(c.n); got != c.ceil {
-			t.Fatalf("CeilLog2(%d) = %d, want %d", c.n, got, c.ceil)
-		}
-		if got := FloorLog2(c.n); got != c.floor {
-			t.Fatalf("FloorLog2(%d) = %d, want %d", c.n, got, c.floor)
-		}
-	}
-}
-
-func TestLogHelpersProperty(t *testing.T) {
-	f := func(raw uint16) bool {
-		n := int(raw)%100000 + 1
-		c, fl := CeilLog2(n), FloorLog2(n)
-		return (1<<uint(c)) >= n && (c == 0 || (1<<uint(c-1)) < n) &&
-			(1<<uint(fl)) <= n && (1<<uint(fl+1)) > n
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFloatsAndMaxInt(t *testing.T) {
-	fs := Floats([]int{1, 2, 3})
-	if len(fs) != 3 || fs[2] != 3 {
-		t.Fatalf("Floats %v", fs)
-	}
-	if MaxInt([]int{3, 1, 2}) != 3 {
-		t.Fatal("MaxInt wrong")
-	}
-	if MaxInt(nil) != 0 {
-		t.Fatal("MaxInt(nil) != 0")
-	}
-	if MaxInt([]int{-5, -2}) != -2 {
-		t.Fatal("MaxInt negative wrong")
-	}
-}

@@ -5,7 +5,6 @@ package trace
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 
 	"repro/internal/graph"
@@ -123,19 +122,4 @@ func (r *Recorder) InformedAt(v graph.NodeID) int {
 		}
 	}
 	return -1
-}
-
-// Summary renders one line per round: round, transmitter count, delivery
-// count, collision count.
-func (r *Recorder) Summary(w io.Writer) error {
-	for _, e := range r.Events {
-		if e.Kind != "end" {
-			continue
-		}
-		if _, err := fmt.Fprintf(w, "round %d: tx=%d rx=%d collisions=%d\n",
-			e.Round, e.Transmitters, e.Delivered, e.Collisions); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -52,22 +52,6 @@ func TestRecorderCapturesEvents(t *testing.T) {
 	}
 }
 
-func TestRecorderSummary(t *testing.T) {
-	rec := &Recorder{}
-	runTraced(t, rec)
-	var buf bytes.Buffer
-	if err := rec.Summary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("summary lines: %v", lines)
-	}
-	if !strings.Contains(lines[0], "round 1: tx=1 rx=1 collisions=0") {
-		t.Fatalf("line 0: %q", lines[0])
-	}
-}
-
 func TestJSONLStream(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewJSONL(&buf)
