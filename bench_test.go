@@ -383,14 +383,14 @@ func benchRGGRound262144(b *testing.B, repeat bool) {
 	sess.Run(g, radio.Options{MaxRounds: b.N})
 }
 
-// --- decision-phase isolation: one Bernoulli round over a fully informed
-// network, batch (geometric-skip) vs scalar (per-node membership loop).
-// Per-op is per simulated round; the batch path's cost is O(nq), the
-// scalar path's O(n·nq): ShouldTransmit scans the round's drawn list, a
-// cost only the shared-draw oracle pays, since the engine never asks
-// ShouldTransmit of a BatchBroadcaster.
+// --- decision-phase isolation: one round over a fully informed network,
+// per op. Batch is FixedProb's geometric-skip draw through
+// AppendTransmitters, O(nq). Decay is the engine's per-node loop, the path
+// it takes for a protocol without AppendTransmitters: one ShouldTransmit
+// call through the Broadcaster interface per informed node, O(n). Decay's
+// phase budget outlasts the timed rounds, so no node retires.
 
-func benchDecisionPhase(b *testing.B, n int, batch bool) {
+func benchDecisionBatch(b *testing.B, n int) {
 	q := 16.0 / float64(n) // ~16 transmitters per round
 	f := &baseline.FixedProb{Q: q}
 	f.Begin(n, 0, rng.New(1))
@@ -404,23 +404,36 @@ func benchDecisionPhase(b *testing.B, n int, batch bool) {
 	b.ResetTimer()
 	for r := 1; r <= b.N; r++ {
 		f.BeginRound(r)
+		dst = f.AppendTransmitters(r, informed, dst[:0])
+	}
+}
+
+func benchDecisionDecay(b *testing.B, n int) {
+	var proto radio.Broadcaster = baseline.NewDecay(b.N + 1)
+	proto.Begin(n, 0, rng.New(1))
+	informed := make([]graph.NodeID, n)
+	for i := range informed {
+		informed[i] = graph.NodeID(i)
+		proto.OnInformed(0, graph.NodeID(i))
+	}
+	dst := make([]graph.NodeID, 0, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for r := 1; r <= b.N; r++ {
+		proto.BeginRound(r)
 		dst = dst[:0]
-		if batch {
-			dst = f.AppendTransmitters(r, informed, dst)
-		} else {
-			for _, v := range informed {
-				if f.ShouldTransmit(r, v) {
-					dst = append(dst, v)
-				}
+		for _, v := range informed {
+			if proto.ShouldTransmit(r, v) {
+				dst = append(dst, v)
 			}
 		}
 	}
 }
 
-func BenchmarkPrimitiveDecisionBatch4096(b *testing.B)    { benchDecisionPhase(b, 4096, true) }
-func BenchmarkPrimitiveDecisionScalar4096(b *testing.B)   { benchDecisionPhase(b, 4096, false) }
-func BenchmarkPrimitiveDecisionBatch262144(b *testing.B)  { benchDecisionPhase(b, 262144, true) }
-func BenchmarkPrimitiveDecisionScalar262144(b *testing.B) { benchDecisionPhase(b, 262144, false) }
+func BenchmarkPrimitiveDecisionBatch4096(b *testing.B)   { benchDecisionBatch(b, 4096) }
+func BenchmarkPrimitiveDecisionDecay4096(b *testing.B)   { benchDecisionDecay(b, 4096) }
+func BenchmarkPrimitiveDecisionBatch262144(b *testing.B) { benchDecisionBatch(b, 262144) }
+func BenchmarkPrimitiveDecisionDecay262144(b *testing.B) { benchDecisionDecay(b, 262144) }
 
 // --- delivery-phase isolation: a fixed transmitter set pulsing every round
 // through the engine on a large G(n,p); after the first rounds everyone is
@@ -490,28 +503,34 @@ func benchDeliveryPhase(b *testing.B, parallel bool) {
 func BenchmarkPrimitiveDeliverySerial(b *testing.B)   { benchDeliveryPhase(b, false) }
 func BenchmarkPrimitiveDeliveryParallel(b *testing.B) { benchDeliveryPhase(b, true) }
 
-// --- draw-kernel isolation: one op is a pass of rng.SkipSample over 32,768
-// candidates, the geometric skipping behind every Bernoulli transmitter
-// draw and G(n,p) row, so ns/index is the cost of one rng.Geometric draw
-// plus the sampler's step. p = 4e-4 is about the alg1-gnp edge probability.
+// --- draw-kernel isolation: one op is a TxSet.DrawList pass over a
+// 32,768-node candidate list, the geometric-skip loop behind every
+// Bernoulli transmitter draw (every G(n,p) row runs the same loop), so
+// ns/index is the cost of one rng.Geometric draw plus the loop's step.
+// p = 4e-4 is about the alg1-gnp edge probability.
 
-func benchSkipSample(b *testing.B, p float64) {
+func benchDrawList(b *testing.B, p float64) {
+	list := make([]graph.NodeID, 1<<15)
+	for i := range list {
+		list[i] = graph.NodeID(i)
+	}
 	r := rng.New(1)
+	var s radio.TxSet
+	s.DrawList(r, list, 1) // size the round's list once; p = 1 draws nothing
 	selected := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := r.SkipSample(1<<15, p)
-		for _, ok := s.Next(); ok; _, ok = s.Next() {
-			selected++
-		}
+		s.BeginRound()
+		s.DrawList(r, list, p)
+		selected += len(s.Pending())
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(selected, 1)), "ns/index")
 }
 
-func BenchmarkPrimitiveSkipSampleHalf(b *testing.B)      { benchSkipSample(b, 0.5) }
-func BenchmarkPrimitiveSkipSampleSixteenth(b *testing.B) { benchSkipSample(b, 1.0/16) }
-func BenchmarkPrimitiveSkipSample4e4(b *testing.B)       { benchSkipSample(b, 4e-4) }
+func BenchmarkPrimitiveDrawListHalf(b *testing.B)      { benchDrawList(b, 0.5) }
+func BenchmarkPrimitiveDrawListSixteenth(b *testing.B) { benchDrawList(b, 1.0/16) }
+func BenchmarkPrimitiveDrawList4e4(b *testing.B)       { benchDrawList(b, 4e-4) }
 
 // --- dense-round isolation: the mid-phase regime where broadcast runs spend
 // their wall clock — ~4k transmitters × d≈100 on the n=262144 G(n,p), so

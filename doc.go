@@ -97,8 +97,9 @@
 // transmitter-side count), and a word-parallel dense kernel for every
 // round with Σ deg(tx) ≥ ⌈n/64⌉ — the word count of its resolution pass —
 // on a materialized graph and a binary-decidable channel: carry-save
-// hit accumulation into two Bitset planes, fed four transmitter rows at a
-// time so four row misses are in flight at once, and 64-receivers-at-a-time
+// hit accumulation into one {once, twice} word pair per 64 receivers (one
+// cache line per edge's mark), fed four transmitter rows at a time so four
+// row misses are in flight at once, and 64-receivers-at-a-time
 // resolution, branch-free and transmitter-side exact. A round is priced
 // only until the choice is settled: the out-degree sum stops at the first
 // partial sum past the one threshold that can still change the kernel,

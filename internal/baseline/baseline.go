@@ -83,7 +83,7 @@ func (f *FixedProb) Begin(n int, src graph.NodeID, r *rng.RNG) {
 	if !(f.Q >= 0 && f.Q <= 1) { // NaN fails too
 		panic("baseline: FixedProb needs q in [0,1]")
 	}
-	f.queue.Reset()
+	f.queue.Reset(n)
 	f.txs.Reset()
 	f.r = r
 }

@@ -101,7 +101,7 @@ func (g *GeneralBroadcast) Begin(n int, src graph.NodeID, r *rng.RNG) {
 	if g.Window < 1 {
 		panic("core: GeneralBroadcast needs Window >= 1")
 	}
-	g.queue.Reset()
+	g.queue.Reset(n)
 	g.txs.Reset()
 	g.r = r
 	// The shared selection sequence is common randomness: all nodes know it

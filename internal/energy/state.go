@@ -282,6 +282,11 @@ func (st *State) FilterAlive(list []graph.NodeID) []graph.NodeID {
 // alive node pays Listen or Sleep by status, and depletions are detected.
 // Returns the number of nodes that died at the end of this round.
 //
+// An informed transmitter is charged inline, without charge's calls: its
+// passive rate is Sleep under any duty cycle (schedules gate listeners
+// only), so its fold is Sleep times its unfolded rounds, added before Tx in
+// charge's order, and every spend stays bit-identical.
+//
 // Call exactly once per simulated round, with session rounds advancing by
 // one (the engine's round loop does): the aggregate listen/sleep totals
 // accrue one round per call.
@@ -293,11 +298,19 @@ func (st *State) EndRound(sessionRound int, transmitters, delivered []graph.Node
 	// protocol all of them, but the accounting stays consistent even for a
 	// transmitter the engine was handed outside the informed list.
 	txInf := 0
+	spent, anchor, status := st.spent, st.anchor, st.status
+	sleep, tx := st.model.Sleep, st.model.Tx
 	for _, v := range transmitters {
-		if st.status[v] == statusInformed {
+		if status[v] == statusInformed {
 			txInf++
+			if d := age - 1 - int(anchor[v]); d > 0 {
+				spent[v] += sleep * float64(d)
+			}
+			spent[v] += tx
+			anchor[v] = int32(age)
+		} else {
+			st.charge(v, age, tx)
 		}
-		st.charge(v, age, st.model.Tx)
 		if st.keyed {
 			st.fixKey(v)
 		}

@@ -91,6 +91,97 @@ func FuzzGeomRows(f *testing.F) {
 	})
 }
 
+// FuzzImplicitGNPRows builds fuzzed implicit G(n,p) instances (n ≤ 16384,
+// S1's reduced size, any p in [0, 1], any seed) and checks that:
+//   - every out-row equals gnpRowRef's geometric-skip row;
+//   - every out-row is strictly increasing and has no self-loop, and
+//     OutDegree equals its length;
+//   - MaterializeImplicit's out-rows are those rows and its in-rows their
+//     transpose, and the implicit AppendIn and InDegree agree with it.
+//
+// Inputs whose expected edge count n(n-1)p exceeds 2^22 are skipped, so
+// that one input stays fast; p = 1 still runs up to n = 2048.
+func FuzzImplicitGNPRows(f *testing.F) {
+	f.Fuzz(func(t *testing.T, n uint16, p float64, seed uint64) {
+		nn := 1 + int(n)%16384
+		if !(p >= 0 && p <= 1) {
+			t.Skip("p outside [0, 1]")
+		}
+		if float64(nn)*float64(nn-1)*p > 1<<22 {
+			t.Skip("more than 2^22 expected edges")
+		}
+		ig := NewImplicitGNP(nn, p, seed)
+		m := MaterializeImplicit(ig)
+		in := make([][]NodeID, nn)
+		var row []NodeID
+		for v := 0; v < nn; v++ {
+			u := NodeID(v)
+			want := gnpRowRef(nn, p, seed, u)
+			if row = ig.AppendOut(u, row[:0]); !equalIDs(row, want) {
+				t.Fatalf("n %d p %g seed %d: row %d is %v, reference %v", nn, p, seed, v, row, want)
+			}
+			for i, w := range row {
+				if w == u || (i > 0 && w <= row[i-1]) {
+					t.Fatalf("n %d p %g seed %d: row %d is not strictly increasing and loop-free: %v", nn, p, seed, v, row)
+				}
+				in[w] = append(in[w], u)
+			}
+			if got := ig.OutDegree(u); got != len(row) {
+				t.Fatalf("n %d p %g seed %d: OutDegree(%d) = %d, row length %d", nn, p, seed, v, got, len(row))
+			}
+			if !equalIDs(m.Out(u), row) {
+				t.Fatalf("n %d p %g seed %d: materialized row %d differs", nn, p, seed, v)
+			}
+		}
+		for v := 0; v < nn; v++ {
+			id := NodeID(v)
+			if !equalIDs(m.In(id), in[v]) {
+				t.Fatalf("n %d p %g seed %d: materialized in-row %d is %v, transpose %v", nn, p, seed, v, m.In(id), in[v])
+			}
+			if row = ig.AppendIn(id, row[:0]); !equalIDs(row, in[v]) {
+				t.Fatalf("n %d p %g seed %d: implicit in-row %d is %v, transpose %v", nn, p, seed, v, row, in[v])
+			}
+			if got := ig.InDegree(id); got != len(in[v]) {
+				t.Fatalf("n %d p %g seed %d: InDegree(%d) = %d, transpose has %d", nn, p, seed, v, got, len(in[v]))
+			}
+		}
+	})
+}
+
+// gnpRowRef is the reference out-row u of ImplicitGNP(n, p, seed), written
+// in the step form of a geometric-skip sampler over the n-1 targets
+// [0, n) \ {u}: p ≤ 0 selects nothing and p ≥ 1 everything, neither with a
+// draw; otherwise the first index is Geometric(p), and each step past a
+// selected index draws 1 + Geometric(p) more, so the draw that overshoots
+// n-1 ends the row. Index i maps to target i, or i+1 from u on.
+func gnpRowRef(n int, p float64, seed uint64, u NodeID) []NodeID {
+	r := rng.New(rng.SubSeed(seed, uint64(u)))
+	k := n - 1
+	var row []NodeID
+	target := func(i int) NodeID {
+		if NodeID(i) >= u {
+			return NodeID(i + 1)
+		}
+		return NodeID(i)
+	}
+	switch {
+	case k <= 0 || p <= 0:
+		return row
+	case p >= 1:
+		for i := 0; i < k; i++ {
+			row = append(row, target(i))
+		}
+		return row
+	}
+	next := r.Geometric(p)
+	for next < k {
+		i := next
+		next += 1 + r.Geometric(p)
+		row = append(row, target(i))
+	}
+	return row
+}
+
 // rejects reports whether spec.check panics.
 func rejects(spec GeomSpec) (bad bool) {
 	defer func() { bad = recover() != nil }()

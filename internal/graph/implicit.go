@@ -117,13 +117,18 @@ func (g *ImplicitGNP) N() int { return g.n }
 
 // AppendOut appends row u — strictly increasing, self-loop-free — to dst.
 // The row is a fresh geometric-skip pass over the n-1 possible targets,
-// seeded by SubSeed(seed, u), so repeated calls append identical sequences
-// and the borrowed RNG lives on the stack (no allocation beyond dst growth).
+// seeded by SubSeed(seed, u): the first selected target index is
+// Geometric(p) and each next one the previous + 1 + Geometric(p), so
+// repeated calls append identical sequences and the RNG lives on the stack
+// (no allocation beyond dst growth). At p = 1 every Geometric is 0 without
+// a draw, so the row holds all n-1 other nodes.
 func (g *ImplicitGNP) AppendOut(u NodeID, dst []NodeID) []NodeID {
+	if g.p <= 0 {
+		return dst
+	}
 	var r rng.RNG
 	r.Reseed(rng.SubSeed(g.seed, uint64(u)))
-	s := r.SkipSample(g.n-1, g.p)
-	for i, ok := s.Next(); ok; i, ok = s.Next() {
+	for i := r.Geometric(g.p); i < g.n-1; i += 1 + r.Geometric(g.p) {
 		v := NodeID(i)
 		if v >= u {
 			v++ // skip the diagonal: targets are [0,n) \ {u}
@@ -135,11 +140,13 @@ func (g *ImplicitGNP) AppendOut(u NodeID, dst []NodeID) []NodeID {
 
 // OutDegree counts row u by the same skip pass that enumerates it.
 func (g *ImplicitGNP) OutDegree(u NodeID) int {
+	if g.p <= 0 {
+		return 0
+	}
 	var r rng.RNG
 	r.Reseed(rng.SubSeed(g.seed, uint64(u)))
-	s := r.SkipSample(g.n-1, g.p)
 	deg := 0
-	for _, ok := s.Next(); ok; _, ok = s.Next() {
+	for i := r.Geometric(g.p); i < g.n-1; i += 1 + r.Geometric(g.p) {
 		deg++
 	}
 	return deg

@@ -34,12 +34,11 @@ func (p *pulse) Begin(n int, src graph.NodeID, r *rng.RNG) {
 }
 func (p *pulse) BeginRound(round int) {
 	p.pending = p.pending[:0]
-	s := p.r.SkipSample(len(p.informed), p.q)
-	for i, ok := s.Next(); ok; i, ok = s.Next() {
+	skipSampleRef(p.r, len(p.informed), p.q, func(i int) {
 		v := p.informed[i]
 		p.pending = append(p.pending, v)
 		p.txRound[v] = round
-	}
+	})
 }
 func (p *pulse) ShouldTransmit(round int, v graph.NodeID) bool { return p.txRound[v] == round }
 func (p *pulse) AppendTransmitters(_ int, _ []graph.NodeID, dst []graph.NodeID) []graph.NodeID {
@@ -168,11 +167,10 @@ func (p *pulseGossip) Begin(n int, r *rng.RNG) {
 }
 func (p *pulseGossip) BeginRound(round int) {
 	p.pending = p.pending[:0]
-	s := p.r.SkipSample(p.n, p.q)
-	for i, ok := s.Next(); ok; i, ok = s.Next() {
+	skipSampleRef(p.r, p.n, p.q, func(i int) {
 		p.pending = append(p.pending, graph.NodeID(i))
 		p.txRound[i] = round
-	}
+	})
 }
 func (p *pulseGossip) transmits(round int, v graph.NodeID) bool { return p.txRound[v] == round }
 func (p *pulseGossip) AppendTransmitters(_ int, dst []graph.NodeID) []graph.NodeID {

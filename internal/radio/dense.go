@@ -12,33 +12,33 @@ import (
 // the per-edge work dominates everything else. The serial push kernel pays,
 // per edge, a random 4-byte counter load, a data-dependent branch (first
 // touch?), a possible list append, and a counter store; this kernel replaces
-// all of that with branch-free carry-save accumulation into a pair of
-// Bitsets:
+// all of that with branch-free carry-save accumulation into one slice of
+// word pairs, one pair per 64 receivers:
 //
-//	hitTwice |= hitOnce & bit    // second-or-later hit → saturated carry
-//	hitOnce  |= bit              // first hit
+//	h.twice |= h.once & bit    // second-or-later hit → saturated carry
+//	h.once  |= bit             // first hit
 //
-// Two single-word read-modify-writes per edge, no branches, no touched
-// list, and the working set is n/8 bytes per plane instead of 4n — at
-// n = 262144 both planes fit in L2 together. What is left is the rows
-// themselves, which at that size sit in DRAM and are each read once, so on
-// a CSR the kernel gathers four transmitter rows at a time: it walks the
-// shortest row's length in lockstep, one hand-written mark per row per
-// step, then finishes the four longer tails, and takes the last 0–3
-// transmitters one row at a time. The four loads of a step are
-// independent, so four row misses are in flight instead of one; the planes
-// are order-independent (hit at least once, hit at least twice), so the
-// interleaving changes no delivered id, no order and no collision count.
-// Resolution then runs 64 receivers at a time: under the binary collision
-// rule a receiver decodes iff it was hit exactly once, so per word
+// The two words of a pair sit side by side, so an edge's mark reads and
+// writes one 16-byte pair in one cache line: no branches, no touched list,
+// and a working set of n/4 bytes instead of 4n — at n = 262144 it fits in
+// L2. What is left is the rows themselves, which at that size sit in DRAM
+// and are each read once, so on a CSR the kernel gathers four transmitter
+// rows at a time: it walks the shortest row's length in lockstep, one
+// hand-written mark per row per step, then finishes the four longer tails,
+// and takes the last 0–3 transmitters one row at a time. The four loads of
+// a step are independent, so four row misses are in flight instead of one;
+// the marks are order-independent (hit at least once, hit at least twice),
+// so the interleaving changes no delivered id, no order and no collision
+// count. Resolution then runs 64 receivers at a time: under the binary
+// collision rule a receiver decodes iff it was hit exactly once, so per pair
 //
-//	delivered = hitOnce &^ hitTwice &^ informed
-//	collisions += popcount(hitTwice)
+//	delivered = h.once &^ h.twice &^ informed
+//	collisions += popcount(h.twice)
 //
 // and the delivered ids stream out of per-word popcount iteration already in
 // ascending order — the same sorted-output contract the other kernels meet.
-// Both planes are zeroed in the same O(n/64) resolution pass, so the kernel
-// allocates nothing and touches no per-node state in steady state.
+// The same O(n/64) pass reads the pairs in order and zeroes them, so the
+// kernel allocates nothing and touches no per-node state in steady state.
 //
 // Admission: under KernelAuto the engine runs this kernel once the
 // transmitters' out-degree sum reaches ⌈n/64⌉, the word count of that
@@ -46,23 +46,27 @@ import (
 // array, no touched list, no sort of the delivered ids) pays for the pass.
 // Pull still wins first whenever its estimate is cheaper (see chooseKernel).
 //
-// Exactness: hitTwice marks every receiver with ≥ 2 hits, so the collision
-// count covers all receivers (transmitter-side exact, like push and parallel
-// push — the kernel stays legal under RecordHistory and Tracer). The carry
-// saturates at two, which is only correct when "two hits" already decides
-// the round; the engine therefore restricts this kernel to channel models
-// with maxHits == 1 and no per-edge filter (Binary, Fade, Jam — receiver
-// vetoes are applied by the engine after the kernel), falling back to the
-// counting kernels otherwise (SINR capture, per-edge loss).
+// Exactness: the twice words mark every receiver with ≥ 2 hits, so the
+// collision count covers all receivers (transmitter-side exact, like push
+// and parallel push — the kernel stays legal under RecordHistory and
+// Tracer). The carry saturates at two, which is only correct when "two
+// hits" already decides the round; the engine therefore restricts this
+// kernel to channel models with maxHits == 1 and no per-edge filter
+// (Binary, Fade, Jam — receiver vetoes are applied by the engine after the
+// kernel), falling back to the counting kernels otherwise (SINR capture,
+// per-edge loss).
 type denseState struct {
-	hitOnce  Bitset
-	hitTwice Bitset
-	out      []graph.NodeID // delivered-output scratch, reused across rounds
-	row      []graph.NodeID // out-row buffer for implicit graphs
+	hits []hitPair      // hits[w] marks receivers 64w … 64w+63
+	out  []graph.NodeID // delivered-output scratch, reused across rounds
+	row  []graph.NodeID // out-row buffer for implicit graphs
 }
 
+// hitPair is one word of carry-save marks: once holds the receivers hit at
+// least once, twice those hit at least twice.
+type hitPair struct{ once, twice uint64 }
+
 func newDenseState(n int) *denseState {
-	return &denseState{hitOnce: NewBitset(n), hitTwice: NewBitset(n)}
+	return &denseState{hits: make([]hitPair, (n+63)/64)}
 }
 
 // denseOK reports whether the word-parallel kernel resolves the given
@@ -80,7 +84,7 @@ func denseOK(caps channelCaps) bool {
 // experienced a collision (≥ 2 hits, counted at every receiver). The
 // returned slice is scratch, valid until the next deliver call.
 func (d *denseState) deliver(g graph.Implicit, transmitters []graph.NodeID, informed Bitset) (delivered []graph.NodeID, collisions int) {
-	once, twice := d.hitOnce, d.hitTwice
+	hits := d.hits
 	if dg, ok := g.(*graph.Digraph); ok {
 		// Four rows at a time, in lockstep up to the shortest one's length,
 		// then the four tails; the last 0–3 rows one at a time.
@@ -92,65 +96,66 @@ func (d *denseState) deliver(g graph.Implicit, transmitters []graph.NodeID, info
 			a0, a1, a2, a3 := r0[:k], r1[:k], r2[:k], r3[:k]
 			for j, w0 := range a0 {
 				w1, w2, w3 := a1[j], a2[j], a3[j]
-				wi := uint32(w0) >> 6
+				h := &hits[uint32(w0)>>6]
 				m := uint64(1) << (uint32(w0) & 63)
-				twice[wi] |= once[wi] & m
-				once[wi] |= m
-				wi = uint32(w1) >> 6
+				h.twice |= h.once & m
+				h.once |= m
+				h = &hits[uint32(w1)>>6]
 				m = uint64(1) << (uint32(w1) & 63)
-				twice[wi] |= once[wi] & m
-				once[wi] |= m
-				wi = uint32(w2) >> 6
+				h.twice |= h.once & m
+				h.once |= m
+				h = &hits[uint32(w2)>>6]
 				m = uint64(1) << (uint32(w2) & 63)
-				twice[wi] |= once[wi] & m
-				once[wi] |= m
-				wi = uint32(w3) >> 6
+				h.twice |= h.once & m
+				h.once |= m
+				h = &hits[uint32(w3)>>6]
 				m = uint64(1) << (uint32(w3) & 63)
-				twice[wi] |= once[wi] & m
-				once[wi] |= m
+				h.twice |= h.once & m
+				h.once |= m
 			}
-			markRow(once, twice, r0[k:])
-			markRow(once, twice, r1[k:])
-			markRow(once, twice, r2[k:])
-			markRow(once, twice, r3[k:])
+			markRow(hits, r0[k:])
+			markRow(hits, r1[k:])
+			markRow(hits, r2[k:])
+			markRow(hits, r3[k:])
 		}
 		for _, u := range txs {
-			markRow(once, twice, dg.Out(u))
+			markRow(hits, dg.Out(u))
 		}
 	} else {
 		for _, u := range transmitters {
 			d.row = g.AppendOut(u, d.row[:0])
-			markRow(once, twice, d.row)
+			markRow(hits, d.row)
 		}
 	}
 
-	// Resolution: one pass over the words computes deliveries and collision
-	// counts and clears both planes for the next round. Rows only ever
+	// Resolution: one pass over the pairs computes deliveries and collision
+	// counts and clears the marks for the next round. Rows only ever
 	// contain valid ids < n, so no tail masking is needed.
 	delivered = d.out[:0]
-	for wi, tw := range twice {
-		collisions += bits.OnesCount64(tw)
-		if newBits := once[wi] &^ tw &^ informed[wi]; newBits != 0 {
+	for wi := range hits {
+		h := hits[wi]
+		collisions += bits.OnesCount64(h.twice)
+		if newBits := h.once &^ h.twice &^ informed[wi]; newBits != 0 {
 			base := wi << 6
 			for newBits != 0 {
 				delivered = append(delivered, graph.NodeID(base+bits.TrailingZeros64(newBits)))
 				newBits &= newBits - 1
 			}
 		}
-		once[wi] = 0
-		twice[wi] = 0
+		hits[wi] = hitPair{}
 	}
 	d.out = delivered
 	return delivered, collisions
 }
 
-// markRow applies one carry-save mark per receiver in row: a receiver's bit
-// in twice is set once it is hit a second time, in once at the first hit.
-func markRow(once, twice Bitset, row []graph.NodeID) {
+// markRow applies one carry-save mark per receiver in row: a receiver's
+// twice bit is set once it is hit a second time, its once bit at the first
+// hit.
+func markRow(hits []hitPair, row []graph.NodeID) {
 	for _, w := range row {
-		wi := uint32(w) >> 6
+		h := &hits[uint32(w)>>6]
 		m := uint64(1) << (uint32(w) & 63)
-		twice[wi] |= once[wi] & m
-		once[wi] |= m
+		h.twice |= h.once & m
+		h.once |= m
 	}
 }

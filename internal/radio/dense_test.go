@@ -189,9 +189,9 @@ func FuzzDenseKernel(f *testing.F) {
 }
 
 // TestDensePlanesClearBetweenRounds pins the zero-state contract: the
-// resolution pass must leave both carry planes empty, so back-to-back
-// rounds never see stale hits. A stale bit would surface as a phantom
-// collision in the next round.
+// resolution pass must leave both words of every hit pair empty, so
+// back-to-back rounds never see stale hits. A stale bit would surface as a
+// phantom collision in the next round.
 func TestDensePlanesClearBetweenRounds(t *testing.T) {
 	n := 512
 	g := graph.GNPDirected(n, 0.05, rng.New(7))
@@ -200,8 +200,10 @@ func TestDensePlanesClearBetweenRounds(t *testing.T) {
 	txs := []graph.NodeID{1, 2, 3, 4, 5, 6, 7, 8}
 	for round := 0; round < 5; round++ {
 		dn.deliver(g, txs, informed)
-		if got := dn.hitOnce.Count() + dn.hitTwice.Count(); got != 0 {
-			t.Fatalf("round %d: %d stale bits left in the carry planes", round, got)
+		for wi, h := range dn.hits {
+			if h.once != 0 || h.twice != 0 {
+				t.Fatalf("round %d: stale bits left in hit pair %d: once %#x, twice %#x", round, wi, h.once, h.twice)
+			}
 		}
 	}
 }
@@ -240,9 +242,9 @@ func TestDenseForcingBitIdentical(t *testing.T) {
 // TestDenseForcingPreservesHistory pins the per-round trajectory and the
 // collision-exactness claim: with RecordHistory on, a forced-dense run must
 // be bit-identical to forced push *including per-round collision counts* —
-// the dense kernel's popcount(hitTwice) is the same transmitter-side exact
-// count the push kernel maintains, so KernelDense stays legal under
-// Options.RecordHistory.
+// the dense kernel's popcount of its twice words is the same
+// transmitter-side exact count the push kernel maintains, so KernelDense
+// stays legal under Options.RecordHistory.
 func TestDenseForcingPreservesHistory(t *testing.T) {
 	defer SetEngineOverrides(EngineOverrides{})
 

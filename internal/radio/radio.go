@@ -823,8 +823,8 @@ func chooseKernel(forced DeliveryKernel, tx int, outSum, uninSum int64, n int, t
 	if trackUnin && uninSum+int64(tx) < outSum {
 		return KernelPull
 	}
-	// Dense pays one resolution pass over the ⌈n/64⌉ words of its bit
-	// planes whatever the round's density, and saves per edge over push, so
+	// Dense pays one resolution pass over its ⌈n/64⌉ hit-word pairs
+	// whatever the round's density, and saves per edge over push, so
 	// it is admitted once the round has that many edges. The out-degree scan
 	// that prices it is O(1) per node only on a CSR, and rounds-parallel
 	// keeps its shards.

@@ -46,10 +46,19 @@ func (s *TxSet) AddAll(list []graph.NodeID) { s.pending = append(s.pending, list
 
 // DrawList skip-samples the candidate list with per-node probability p into
 // the round's list: one Geometric draw per selected node plus one overshoot,
-// instead of one Bernoulli per candidate.
+// instead of one Bernoulli per candidate. The first selected index is
+// Geometric(p) and each next one the previous + 1 + Geometric(p); an empty
+// list or p <= 0 selects nothing and p >= 1 everything, neither with a draw.
 func (s *TxSet) DrawList(r *rng.RNG, list []graph.NodeID, p float64) {
-	it := r.SkipSample(len(list), p)
-	for i, ok := it.Next(); ok; i, ok = it.Next() {
+	k := len(list)
+	if k == 0 || p <= 0 {
+		return
+	}
+	if p >= 1 {
+		s.AddAll(list)
+		return
+	}
+	for i := r.Geometric(p); i < k; i += 1 + r.Geometric(p) {
 		s.Add(list[i])
 	}
 }
@@ -197,14 +206,16 @@ func (s *TxSet) Pending() []graph.NodeID { return s.pending }
 // when.
 type WindowQueue struct {
 	nodes []graph.NodeID
-	at    []int // at[i] is the round nodes[i] was informed in
+	at    []int32 // at[i] is the round nodes[i] was informed in
 	head  int
 }
 
-// Reset empties the queue for a fresh run, keeping its capacity.
-func (q *WindowQueue) Reset() {
-	q.nodes = q.nodes[:0]
-	q.at = q.at[:0]
+// Reset empties the queue for a fresh run of n nodes. Every informed node
+// enters the queue exactly once, so it reserves room for n entries up front
+// (kept across runs) and no Push of the run regrows it.
+func (q *WindowQueue) Reset(n int) {
+	q.nodes = slices.Grow(q.nodes[:0], n)
+	q.at = slices.Grow(q.at[:0], n)
 	q.head = 0
 }
 
@@ -212,20 +223,20 @@ func (q *WindowQueue) Reset() {
 // Push to the next.
 func (q *WindowQueue) Push(v graph.NodeID, round int) {
 	q.nodes = append(q.nodes, v)
-	q.at = append(q.at, round)
+	q.at = append(q.at, int32(round))
 }
 
 // Expire pops every node whose activity window [at+1, at+window] has
 // passed as of round.
 func (q *WindowQueue) Expire(window, round int) {
-	for q.head < len(q.nodes) && q.at[q.head]+window < round {
+	for q.head < len(q.nodes) && int(q.at[q.head])+window < round {
 		q.head++
 	}
 }
 
 // HeadRound returns the informing round of the oldest live node, the next
 // to expire. Valid only while Live is non-empty.
-func (q *WindowQueue) HeadRound() int { return q.at[q.head] }
+func (q *WindowQueue) HeadRound() int { return int(q.at[q.head]) }
 
 // Live returns the not-yet-expired nodes in informing order.
 func (q *WindowQueue) Live() []graph.NodeID { return q.nodes[q.head:] }

@@ -76,7 +76,7 @@ func TestWindowQueueMatchesPerNodeRounds(t *testing.T) {
 	r := rng.New(17)
 	var q WindowQueue
 	for run := 0; run < 20; run++ {
-		q.Reset()
+		q.Reset(n)
 		informedAt := make([]int, n)
 		var active []graph.NodeID
 		head := 0
@@ -107,6 +107,28 @@ func TestWindowQueueMatchesPerNodeRounds(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestWindowQueueResetReservesRun pins Reset(n)'s reservation: the n
+// pushes of a run, one per informed node, never regrow the queue's two
+// slices, and the next run's Reset keeps them.
+func TestWindowQueueResetReservesRun(t *testing.T) {
+	const n = 1000
+	var q WindowQueue
+	q.Reset(n)
+	if cap(q.nodes) < n || cap(q.at) < n {
+		t.Fatalf("Reset(%d) reserved %d nodes and %d rounds", n, cap(q.nodes), cap(q.at))
+	}
+	nodes, at := q.nodes[:1], q.at[:1]
+	for run := 0; run < 2; run++ {
+		for v := range n {
+			q.Push(graph.NodeID(v), v/3)
+		}
+		if len(q.Live()) != n || &q.nodes[0] != &nodes[0] || &q.at[0] != &at[0] {
+			t.Fatalf("run %d: %d pushes after Reset(%d) left %d live nodes or regrew the queue", run, n, n, len(q.Live()))
+		}
+		q.Reset(n)
 	}
 }
 
@@ -225,4 +247,59 @@ func TestRetireListStreamAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("RetireListStream allocates %v per round on a warmed list, want 0", allocs)
 	}
+}
+
+// skipSampleRef is the test-side reference for geometric-skip sampling,
+// written as a sampler that keeps its next position: it calls visit with
+// the indices of [0, n) that pass independent Bernoulli(p) trials, in
+// increasing order. n ≤ 0 or p ≤ 0 selects nothing and p ≥ 1
+// everything, neither with a draw. Otherwise the first index is
+// Geometric(p), and each step past a selected index draws 1 + Geometric(p)
+// more before visit sees the index, so the draw that overshoots n ends the
+// pass.
+func skipSampleRef(r *rng.RNG, n int, p float64, visit func(i int)) {
+	switch {
+	case n <= 0 || p <= 0:
+		return
+	case p >= 1:
+		for i := 0; i < n; i++ {
+			visit(i)
+		}
+		return
+	}
+	next := r.Geometric(p)
+	for next < n {
+		i := next
+		next += 1 + r.Geometric(p)
+		visit(i)
+	}
+}
+
+// FuzzDrawList checks TxSet.DrawList against skipSampleRef on a fuzzed
+// candidate list of k distinct ids at probability p: the round's list must
+// hold the reference's selection in order, and the generator must end in
+// the reference's state, so that every later draw agrees too. A NaN p
+// panics in both and is skipped.
+func FuzzDrawList(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint64, k uint16, p float64) {
+		if math.IsNaN(p) {
+			t.Skip("NaN probability")
+		}
+		list := make([]graph.NodeID, k)
+		for i, v := range rng.New(^seed).Perm(int(k)) {
+			list[i] = graph.NodeID(v)
+		}
+		got, want := rng.New(seed), rng.New(seed)
+		var s TxSet
+		s.BeginRound()
+		s.DrawList(got, list, p)
+		var ref []graph.NodeID
+		skipSampleRef(want, len(list), p, func(i int) { ref = append(ref, list[i]) })
+		if !slices.Equal(s.Pending(), ref) {
+			t.Fatalf("seed %d k %d p %g: DrawList selected %v, reference %v", seed, k, p, s.Pending(), ref)
+		}
+		if *got != *want {
+			t.Fatalf("seed %d k %d p %g: generator state after DrawList differs from the reference's", seed, k, p)
+		}
+	})
 }

@@ -150,8 +150,8 @@ func (r *RNG) Bernoulli(p float64) bool {
 // formula. The fallback is rare (about 2^-33/p of draws) until p falls
 // below about 1e-10, where every draw takes it. The generator caches
 // log1p(-p) and the fast path's constants for the last p it was called
-// with, so a stream of draws at one p (a skip sampler, a G(n,p) row)
-// takes that logarithm once.
+// with, so a stream of draws at one p (a round's transmitter draw, a
+// G(n,p) row) takes that logarithm once.
 func (r *RNG) Geometric(p float64) int {
 	if !(p > 0 && p <= 1) {
 		panic("rng: Geometric needs 0 < p <= 1")
@@ -235,57 +235,6 @@ func (r *RNG) geometric(m uint64, p float64) (g int, fast bool) {
 		return math.MaxInt32, fast
 	}
 	return int(f), fast
-}
-
-// SkipSampler enumerates the indices of [0, n) that pass independent
-// Bernoulli(p) trials, in increasing order, drawing only O(np) expected
-// randomness via geometric skipping (the Batagelj–Brandes trick already used
-// by the G(n,p) generators). It is the decision-phase primitive behind the
-// batch transmit fast path: selecting the ~nq transmitters of a Bernoulli
-// round directly instead of flipping n coins.
-//
-// The zero value is exhausted; obtain one from RNG.SkipSample. The sampler
-// borrows the RNG: interleaving other draws between Next calls changes the
-// selection (deterministically).
-type SkipSampler struct {
-	r    *RNG
-	p    float64
-	n    int
-	next int
-	all  bool
-}
-
-// SkipSample returns a sampler over [0, n) with per-index probability p.
-// p <= 0 selects nothing and p >= 1 selects everything; neither consumes
-// randomness for the degenerate part (p >= 1 consumes none at all).
-func (r *RNG) SkipSample(n int, p float64) SkipSampler {
-	s := SkipSampler{r: r, p: p, n: n}
-	switch {
-	case n <= 0 || p <= 0:
-		s.next = n
-		if s.next < 0 {
-			s.next = 0
-		}
-	case p >= 1:
-		s.all = true
-	default:
-		s.next = r.Geometric(p)
-	}
-	return s
-}
-
-// Next returns the next selected index, or ok == false when exhausted.
-func (s *SkipSampler) Next() (i int, ok bool) {
-	if s.next >= s.n {
-		return 0, false
-	}
-	i = s.next
-	if s.all {
-		s.next++
-	} else {
-		s.next += 1 + s.r.Geometric(s.p)
-	}
-	return i, true
 }
 
 // Binomial returns a sample from Binomial(n, p). For small n it sums
