@@ -142,10 +142,10 @@
 // generate-free graph interface (deterministic per-(seed,node) row
 // enumeration, strictly increasing and bit-stable), with two backends —
 // implicit G(n,p) whose rows are geometric-skip RNG streams (O(1)
-// construction, O(n) run footprint; graph.ImplicitGNP.CheapIn reports
-// whether the lazy in-index exists, and adaptive runs stay push-only
-// until it does) and implicit RGG/UDG re-deriving neighbourhoods from a
-// coordinates-only cell grid (graph.ImplicitGeom). Both are pinned
+// construction, O(n) run footprint; it serves out-rows only, so every run
+// on it is push-only) and implicit RGG/UDG re-deriving neighbourhoods from
+// a coordinates-only cell grid (graph.ImplicitGeom, which also serves
+// in-rows through graph.InRows, so the engine may pull on it). Both are pinned
 // edge-identical to their materialized twins and bit-identical through
 // the engine under every forcing; the S1 experiment carries the
 // representation axis (Config.GraphMode, cmd/experiments -implicit), the

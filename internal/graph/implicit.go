@@ -3,7 +3,6 @@ package graph
 import (
 	"math"
 	"slices"
-	"sync"
 
 	"repro/internal/rng"
 )
@@ -21,43 +20,48 @@ import (
 // view itself — which is what lets the engine equivalence suites pin
 // implicit and materialized runs bit-identical.
 
-// Implicit is the read interface the round engine's delivery kernels run
-// against. *Digraph implements it by aliasing its CSR rows; generative
-// backends re-derive rows on demand.
+// Implicit is the read interface every consumer of a graph runs against:
+// the round engine's push delivery, MaterializeImplicit and the energy
+// model's partition check. *Digraph implements it by aliasing its CSR rows;
+// generative backends re-derive rows on demand.
 //
-// Contract for all implementations:
-//   - AppendOut(v, dst) appends v's out-neighbours ("the nodes that hear
-//     v") to dst in strictly increasing id order, with no self-loops, and
-//     returns the extended slice. Two calls with the same v append the same
-//     sequence.
-//   - AppendIn is the same for in-neighbours ("the nodes v hears").
-//   - OutDegree/InDegree agree with the lengths of the appended rows.
-//   - CheapIn reports whether in-side queries (AppendIn, InDegree) cost
-//     O(row), like the out side. When false they may cost O(n + m) — the
-//     engine then stays on push-side kernels and skips the pull cost model.
+// Contract: AppendOut(v, dst) appends v's out-neighbours ("the nodes that
+// hear v") to dst in strictly increasing id order, with no self-loops, and
+// returns the extended slice. Two calls with the same v append the same
+// sequence.
 type Implicit interface {
 	N() int
+	AppendOut(v NodeID, dst []NodeID) []NodeID
+}
+
+// InRows is the in-side a graph serves when its in-rows cost O(row), like
+// its out-rows: everything the engine's pull kernel and its cost model read.
+// *Digraph and *ImplicitGeom implement it; *ImplicitGNP does not, since
+// "who hears me" would mean inverting n-1 independent row streams, so the
+// engine runs it push-only.
+//
+// Contract: AppendIn is AppendOut's contract for in-neighbours ("the nodes
+// v hears"), and OutDegree/InDegree agree with the lengths of the appended
+// rows.
+type InRows interface {
 	OutDegree(v NodeID) int
 	InDegree(v NodeID) int
-	AppendOut(v NodeID, dst []NodeID) []NodeID
 	AppendIn(v NodeID, dst []NodeID) []NodeID
-	CheapIn() bool
 }
 
 // AppendOut appends v's out-neighbours to dst (the Implicit interface; the
 // zero-copy accessor is Out).
 func (g *Digraph) AppendOut(v NodeID, dst []NodeID) []NodeID { return append(dst, g.Out(v)...) }
 
-// AppendIn appends v's in-neighbours to dst (the Implicit interface; the
+// AppendIn appends v's in-neighbours to dst (the InRows interface; the
 // zero-copy accessor is In).
 func (g *Digraph) AppendIn(v NodeID, dst []NodeID) []NodeID { return append(dst, g.In(v)...) }
-
-// CheapIn reports that CSR in-rows are O(1) to locate.
-func (g *Digraph) CheapIn() bool { return true }
 
 var _ Implicit = (*Digraph)(nil)
 var _ Implicit = (*ImplicitGNP)(nil)
 var _ Implicit = (*ImplicitGeom)(nil)
+var _ InRows = (*Digraph)(nil)
+var _ InRows = (*ImplicitGeom)(nil)
 
 // MaterializeImplicit builds the explicit CSR digraph with exactly the edge
 // set g serves — the overlap-size bridge for the equivalence tests and for
@@ -72,15 +76,8 @@ func MaterializeImplicit(g Implicit) *Digraph {
 // is re-derived on every query by geometric skipping (Batagelj–Brandes) over
 // a substream seeded purely by (seed, u), so enumeration is O(deg(u))
 // expected, bit-stable across repetitions, and the whole graph costs O(1)
-// memory until in-side queries are made.
-//
-// The out side is the native direction. In-side queries (AppendIn, InDegree)
-// lazily materialize the whole graph on first use — cheap implicit
-// enumeration of "who hears me" would require inverting n-1 independent
-// row streams, so CheapIn reports false until the materialized in-index
-// exists and the engine keeps planet-scale runs on push-only kernels.
-// Forced-pull equivalence tests at small n pay the materialization once and
-// then run normally.
+// memory. It serves out-rows only (it is not InRows), which keeps
+// planet-scale runs on push delivery and O(n) in memory.
 //
 // Note the edge set differs from Scratch.GNPDirected at equal seeds: that
 // generator draws ONE skip stream over the linear index of all ordered
@@ -92,9 +89,6 @@ type ImplicitGNP struct {
 	n    int
 	p    float64
 	seed uint64
-
-	inOnce sync.Once
-	in     *Digraph // MaterializeImplicit(g), built by the first in-side query
 }
 
 // NewImplicitGNP returns the implicit G(n,p) instance identified by seed.
@@ -137,45 +131,6 @@ func (g *ImplicitGNP) AppendOut(u NodeID, dst []NodeID) []NodeID {
 	}
 	return dst
 }
-
-// OutDegree counts row u by the same skip pass that enumerates it.
-func (g *ImplicitGNP) OutDegree(u NodeID) int {
-	if g.p <= 0 {
-		return 0
-	}
-	var r rng.RNG
-	r.Reseed(rng.SubSeed(g.seed, uint64(u)))
-	deg := 0
-	for i := r.Geometric(g.p); i < g.n-1; i += 1 + r.Geometric(g.p) {
-		deg++
-	}
-	return deg
-}
-
-// buildIn materializes the graph once; its CSR in-rows then serve the
-// in-side queries.
-func (g *ImplicitGNP) buildIn() {
-	g.inOnce.Do(func() { g.in = MaterializeImplicit(g) })
-}
-
-// InDegree returns the in-degree of v, materializing the graph on first use
-// (see CheapIn).
-func (g *ImplicitGNP) InDegree(v NodeID) int {
-	g.buildIn()
-	return g.in.InDegree(v)
-}
-
-// AppendIn appends the in-row of v, materializing the graph on first use
-// (see CheapIn).
-func (g *ImplicitGNP) AppendIn(v NodeID, dst []NodeID) []NodeID {
-	g.buildIn()
-	return g.in.AppendIn(v, dst)
-}
-
-// CheapIn reports whether the in-side index already exists; until then
-// in-side queries would have to build it in O(n + m), so the engine treats
-// the graph as push-only.
-func (g *ImplicitGNP) CheapIn() bool { return g.in != nil }
 
 // ImplicitGeom serves a geometric (RGG/UDG, optionally heterogeneous-radius)
 // digraph from a coordinates-only index: the points bucketed into a uniform
@@ -367,7 +322,3 @@ func (ig *ImplicitGeom) InDegree(v NodeID) int {
 	_, deg := ig.appendRow(v, nil, true, true)
 	return deg
 }
-
-// CheapIn reports that geometric in-rows are as cheap as out-rows (both are
-// 3×3 cell scans).
-func (ig *ImplicitGeom) CheapIn() bool { return true }

@@ -22,8 +22,8 @@ import (
 // writes one 16-byte pair in one cache line: no branches, no touched list,
 // and a working set of n/4 bytes instead of 4n — at n = 262144 it fits in
 // L2. What is left is the rows themselves, which at that size sit in DRAM
-// and are each read once, so on a CSR the kernel gathers four transmitter
-// rows at a time: it walks the shortest row's length in lockstep, one
+// and are each read once, so the kernel gathers four transmitter CSR rows
+// at a time: it walks the shortest row's length in lockstep, one
 // hand-written mark per row per step, then finishes the four longer tails,
 // and takes the last 0–3 transmitters one row at a time. The four loads of
 // a step are independent, so four row misses are in flight instead of one;
@@ -40,11 +40,12 @@ import (
 // The same O(n/64) pass reads the pairs in order and zeroes them, so the
 // kernel allocates nothing and touches no per-node state in steady state.
 //
-// Admission: under KernelAuto the engine runs this kernel once the
-// transmitters' out-degree sum reaches ⌈n/64⌉, the word count of that
-// resolution pass — from there the per-edge saving over push (no counter
-// array, no touched list, no sort of the delivered ids) pays for the pass.
-// Pull still wins first whenever its estimate is cheaper (see chooseKernel).
+// Admission: under KernelAuto the engine runs this kernel on a CSR graph
+// once the transmitters' out-degree sum reaches ⌈n/64⌉, the word count of
+// that resolution pass — from there the per-edge saving over push (no
+// counter array, no touched list, no sort of the delivered ids) pays for
+// the pass. Pull still wins first whenever its estimate is cheaper (see
+// chooseKernel).
 //
 // Exactness: the twice words mark every receiver with ≥ 2 hits, so the
 // collision count covers all receivers (transmitter-side exact, like push
@@ -58,7 +59,6 @@ import (
 type denseState struct {
 	hits []hitPair      // hits[w] marks receivers 64w … 64w+63
 	out  []graph.NodeID // delivered-output scratch, reused across rounds
-	row  []graph.NodeID // out-row buffer for implicit graphs
 }
 
 // hitPair is one word of carry-save marks: once holds the receivers hit at
@@ -83,49 +83,42 @@ func denseOK(caps channelCaps) bool {
 // informed nodes in ascending id order and the number of receivers that
 // experienced a collision (≥ 2 hits, counted at every receiver). The
 // returned slice is scratch, valid until the next deliver call.
-func (d *denseState) deliver(g graph.Implicit, transmitters []graph.NodeID, informed Bitset) (delivered []graph.NodeID, collisions int) {
+func (d *denseState) deliver(g *graph.Digraph, transmitters []graph.NodeID, informed Bitset) (delivered []graph.NodeID, collisions int) {
 	hits := d.hits
-	if dg, ok := g.(*graph.Digraph); ok {
-		// Four rows at a time, in lockstep up to the shortest one's length,
-		// then the four tails; the last 0–3 rows one at a time.
-		txs := transmitters
-		for ; len(txs) >= 4; txs = txs[4:] {
-			r0, r1 := dg.Out(txs[0]), dg.Out(txs[1])
-			r2, r3 := dg.Out(txs[2]), dg.Out(txs[3])
-			k := min(len(r0), len(r1), len(r2), len(r3))
-			a0, a1, a2, a3 := r0[:k], r1[:k], r2[:k], r3[:k]
-			for j, w0 := range a0 {
-				w1, w2, w3 := a1[j], a2[j], a3[j]
-				h := &hits[uint32(w0)>>6]
-				m := uint64(1) << (uint32(w0) & 63)
-				h.twice |= h.once & m
-				h.once |= m
-				h = &hits[uint32(w1)>>6]
-				m = uint64(1) << (uint32(w1) & 63)
-				h.twice |= h.once & m
-				h.once |= m
-				h = &hits[uint32(w2)>>6]
-				m = uint64(1) << (uint32(w2) & 63)
-				h.twice |= h.once & m
-				h.once |= m
-				h = &hits[uint32(w3)>>6]
-				m = uint64(1) << (uint32(w3) & 63)
-				h.twice |= h.once & m
-				h.once |= m
-			}
-			markRow(hits, r0[k:])
-			markRow(hits, r1[k:])
-			markRow(hits, r2[k:])
-			markRow(hits, r3[k:])
+	// Four rows at a time, in lockstep up to the shortest one's length, then
+	// the four tails; the last 0–3 rows one at a time.
+	txs := transmitters
+	for ; len(txs) >= 4; txs = txs[4:] {
+		r0, r1 := g.Out(txs[0]), g.Out(txs[1])
+		r2, r3 := g.Out(txs[2]), g.Out(txs[3])
+		k := min(len(r0), len(r1), len(r2), len(r3))
+		a0, a1, a2, a3 := r0[:k], r1[:k], r2[:k], r3[:k]
+		for j, w0 := range a0 {
+			w1, w2, w3 := a1[j], a2[j], a3[j]
+			h := &hits[uint32(w0)>>6]
+			m := uint64(1) << (uint32(w0) & 63)
+			h.twice |= h.once & m
+			h.once |= m
+			h = &hits[uint32(w1)>>6]
+			m = uint64(1) << (uint32(w1) & 63)
+			h.twice |= h.once & m
+			h.once |= m
+			h = &hits[uint32(w2)>>6]
+			m = uint64(1) << (uint32(w2) & 63)
+			h.twice |= h.once & m
+			h.once |= m
+			h = &hits[uint32(w3)>>6]
+			m = uint64(1) << (uint32(w3) & 63)
+			h.twice |= h.once & m
+			h.once |= m
 		}
-		for _, u := range txs {
-			markRow(hits, dg.Out(u))
-		}
-	} else {
-		for _, u := range transmitters {
-			d.row = g.AppendOut(u, d.row[:0])
-			markRow(hits, d.row)
-		}
+		markRow(hits, r0[k:])
+		markRow(hits, r1[k:])
+		markRow(hits, r2[k:])
+		markRow(hits, r3[k:])
+	}
+	for _, u := range txs {
+		markRow(hits, g.Out(u))
 	}
 
 	// Resolution: one pass over the pairs computes deliveries and collision

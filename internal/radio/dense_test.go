@@ -17,27 +17,11 @@ import (
 	"repro/internal/rng"
 )
 
-// hideCSR wraps a materialised Digraph so the dense kernel's type switch
-// misses and exercises the AppendOut (implicit-graph) accumulation path.
-type hideCSR struct{ g *graph.Digraph }
-
-func (h hideCSR) N() int                       { return h.g.N() }
-func (h hideCSR) OutDegree(v graph.NodeID) int { return h.g.OutDegree(v) }
-func (h hideCSR) InDegree(v graph.NodeID) int  { return h.g.InDegree(v) }
-func (h hideCSR) CheapIn() bool                { return h.g.CheapIn() }
-func (h hideCSR) AppendOut(v graph.NodeID, dst []graph.NodeID) []graph.NodeID {
-	return h.g.AppendOut(v, dst)
-}
-func (h hideCSR) AppendIn(v graph.NodeID, dst []graph.NodeID) []graph.NodeID {
-	return h.g.AppendIn(v, dst)
-}
-
 // TestDenseKernelAgainstReference checks the carry-save kernel directly
 // against the serial push kernel on adversarial rounds: identical delivered
 // sets in strictly ascending order, and — because both kernels are
-// transmitter-side exact — identical collision counts. Both the CSR gather
-// and the AppendOut fallback are checked against the same reference, on one
-// dense state reused across every round.
+// transmitter-side exact — identical collision counts, on one dense state
+// reused across every round.
 func TestDenseKernelAgainstReference(t *testing.T) {
 	n := 2048
 	g := graph.GNPDirected(n, 4e-3, rng.New(91))
@@ -60,28 +44,22 @@ func TestDenseKernelAgainstReference(t *testing.T) {
 }
 
 // checkDenseRound runs one round through the dense kernel's four-row gather
-// (CSR), its AppendOut path (hideCSR) and the serial push kernel, and fails
-// unless all three deliver the same ids in strictly ascending order with the
-// same collision count.
+// and the serial push kernel, and fails unless both deliver the same ids in
+// strictly ascending order with the same collision count.
 func checkDenseRound(t *testing.T, label string, dn *denseState, g *graph.Digraph, txs []graph.NodeID, informed Bitset) {
 	t.Helper()
 	wantD, wantC := newDeliveryState(g.N()).deliver(g, 1, txs, informed, channelCaps{maxHits: 1})
-	for _, path := range []struct {
-		name string
-		g    graph.Implicit
-	}{{"gather", g}, {"implicit", hideCSR{g}}} {
-		gotD, gotC := dn.deliver(path.g, txs, informed)
-		if !equalNodeSlices(gotD, wantD) {
-			t.Fatalf("%s/%s: dense delivered %v, push %v", label, path.name, gotD, wantD)
+	gotD, gotC := dn.deliver(g, txs, informed)
+	if !equalNodeSlices(gotD, wantD) {
+		t.Fatalf("%s: dense delivered %v, push %v", label, gotD, wantD)
+	}
+	for i := 1; i < len(gotD); i++ {
+		if gotD[i-1] >= gotD[i] {
+			t.Fatalf("%s: dense output not strictly ascending at %d", label, i)
 		}
-		for i := 1; i < len(gotD); i++ {
-			if gotD[i-1] >= gotD[i] {
-				t.Fatalf("%s/%s: dense output not strictly ascending at %d", label, path.name, i)
-			}
-		}
-		if gotC != wantC {
-			t.Fatalf("%s/%s: dense collisions %d, push exact count %d", label, path.name, gotC, wantC)
-		}
+	}
+	if gotC != wantC {
+		t.Fatalf("%s: dense collisions %d, push exact count %d", label, gotC, wantC)
 	}
 }
 
@@ -145,8 +123,7 @@ func TestDenseGatherEdges(t *testing.T) {
 	}
 }
 
-// FuzzDenseKernel checks the four-row gather and the AppendOut path against
-// the serial push kernel on G(n, p) plus a hub: node 0's row reaches every
+// FuzzDenseKernel checks the four-row gather against the serial push kernel on G(n, p) plus a hub: node 0's row reaches every
 // other node, and node 0 transmits at a seed-chosen position among k
 // transmitters drawn with replacement. n is 1 + n16 mod 1200; a sparse p
 // gives empty and degree-1 rows beside the hub.
@@ -299,61 +276,68 @@ func TestChooseKernel(t *testing.T) {
 	sinr, fade := denseFor(SINRThreshold(0.5, 0.1)), denseFor(Fade(0.2))
 	const n = 262144 // ⌈n/64⌉ = 4096
 	type row struct {
-		name                                     string
-		forced                                   DeliveryKernel
-		tx                                       int
-		outSum, uninSum                          int64
-		n                                        int
-		trackUnin, materialized, parallel, dense bool
-		want                                     DeliveryKernel
+		name                                             string
+		forced                                           DeliveryKernel
+		tx                                               int
+		outSum, uninSum                                  int64
+		n                                                int
+		trackUnin, inRows, materialized, parallel, dense bool
+		want                                             DeliveryKernel
 	}
-	auto := func(name string, tx int, outSum, uninSum int64, nn int, track, mat, par, dense bool, want DeliveryKernel) row {
-		return row{name, KernelAuto, tx, outSum, uninSum, nn, track, mat, par, dense, want}
+	auto := func(name string, tx int, outSum, uninSum int64, nn int, track, in, mat, par, dense bool, want DeliveryKernel) row {
+		return row{name, KernelAuto, tx, outSum, uninSum, nn, track, in, mat, par, dense, want}
 	}
 	cases := []row{
 		// The dense admission boundary, with and without pull tracking.
-		auto("push just below n/64", 40, 4095, 1<<40, n, true, true, false, binary, KernelPush),
-		auto("dense at n/64", 40, 4096, 1<<40, n, true, true, false, binary, KernelDense),
-		auto("push below n/64 untracked", 40, 4095, 0, n, false, true, false, binary, KernelPush),
-		auto("dense at n/64 untracked", 40, 4096, 0, n, false, true, false, binary, KernelDense),
-		auto("dense between n/64 and n", 400, 100000, 1<<40, n, true, true, false, binary, KernelDense),
-		auto("dense at n", 400, n, 1<<40, n, true, true, false, binary, KernelDense),
-		auto("fade rides dense", 40, 4096, 0, n, false, true, false, fade, KernelDense),
+		auto("push just below n/64", 40, 4095, 1<<40, n, true, true, true, false, binary, KernelPush),
+		auto("dense at n/64", 40, 4096, 1<<40, n, true, true, true, false, binary, KernelDense),
+		auto("push below n/64 untracked", 40, 4095, 0, n, false, true, true, false, binary, KernelPush),
+		auto("dense at n/64 untracked", 40, 4096, 0, n, false, true, true, false, binary, KernelDense),
+		auto("dense between n/64 and n", 400, 100000, 1<<40, n, true, true, true, false, binary, KernelDense),
+		auto("dense at n", 400, n, 1<<40, n, true, true, true, false, binary, KernelDense),
+		auto("fade rides dense", 40, 4096, 0, n, false, true, true, false, fade, KernelDense),
 		// ⌈n/64⌉ rounds up when n is not a multiple of 64.
-		auto("push below ceil(1000/64)", 3, 15, 0, 1000, false, true, false, binary, KernelPush),
-		auto("dense at ceil(1000/64)", 3, 16, 0, 1000, false, true, false, binary, KernelDense),
-		auto("dense at one word", 1, 1, 0, 64, false, true, false, binary, KernelDense),
-		auto("no transmitters", 0, 0, 0, n, true, true, false, binary, KernelPush),
+		auto("push below ceil(1000/64)", 3, 15, 0, 1000, false, true, true, false, binary, KernelPush),
+		auto("dense at ceil(1000/64)", 3, 16, 0, 1000, false, true, true, false, binary, KernelDense),
+		auto("dense at one word", 1, 1, 0, 64, false, true, true, false, binary, KernelDense),
+		auto("no transmitters", 0, 0, 0, n, true, true, true, false, binary, KernelPush),
 
 		// Pull wins first whenever its estimate plus |tx| undercuts outSum.
-		auto("pull undercuts dense", 100, 500000, 499899, n, true, true, false, binary, KernelPull),
-		auto("tie is not pull", 100, 500000, 499900, n, true, true, false, binary, KernelDense),
-		auto("tie below n/64 is push", 10, 4000, 3990, n, true, true, false, binary, KernelPush),
-		auto("pull on a lossy channel", 10, 4000, 3989, n, true, true, false, lossy, KernelPull),
-		auto("pull on an implicit graph", 10, 4000, 3989, n, true, false, false, binary, KernelPull),
-		auto("pull under Parallel", 10, 4000, 3989, n, true, true, true, binary, KernelPull),
-		auto("no pull untracked", 10, 500000, 0, n, false, true, false, lossy, KernelPush),
+		auto("pull undercuts dense", 100, 500000, 499899, n, true, true, true, false, binary, KernelPull),
+		auto("tie is not pull", 100, 500000, 499900, n, true, true, true, false, binary, KernelDense),
+		auto("tie below n/64 is push", 10, 4000, 3990, n, true, true, true, false, binary, KernelPush),
+		auto("pull on a lossy channel", 10, 4000, 3989, n, true, true, true, false, lossy, KernelPull),
+		auto("pull on an implicit graph", 10, 4000, 3989, n, true, true, false, false, binary, KernelPull),
+		auto("pull under Parallel", 10, 4000, 3989, n, true, true, true, true, binary, KernelPull),
+		auto("no pull untracked", 10, 500000, 0, n, false, true, true, false, lossy, KernelPush),
 
 		// Never dense on an implicit graph, a non-binary-decidable channel,
-		// or under Options.Parallel.
-		auto("implicit graph", 400, 1<<30, 1<<40, n, true, false, false, binary, KernelPush),
-		auto("lossy channel", 400, 1<<30, 1<<40, n, true, true, false, lossy, KernelPush),
-		auto("sinr channel", 400, 1<<30, 1<<40, n, true, true, false, sinr, KernelPush),
-		auto("parallel", 400, 1<<30, 1<<40, n, true, true, true, binary, KernelParallel),
+		// or under Options.Parallel; never parallel on an implicit graph.
+		auto("implicit graph", 400, 1<<30, 1<<40, n, true, true, false, false, binary, KernelPush),
+		auto("implicit graph without in-rows", 400, 1<<30, 0, n, false, false, false, false, binary, KernelPush),
+		auto("lossy channel", 400, 1<<30, 1<<40, n, true, true, true, false, lossy, KernelPush),
+		auto("sinr channel", 400, 1<<30, 1<<40, n, true, true, true, false, sinr, KernelPush),
+		auto("parallel", 400, 1<<30, 1<<40, n, true, true, true, true, binary, KernelParallel),
+		auto("parallel on an implicit graph", 400, 1<<30, 1<<40, n, true, true, false, true, binary, KernelPush),
 
-		// Every forcing wins over the cost model.
-		{"forced push", KernelPush, 400, 1 << 30, 0, n, true, true, false, binary, KernelPush},
-		{"forced push under Parallel", KernelPush, 400, 1 << 30, 0, n, false, true, true, binary, KernelParallel},
-		{"forced parallel", KernelParallel, 400, 1 << 30, 0, n, false, true, true, binary, KernelParallel},
-		{"forced pull", KernelPull, 400, 1, 1 << 40, n, false, true, false, binary, KernelPull},
-		{"forced pull without transmitters", KernelPull, 0, 0, 0, n, false, true, false, binary, KernelPull},
-		{"forced dense below n/64", KernelDense, 1, 1, 0, n, true, true, false, binary, KernelDense},
-		{"forced dense on an implicit graph", KernelDense, 1, 1, 0, n, false, false, false, binary, KernelDense},
-		{"forced dense falls back on sinr", KernelDense, 400, 1 << 30, 0, n, false, true, false, sinr, KernelPush},
-		{"forced dense falls back under Parallel", KernelDense, 400, 1 << 30, 0, n, false, true, true, lossy, KernelParallel},
+		// Every forcing the graph and channel can serve wins over the cost
+		// model; the others fall back to push.
+		{"forced push", KernelPush, 400, 1 << 30, 0, n, true, true, true, false, binary, KernelPush},
+		{"forced push under Parallel", KernelPush, 400, 1 << 30, 0, n, false, true, true, true, binary, KernelParallel},
+		{"forced parallel", KernelParallel, 400, 1 << 30, 0, n, false, true, true, true, binary, KernelParallel},
+		{"forced parallel on an implicit graph", KernelParallel, 400, 1 << 30, 0, n, false, true, false, true, binary, KernelPush},
+		{"forced pull", KernelPull, 400, 1, 1 << 40, n, false, true, true, false, binary, KernelPull},
+		{"forced pull without transmitters", KernelPull, 0, 0, 0, n, false, true, true, false, binary, KernelPull},
+		{"forced pull on implicit in-rows", KernelPull, 400, 1, 1 << 40, n, false, true, false, false, binary, KernelPull},
+		{"forced pull without in-rows", KernelPull, 400, 1, 1 << 40, n, false, false, false, false, binary, KernelPush},
+		{"forced pull without in-rows under Parallel", KernelPull, 400, 1, 1 << 40, n, false, false, false, true, binary, KernelPush},
+		{"forced dense below n/64", KernelDense, 1, 1, 0, n, true, true, true, false, binary, KernelDense},
+		{"forced dense on an implicit graph", KernelDense, 1, 1, 0, n, false, false, false, false, binary, KernelPush},
+		{"forced dense falls back on sinr", KernelDense, 400, 1 << 30, 0, n, false, true, true, false, sinr, KernelPush},
+		{"forced dense falls back under Parallel", KernelDense, 400, 1 << 30, 0, n, false, true, true, true, lossy, KernelParallel},
 	}
 	for _, c := range cases {
-		got := chooseKernel(c.forced, c.tx, c.outSum, c.uninSum, c.n, c.trackUnin, c.materialized, c.parallel, c.dense)
+		got := chooseKernel(c.forced, c.tx, c.outSum, c.uninSum, c.n, c.trackUnin, c.inRows, c.materialized, c.parallel, c.dense)
 		if got != c.want {
 			t.Errorf("%s: chooseKernel = %d, want %d", c.name, got, c.want)
 		}
@@ -374,7 +358,7 @@ func TestPriceLimitSettlesKernelChoice(t *testing.T) {
 	spec := graph.GeomSpec{N: n, Radius: 2 * graph.ConnectivityRadius(n), Torus: true}
 	graphs := []struct {
 		name string
-		g    graph.Implicit
+		g    graph.InRows
 	}{
 		{"gnp", graph.GNPDirected(n, 0.02, r)},
 		{"rgg", graph.RGG(n, 2*graph.ConnectivityRadius(n), true, r)},
@@ -425,8 +409,8 @@ func TestPriceLimitSettlesKernelChoice(t *testing.T) {
 						}
 						for _, dense := range bools {
 							for _, parallel := range bools {
-								k := chooseKernel(KernelAuto, len(txs), bounded, uninSum, nn, track, materialized, parallel, dense)
-								kFull := chooseKernel(KernelAuto, len(txs), full, uninSum, nn, track, materialized, parallel, dense)
+								k := chooseKernel(KernelAuto, len(txs), bounded, uninSum, nn, track, true, materialized, parallel, dense)
+								kFull := chooseKernel(KernelAuto, len(txs), full, uninSum, nn, track, true, materialized, parallel, dense)
 								if k != kFull {
 									t.Fatalf("%s: tx %d, full sum %d, uninSum %d, n %d, track %v, dense %v, parallel %v: bounded sum %d chooses %d, full sum chooses %d",
 										gc.name, tx, full, uninSum, nn, track, dense, parallel, bounded, k, kFull)

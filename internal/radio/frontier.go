@@ -89,7 +89,7 @@ func (f *frontierState) sync(informed Bitset, n int) {
 // channel, jamming, schedule and battery filters) with remove, so a vetoed
 // reception stays on the frontier. The returned slice is scratch, valid
 // until the next deliver call.
-func (f *frontierState) deliver(g graph.Implicit, round int, transmitters []graph.NodeID, caps channelCaps) (delivered []graph.NodeID, collisions int) {
+func (f *frontierState) deliver(g graph.InRows, round int, transmitters []graph.NodeID, caps channelCaps) (delivered []graph.NodeID, collisions int) {
 	if len(f.list) == 0 {
 		// Pull examines only frontier nodes: with none left, no transmitter
 		// needs marking.
@@ -164,15 +164,14 @@ func (f *frontierState) remove(delivered []graph.NodeID) {
 	f.list = keep
 }
 
-// uninformedInSum returns Σ InDegree(v) over the uninformed nodes — the
-// pull kernel's per-round cost estimate, recomputed per Run segment (the
-// graph may change between segments) and maintained incrementally by the
-// engine as nodes are informed. On a CSR it is M() minus the in-degrees of
-// informedList, the session's informed nodes, so a fresh session pays for
-// one node instead of n; implicit graphs have no edge count and scan the
-// informed bitset's zero bits. The engine only calls it when g.CheapIn()
-// holds (in-degrees cost O(row) or better).
-func uninformedInSum(g graph.Implicit, informed Bitset, informedList []graph.NodeID) int64 {
+// uninformedInSum returns Σ InDegree(v) over the uninformed nodes of an
+// n-node session — the pull kernel's per-round cost estimate, recomputed per
+// Run segment (the graph may change between segments) and maintained
+// incrementally by the engine as nodes are informed. On a CSR it is M()
+// minus the in-degrees of informedList, the session's informed nodes, so a
+// fresh session pays for one node instead of n; implicit graphs have no edge
+// count and scan the informed bitset's zero bits.
+func uninformedInSum(g graph.InRows, n int, informed Bitset, informedList []graph.NodeID) int64 {
 	if dg, ok := g.(*graph.Digraph); ok {
 		sum := int64(dg.M())
 		for _, v := range informedList {
@@ -181,7 +180,7 @@ func uninformedInSum(g graph.Implicit, informed Bitset, informedList []graph.Nod
 		return sum
 	}
 	var sum int64
-	forEachUninformed(informed, g.N(), func(v graph.NodeID) {
+	forEachUninformed(informed, n, func(v graph.NodeID) {
 		sum += int64(g.InDegree(v))
 	})
 	return sum
@@ -192,10 +191,10 @@ func uninformedInSum(g graph.Implicit, informed Bitset, informedList []graph.Nod
 // partial sum. The engine passes priceLimit, above which chooseKernel
 // returns the same kernel for every sum, so the partial sum settles the
 // choice exactly as the full sum would. O(|tx|) at most from the CSR
-// offsets on a materialized graph; implicit graphs pay a row enumeration
-// per transmitter, which is why the engine consults it only when the pull
+// offsets on a materialized graph; implicit graphs pay a row scan per
+// transmitter, which is why the engine consults it there only when the pull
 // side is a live alternative (trackUnin).
-func outDegSum(g graph.Implicit, txs []graph.NodeID, lim int64) int64 {
+func outDegSum(g graph.InRows, txs []graph.NodeID, lim int64) int64 {
 	var sum int64
 	if dg, ok := g.(*graph.Digraph); ok {
 		for _, u := range txs {

@@ -9,6 +9,7 @@ package radio
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/energy"
@@ -80,9 +81,8 @@ func TestImplicitBitIdenticalToMaterialized(t *testing.T) {
 }
 
 // TestImplicitGNPAutoRunStaysPushOnly pins the memory contract of the
-// planet-scale path: an adaptive (un-forced) run on implicit G(n,p) must
-// never trigger in-side queries — CheapIn stays false, i.e. the O(n + m)
-// transpose index was never built and the session stayed O(n).
+// planet-scale path: implicit G(n,p) serves no in-rows, so no run on it can
+// build an O(n + m) index and the session stays O(n).
 func TestImplicitGNPAutoRunStaysPushOnly(t *testing.T) {
 	n := 512
 	g := graph.NewImplicitGNP(n, 6*math.Log(float64(n))/float64(n), 5)
@@ -90,8 +90,30 @@ func TestImplicitGNPAutoRunStaysPushOnly(t *testing.T) {
 	if res.Informed < n/2 {
 		t.Fatalf("broadcast stalled at %d/%d informed; workload is not representative", res.Informed, n)
 	}
-	if g.CheapIn() {
-		t.Fatal("adaptive run on implicit G(n,p) built the transpose index; the push-only gate leaks in-side queries")
+	if _, ok := any(g).(graph.InRows); ok {
+		t.Fatal("implicit G(n,p) serves in-rows; the engine would price and run pull on it")
+	}
+}
+
+// TestImplicitGNPAutoRunIgnoresEarlierForcing pins the determinism contract
+// on one implicit G(n,p) object: an auto run reports the same Result before
+// and after a forced-pull run on the same graph. Forcing pull must not leave
+// state on the graph that turns pull on for later runs (it would change
+// Result.Collisions, which pull counts at uninformed receivers only).
+func TestImplicitGNPAutoRunIgnoresEarlierForcing(t *testing.T) {
+	defer SetEngineOverrides(EngineOverrides{})
+	n := 4096
+	g := graph.NewImplicitGNP(n, 8*math.Log(float64(n))/float64(n), 5)
+	run := func() *Result {
+		return RunBroadcast(g, 0, &sbern{q: 0.02}, rng.New(9), Options{MaxRounds: 3000})
+	}
+	before := run()
+	SetEngineOverrides(EngineOverrides{Kernel: KernelPull})
+	run()
+	SetEngineOverrides(EngineOverrides{})
+	if after := run(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("auto run changed after a forced-pull run on the same graph: collisions %d, then %d",
+			before.Collisions, after.Collisions)
 	}
 }
 
@@ -118,16 +140,13 @@ func TestImplicitLossyEquivalence(t *testing.T) {
 
 // TestImplicitParallelOptionEquivalence drives the sharded kernel through
 // Options.Parallel (not just the override) far enough past the serial
-// fallback threshold to exercise the fan-out path on implicit rows.
+// fallback threshold to exercise the fan-out path, on the materialization of
+// an implicit G(n,p): the sharded kernel reads CSR rows only.
 func TestImplicitParallelOptionEquivalence(t *testing.T) {
-	n := 2048
-	g := graph.NewImplicitGNP(n, 4e-3, 31)
-	mat := graph.MaterializeImplicit(g)
-	run := func(gr graph.Implicit, par bool) *Result {
-		return RunBroadcast(gr, 0, &sbern{q: 0.4}, rng.New(6),
+	mat := graph.MaterializeImplicit(graph.NewImplicitGNP(2048, 4e-3, 31))
+	run := func(par bool) *Result {
+		return RunBroadcast(mat, 0, &sbern{q: 0.4}, rng.New(6),
 			Options{MaxRounds: 400, Parallel: par, Workers: 4})
 	}
-	want := run(mat, false)
-	assertSameResult(t, "parallel/materialized", want, run(mat, true))
-	assertSameResult(t, "parallel/implicit", want, run(g, true))
+	assertSameResult(t, "parallel/materialized", run(false), run(true))
 }

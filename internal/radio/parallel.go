@@ -39,7 +39,6 @@ type parallelDeliverer struct {
 	hits    []int32
 	st      deliveryState      // serial fallback for small rounds
 	buckets [][][]graph.NodeID // [worker][shard] hit receivers
-	rows    [][]graph.NodeID   // per-worker row buffers for implicit graphs
 	touched [][]graph.NodeID   // per-shard first-touch lists
 	outD    [][]graph.NodeID   // per-shard delivered lists
 	colls   []int              // per-shard collision counts
@@ -69,7 +68,6 @@ func newParallelDeliverer(n, workers int) *parallelDeliverer {
 		shards:  shards,
 		hits:    make([]int32, n),
 		buckets: make([][][]graph.NodeID, workers),
-		rows:    make([][]graph.NodeID, workers),
 		touched: make([][]graph.NodeID, shards),
 		outD:    make([][]graph.NodeID, shards),
 		colls:   make([]int, shards),
@@ -81,19 +79,16 @@ func newParallelDeliverer(n, workers int) *parallelDeliverer {
 	return pd
 }
 
-func (pd *parallelDeliverer) deliver(g graph.Implicit, round int, transmitters []graph.NodeID, informed Bitset, caps channelCaps) (delivered []graph.NodeID, collisions int) {
+func (pd *parallelDeliverer) deliver(g *graph.Digraph, round int, transmitters []graph.NodeID, informed Bitset, caps channelCaps) (delivered []graph.NodeID, collisions int) {
 	w := pd.workers
 	if len(transmitters) < 4*w {
 		// Not worth fanning out; run the serial algorithm on our buffers.
 		return pd.st.deliver(g, round, transmitters, informed, caps)
 	}
-	dg, _ := g.(*graph.Digraph)
 
 	// Pass 1: distribute hit receivers into per-(worker, shard) buckets,
 	// dropping signals the channel's edge filter fades out (the filter is a
 	// pure hash of (seed, round, tx, rx), so workers need no shared state).
-	// Implicit graphs enumerate rows into a per-worker buffer (rows are
-	// re-derived independently, so workers never share generator state).
 	var wg sync.WaitGroup
 	chunk := (len(transmitters) + w - 1) / w
 	nBuckets := (len(transmitters) + chunk - 1) / chunk
@@ -101,19 +96,13 @@ func (pd *parallelDeliverer) deliver(g graph.Implicit, round int, transmitters [
 		lo := i * chunk
 		hi := min(lo+chunk, len(transmitters))
 		wg.Add(1)
-		go func(bw [][]graph.NodeID, txs []graph.NodeID, row *[]graph.NodeID) {
+		go func(bw [][]graph.NodeID, txs []graph.NodeID) {
 			defer wg.Done()
 			for s := range bw {
 				bw[s] = bw[s][:0]
 			}
 			for _, u := range txs {
-				out := *row
-				if dg != nil {
-					out = dg.Out(u)
-				} else {
-					out = g.AppendOut(u, out[:0])
-					*row = out
-				}
+				out := g.Out(u)
 				if caps.edgeOK == nil {
 					for _, t := range out {
 						s := uint32(t) >> pd.shift
@@ -129,7 +118,7 @@ func (pd *parallelDeliverer) deliver(g graph.Implicit, round int, transmitters [
 					}
 				}
 			}
-		}(pd.buckets[i], transmitters[lo:hi], &pd.rows[i])
+		}(pd.buckets[i], transmitters[lo:hi])
 	}
 	wg.Wait()
 

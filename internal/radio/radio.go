@@ -41,12 +41,13 @@
 // transmitters' out-degree sum against the uninformed frontier's in-degree
 // sum (tracked incrementally) and picks the cheaper kernel — push
 // (radio.go), parallel push (parallel.go), the receiver-centric pull kernel
-// over the frontier list (frontier.go), or, from ⌈n/64⌉ transmitter edges
-// on a materialized graph, the word-parallel dense kernel (dense.go). The
-// out-degree sum is taken only until it passes the one threshold that can
-// still change the choice (priceLimit), and on a materialized graph the
-// frontier's sum starts each segment as M() minus the informed nodes'
-// in-degrees, so neither prices more than the choice needs.
+// over the frontier list on a graph with in-rows (frontier.go), or, from
+// ⌈n/64⌉ transmitter edges on a materialized graph, the word-parallel dense
+// kernel (dense.go). The out-degree sum is taken only until it passes the
+// one threshold that can still change the choice (priceLimit), and on a
+// materialized graph the frontier's sum starts each segment as M() minus
+// the informed nodes' in-degrees, so neither prices more than the choice
+// needs.
 //
 // A round whose kernel result is already known runs no kernel: when its
 // transmitter list (after the battery filter) equals the previous round's
@@ -178,21 +179,23 @@ type DeliveryKernel int
 const (
 	// KernelAuto lets the engine pick per round from the cost estimates
 	// (the default): pull when the uninformed frontier's in-degree sum
-	// undercuts the transmitters' out-degree sum; the word-parallel dense
-	// kernel when the transmitters' out-degree sum reaches ⌈n/64⌉ (the word
-	// count of its resolution pass) on a materialized graph under a
-	// dense-capable channel model (see dense.go); push otherwise (parallel
-	// push when Options.Parallel). See chooseKernel.
+	// undercuts the transmitters' out-degree sum on a graph with in-rows;
+	// the word-parallel dense kernel when the transmitters' out-degree sum
+	// reaches ⌈n/64⌉ (the word count of its resolution pass) on a
+	// materialized graph under a dense-capable channel model (see dense.go);
+	// push otherwise (parallel push when Options.Parallel). See chooseKernel.
 	KernelAuto DeliveryKernel = iota
 	// KernelPush forces the serial transmitter-centric kernel.
 	KernelPush
-	// KernelPull forces the receiver-centric frontier kernel.
+	// KernelPull forces the receiver-centric frontier kernel on a graph
+	// with in-rows (graph.InRows); other graphs fall back to push.
 	KernelPull
-	// KernelParallel forces the receiver-sharded parallel push kernel.
+	// KernelParallel forces the receiver-sharded parallel push kernel on a
+	// materialized graph; other graphs fall back to serial push.
 	KernelParallel
 	// KernelDense forces the word-parallel carry-save dense kernel for every
-	// round the channel model supports (maxHits == 1, no per-edge filter);
-	// unsupported models fall back to serial push.
+	// round the channel model supports (maxHits == 1, no per-edge filter) on
+	// a materialized graph; other models and graphs fall back to push.
 	KernelDense
 )
 
@@ -205,9 +208,9 @@ const (
 // one decision path and one kernel and ignores every override.
 type EngineOverrides struct {
 	// Kernel pins the broadcast delivery kernel instead of the per-round
-	// cost model. Every reception model is served by every kernel (channel
-	// draws are hashed, not streamed — see reception.go), so the pin is
-	// total.
+	// cost model. Channel draws are hashed, not streamed (see reception.go),
+	// so the pin never changes a result; a pin the graph or the channel
+	// cannot serve falls back to push (see the kernels' docs).
 	Kernel DeliveryKernel
 	// DisableSkip forces round-by-round execution of the only runs that
 	// skip silent rounds: energy-free UniformRound (FixedProb) runs. It
@@ -237,7 +240,8 @@ type Options struct {
 	// RecordHistory captures per-round statistics in Result.History.
 	RecordHistory bool
 	// Parallel selects the sharded parallel delivery kernel (see
-	// parallel.go). Results are identical to the serial kernel.
+	// parallel.go) on a materialized graph; other graphs fall back to serial
+	// push. Results are identical to the serial kernel.
 	Parallel bool
 	// Workers is the parallel kernel's worker count (0 = GOMAXPROCS).
 	Workers int
@@ -465,9 +469,6 @@ func (s *BroadcastSession) Informed() int { return len(s.informedList) }
 // Rounds returns the absolute round clock.
 func (s *BroadcastSession) Rounds() int { return s.rounds }
 
-// Quiesced reports whether the protocol has retired every node.
-func (s *BroadcastSession) Quiesced() bool { return s.quiesced }
-
 // EnergyState returns the session's battery bank (nil when the energy model
 // is disabled). Pass it as energy.Spec{Resume: ...} to a later session to
 // model repeated campaigns on one charge. When the session came from a
@@ -509,13 +510,13 @@ func (s *BroadcastSession) initEnergy(spec *energy.Spec) {
 // recorded) covers this segment only.
 //
 // g may be any graph.Implicit — a materialized *graph.Digraph or an
-// implicit view that re-derives rows on demand. Every kernel takes the
-// zero-copy CSR path when g is a *Digraph, so the materialized hot loops
-// are unchanged; implicit graphs enumerate rows into reusable buffers. The
-// pull cost model needs Σ in-degree over the uninformed set, so it engages
-// only when g.CheapIn() reports in-rows affordable — push-only otherwise
-// (implicit G(n,p) without its transpose index), which is exactly the
-// access pattern that keeps planet-scale runs O(n) in memory.
+// implicit view that re-derives rows on demand — and Run asserts what else
+// it serves once per segment. The dense and parallel kernels read CSR rows,
+// so they run only on a *Digraph. The pull kernel and its cost model read
+// in-rows, so they run only when g is a graph.InRows (a *Digraph or
+// graph.ImplicitGeom). Implicit G(n,p) is neither and runs push-only, which
+// is exactly the access pattern that keeps planet-scale runs O(n) in
+// memory. A forcing the graph cannot serve falls back to push.
 func (s *BroadcastSession) Run(g graph.Implicit, opt Options) *Result {
 	if err := opt.validate(); err != nil {
 		panic(err)
@@ -531,8 +532,10 @@ func (s *BroadcastSession) Run(g graph.Implicit, opt Options) *Result {
 		model = Binary()
 	}
 	caps := model.resolve(s.chanSeed)
+	dg, _ := g.(*graph.Digraph)
+	in, _ := g.(graph.InRows)
 	parallel := opt.Parallel || engineOverrides.Kernel == KernelParallel
-	if parallel {
+	if parallel && dg != nil {
 		// A later segment, or a later session on a parked one, may ask for
 		// a different worker count than the kept deliverer was built with.
 		if w := parallelWorkers(opt.Workers); s.par == nil || s.par.workers != w {
@@ -549,12 +552,10 @@ func (s *BroadcastSession) Run(g graph.Implicit, opt Options) *Result {
 	// cannot prove the topology is unchanged. O(n/64 + uninformed) per Run,
 	// then maintained incrementally in the round loop. Segments that can
 	// never consult it (forced kernels, exact-collision consumers, graphs
-	// whose in-rows are expensive) skip the scan.
-	dg, _ := g.(*graph.Digraph)
-	trackUnin := engineOverrides.Kernel == KernelAuto &&
-		!exactCollisions && g.CheapIn()
+	// without in-rows) skip the scan.
+	trackUnin := engineOverrides.Kernel == KernelAuto && !exactCollisions && in != nil
 	if trackUnin {
-		s.uninSum = uninformedInSum(g, s.informed, s.informedList)
+		s.uninSum = uninformedInSum(in, s.n, s.informed, s.informedList)
 	}
 	if opt.Energy != nil {
 		if s.energy == nil {
@@ -660,21 +661,21 @@ func (s *BroadcastSession) Run(g graph.Implicit, opt Options) *Result {
 			if engineOverrides.Kernel == KernelAuto && (trackUnin || dg != nil) {
 				// O(|tx|) at most on a CSR; implicit rows pay for it only
 				// when pull can. Pricing stops once the choice is settled.
-				outSum = outDegSum(g, transmitters,
+				outSum = outDegSum(in, transmitters,
 					priceLimit(s.n, len(transmitters), s.uninSum, trackUnin))
 			}
 			switch chooseKernel(engineOverrides.Kernel, len(transmitters), outSum, s.uninSum,
-				s.n, trackUnin, dg != nil, parallel, denseOK(caps)) {
+				s.n, trackUnin, in != nil, dg != nil, parallel, denseOK(caps)) {
 			case KernelPull:
 				s.fr.sync(s.informed, s.n)
-				delivered, collisions = s.fr.deliver(g, round, transmitters, caps)
+				delivered, collisions = s.fr.deliver(in, round, transmitters, caps)
 			case KernelDense:
 				if s.dn == nil {
 					s.dn = newDenseState(s.n)
 				}
-				delivered, collisions = s.dn.deliver(g, transmitters, s.informed)
+				delivered, collisions = s.dn.deliver(dg, transmitters, s.informed)
 			case KernelParallel:
-				delivered, collisions = s.par.deliver(g, round, transmitters, s.informed, caps)
+				delivered, collisions = s.par.deliver(dg, round, transmitters, s.informed, caps)
 			default:
 				delivered, collisions = s.st.deliver(g, round, transmitters, s.informed, caps)
 			}
@@ -711,7 +712,7 @@ func (s *BroadcastSession) Run(g graph.Implicit, opt Options) *Result {
 				if dg != nil {
 					s.uninSum -= int64(dg.InDegree(v))
 				} else {
-					s.uninSum -= int64(g.InDegree(v))
+					s.uninSum -= int64(in.InDegree(v))
 				}
 			}
 			s.proto.OnInformed(round, v)
@@ -796,18 +797,25 @@ func uniformProb(u UniformRound, enabled bool, round int) (float64, bool) {
 //
 // forced is the EngineOverrides pin, tx the transmitter count, outSum their
 // out-degree sum, uninSum the pull estimate Σ indeg(uninformed) (read only
-// when trackUnin), and n the node count; materialized says g is a CSR
-// *graph.Digraph, parallel that rounds-parallel delivery was asked for, and
-// dense that denseOK holds for the channel. The transmitter-side fallback is
-// parallel push when parallel, serial push otherwise.
-func chooseKernel(forced DeliveryKernel, tx int, outSum, uninSum int64, n int, trackUnin, materialized, parallel, dense bool) DeliveryKernel {
+// when trackUnin), and n the node count; inRows says g is a graph.InRows,
+// materialized that g is a CSR *graph.Digraph, parallel that rounds-parallel
+// delivery was asked for, and dense that denseOK holds for the channel. The
+// transmitter-side fallback is parallel push when parallel on a materialized
+// graph, serial push otherwise; a forcing the graph or channel cannot serve
+// falls back to it.
+func chooseKernel(forced DeliveryKernel, tx int, outSum, uninSum int64, n int, trackUnin, inRows, materialized, parallel, dense bool) DeliveryKernel {
+	parallel = parallel && materialized
+	dense = dense && materialized
 	push := KernelPush
 	if parallel {
 		push = KernelParallel
 	}
 	switch forced {
 	case KernelPull:
-		return KernelPull
+		if inRows {
+			return KernelPull
+		}
+		return push
 	case KernelDense:
 		// Forced dense runs every round the channel resolves exactly.
 		if dense {
@@ -828,7 +836,7 @@ func chooseKernel(forced DeliveryKernel, tx int, outSum, uninSum int64, n int, t
 	// it is admitted once the round has that many edges. The out-degree scan
 	// that prices it is O(1) per node only on a CSR, and rounds-parallel
 	// keeps its shards.
-	if dense && materialized && !parallel && outSum >= int64(n+63)/64 {
+	if dense && !parallel && outSum >= int64(n+63)/64 {
 		return KernelDense
 	}
 	return push
