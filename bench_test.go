@@ -653,7 +653,7 @@ func BenchmarkPrimitiveDutyCycleRound262144(b *testing.B) {
 	b.ResetTimer()
 	sess.Run(g, radio.Options{MaxRounds: b.N,
 		Energy: &energy.Spec{Model: energy.CC2420(), Budget: 1e12,
-			Schedule: &energy.DutyCycle{Period: 4, On: 1, Stagger: true}}})
+			Schedule: &energy.DutyCycle{Period: 4, On: 1}}})
 }
 
 // --- implicit-topology benchmarks: the generate-free graph.Implicit

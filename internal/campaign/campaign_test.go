@@ -60,6 +60,16 @@ func testCampaign() Campaign {
 
 func testUnits() []Unit { return []Unit{{ID: "T1", C: testCampaign()}} }
 
+// reopen resumes the checkpoint at path the way a run does and closes the
+// sink again: the records it holds, and what the repair tolerated.
+func reopen(path string) (*ResultSet, LoadReport, error) {
+	sink, rs, rep, err := OpenCheckpoint(path, true)
+	if err != nil {
+		return nil, rep, err
+	}
+	return rs, rep, sink.Close()
+}
+
 // sortedLines renders a record set as canonically-ordered JSONL lines, so
 // runs that complete points in different orders compare equal.
 func sortedLines(t *testing.T, rs *ResultSet) map[string]string {
@@ -263,7 +273,7 @@ func TestResumeToleratesTornTail(t *testing.T) {
 	if string(repaired) != string(full) {
 		t.Errorf("offset-0 repaired checkpoint differs from uninterrupted stream")
 	}
-	if _, err := LoadRecords(path); err != nil {
+	if _, _, err := reopen(path); err != nil {
 		t.Errorf("repaired checkpoint unreadable: %v", err)
 	}
 
@@ -272,7 +282,7 @@ func TestResumeToleratesTornTail(t *testing.T) {
 	if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadRecords(path); err == nil {
+	if _, _, err := reopen(path); err == nil {
 		t.Fatal("mid-file corruption not detected")
 	}
 	// ... including on the FINAL line when it is newline-terminated: sink
@@ -282,7 +292,7 @@ func TestResumeToleratesTornTail(t *testing.T) {
 	if err := os.WriteFile(path, []byte(strings.Join(lines[:2], "")+"{\"broken\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadRecords(path); err == nil {
+	if _, _, err := reopen(path); err == nil {
 		t.Fatal("terminated malformed final line not detected as corruption")
 	}
 	if _, err := Run(testUnits(), RunOptions{Config: cfg, Checkpoint: path, Resume: true}); err == nil {
@@ -300,7 +310,7 @@ func TestRenderFromCheckpointOnly(t *testing.T) {
 	}
 	wantTables := testCampaign().Render(cfg, NewView(want, "T1"))
 
-	loaded, err := LoadRecords(path)
+	loaded, _, err := reopen(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,9 +396,10 @@ func TestResumeSurvivesTruncationAtEveryByte(t *testing.T) {
 }
 
 // TestLoadReportSurfacesToleratedDamage pins the explicit-warning contract:
-// what loading tolerates (torn tail, blank lines) is itemised in the
+// what reopening tolerates (torn tail, blank lines) is itemised in the
 // report, never silently absorbed — and what it does not tolerate
 // (corruption of a terminated line) errors with the line and byte offset.
+// It also pins OpenCheckpoint's refusal without resume.
 func TestLoadReportSurfacesToleratedDamage(t *testing.T) {
 	cfg := Config{Seed: 5}
 	dir := t.TempDir()
@@ -398,13 +409,21 @@ func TestLoadReportSurfacesToleratedDamage(t *testing.T) {
 	}
 	full, _ := os.ReadFile(path)
 
-	// Clean file: six records, zero warnings.
-	rs, rep, err := LoadRecordsReport(path)
+	// Clean file: six records, nothing tolerated.
+	rs, rep, err := reopen(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Records != 6 || rep.Warnings() != 0 || len(rs.Records()) != 6 {
+	if rep != (LoadReport{Records: 6}) || len(rs.Records()) != 6 {
 		t.Fatalf("clean report %+v", rep)
+	}
+
+	// Without resume a file that holds bytes is refused and left alone.
+	if _, _, _, err := OpenCheckpoint(path, false); err == nil || !strings.Contains(err.Error(), "already holds records") {
+		t.Fatalf("fresh open over a written checkpoint: %v, want a refusal", err)
+	}
+	if kept, _ := os.ReadFile(path); !bytes.Equal(kept, full) {
+		t.Fatal("refused fresh open changed the checkpoint")
 	}
 
 	// Torn tail: counted byte for byte, and repaired away in place.
@@ -412,15 +431,12 @@ func TestLoadReportSurfacesToleratedDamage(t *testing.T) {
 	if err := os.WriteFile(path, append(append([]byte{}, full...), frag...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, rep, err = LoadRecordsReport(path)
+	_, rep, err = reopen(path)
 	if err != nil {
 		t.Fatalf("torn tail rejected: %v", err)
 	}
-	if rep.TornTailBytes != int64(len(frag)) || rep.Warnings() != 1 {
-		t.Fatalf("torn report %+v, want %d torn bytes / 1 warning", rep, len(frag))
-	}
-	if _, _, err := RepairCheckpoint(path); err != nil {
-		t.Fatalf("RepairCheckpoint: %v", err)
+	if rep != (LoadReport{Records: 6, TornTailBytes: int64(len(frag))}) {
+		t.Fatalf("torn report %+v, want %d torn bytes", rep, len(frag))
 	}
 	repaired, _ := os.ReadFile(path)
 	if !bytes.Equal(repaired, full) {
@@ -433,11 +449,11 @@ func TestLoadReportSurfacesToleratedDamage(t *testing.T) {
 	if err := os.WriteFile(path, []byte(withBlank), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, rep, err = LoadRecordsReport(path)
+	_, rep, err = reopen(path)
 	if err != nil {
 		t.Fatalf("blank line rejected: %v", err)
 	}
-	if rep.BlankLines != 1 || rep.Records != 6 || rep.Warnings() != 1 {
+	if rep != (LoadReport{Records: 6, BlankLines: 1}) {
 		t.Fatalf("blank-line report %+v", rep)
 	}
 
@@ -446,7 +462,7 @@ func TestLoadReportSurfacesToleratedDamage(t *testing.T) {
 	if err := os.WriteFile(path, []byte(bad), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = LoadRecordsReport(path)
+	_, _, err = reopen(path)
 	if err == nil {
 		t.Fatal("corrupt terminated line tolerated")
 	}

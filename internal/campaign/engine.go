@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"time"
 )
 
@@ -34,8 +33,9 @@ type RunOptions struct {
 	// Checkpoint, when set, streams one JSONL record per completed point to
 	// this path (append-only, crash-tolerant).
 	Checkpoint string
-	// Resume loads Checkpoint first and skips every point that already has a
-	// record matching (campaign, point, seed, scale). Requires Checkpoint.
+	// Resume reopens Checkpoint (see OpenCheckpoint) and skips every point
+	// that already has a record matching its campaign, point, seed, scale
+	// and Trials (see Record.Matches). Requires Checkpoint.
 	Resume bool
 	// Trials stamps the per-point repetition count into records (informational;
 	// the campaigns themselves derive it from Config).
@@ -56,6 +56,9 @@ type RunOptions struct {
 type task struct {
 	unit  Unit
 	point Point
+	// reused is the checkpointed record a resume keeps for the point
+	// instead of running it, or nil.
+	reused *Record
 }
 
 // Run executes the selected campaigns' grids under the given options and
@@ -74,7 +77,8 @@ func Run(units []Unit, opt RunOptions) (*ResultSet, error) {
 		return nil, err
 	}
 
-	// Enumerate the global point list and validate key uniqueness.
+	// Enumerate the global point list, validate key uniqueness, and keep
+	// this shard's points.
 	var tasks []task
 	seen := map[string]bool{}
 	for _, u := range units {
@@ -89,33 +93,24 @@ func Run(units []Unit, opt RunOptions) (*ResultSet, error) {
 			if seen[k] {
 				return nil, fmt.Errorf("campaign %s: duplicate point key %q", u.ID, pt.Key)
 			}
+			i := len(seen) // the point's index in the global list
 			seen[k] = true
-			tasks = append(tasks, task{unit: u, point: pt})
+			if opt.ShardCount <= 1 || i%opt.ShardCount == opt.ShardIndex {
+				tasks = append(tasks, task{unit: u, point: pt})
+			}
 		}
 	}
 
+	var sink *Sink
 	prior := NewResultSet()
-	if !opt.Resume && opt.Checkpoint != "" {
-		// Refuse to clobber prior work: a non-empty checkpoint holds computed
-		// records, and overwriting it silently would throw hours away on a
-		// mistyped re-run. The operator chooses explicitly: Resume to
-		// continue, or remove the file for a fresh stream.
-		if st, err := os.Stat(opt.Checkpoint); err == nil && st.Size() > 0 {
-			return nil, fmt.Errorf("campaign: checkpoint %s already holds records; pass resume to continue it, or remove the file to start fresh", opt.Checkpoint)
-		}
-	}
-	if opt.Resume {
-		// RepairCheckpoint drops and truncates a torn tail in place so the
-		// next append starts on a fresh line and a resumed stream stays
-		// byte-identical to an uninterrupted one. Tolerated damage is
-		// surfaced, not absorbed silently; a corrupt terminated line —
-		// mid-file or final — is an error, never "repaired".
+	if opt.Checkpoint != "" {
 		var rep LoadReport
 		var err error
-		prior, rep, err = RepairCheckpoint(opt.Checkpoint)
+		sink, prior, rep, err = OpenCheckpoint(opt.Checkpoint, opt.Resume)
 		if err != nil {
 			return nil, err
 		}
+		defer sink.Close()
 		if opt.Progress != nil && rep.TornTailBytes > 0 {
 			fmt.Fprintf(opt.Progress, "checkpoint %s: dropped torn %d-byte tail (killed mid-append; repairing in place)\n",
 				opt.Checkpoint, rep.TornTailBytes)
@@ -125,32 +120,16 @@ func Run(units []Unit, opt RunOptions) (*ResultSet, error) {
 		}
 	}
 
-	var sink *Sink
-	if opt.Checkpoint != "" {
-		// Without resume the checkpoint is a fresh stream (guarded non-empty
-		// above); with it, records accumulate after the loaded prefix.
-		fresh := !opt.Resume
-		var err error
-		sink, err = OpenSink(opt.Checkpoint, fresh)
-		if err != nil {
-			return nil, err
-		}
-		defer sink.Close()
-	}
-
-	// Pre-scan so the ETA denominator counts only points this run executes.
-	inShard := func(i int) bool {
-		return opt.ShardCount <= 1 || i%opt.ShardCount == opt.ShardIndex
-	}
+	// Decide once per point whether resume reuses its record, so the ETA
+	// denominator counts only points this run executes.
 	toRun := 0
-	for i, t := range tasks {
-		if !inShard(i) {
-			continue
+	for i := range tasks {
+		t := &tasks[i]
+		if r, ok := prior.Lookup(t.unit.ID, t.point.Key); ok && r.Matches(t.unit.ID, t.point.Key, opt.Config.Seed, opt.Config.Full, opt.Trials) {
+			t.reused = r
+		} else {
+			toRun++
 		}
-		if r, ok := prior.Lookup(t.unit.ID, t.point.Key); ok && r.matches(t.unit.ID, t.point.Key, opt.Config, opt.Trials) {
-			continue
-		}
-		toRun++
 	}
 
 	interrupted := func() bool {
@@ -168,18 +147,15 @@ func Run(units []Unit, opt RunOptions) (*ResultSet, error) {
 	rs := NewResultSet()
 	done := 0
 	var spent time.Duration
-	for i, t := range tasks {
-		if !inShard(i) {
-			continue
-		}
+	for _, t := range tasks {
 		if interrupted() {
 			// Between points by construction: the previous point's record is
 			// already appended and synced, so the checkpoint is a clean
 			// prefix and -resume continues exactly here.
 			return rs, fmt.Errorf("%w after %d point(s)", ErrInterrupted, done)
 		}
-		if r, ok := prior.Lookup(t.unit.ID, t.point.Key); ok && r.matches(t.unit.ID, t.point.Key, opt.Config, opt.Trials) {
-			rs.Add(r)
+		if t.reused != nil {
+			rs.Add(t.reused)
 			if opt.Progress != nil {
 				fmt.Fprintf(opt.Progress, "%s %s: resumed from checkpoint\n", t.unit.ID, t.point.Key)
 			}

@@ -104,13 +104,15 @@ func (r *Record) samples() Samples {
 	return out
 }
 
-// matches reports whether the record satisfies the given run configuration
-// for the identified point — the resume criterion. The trial count is part
-// of it: a checkpoint written before a repetition-count change must not be
-// silently mixed with freshly-run points.
-func (r *Record) matches(campaignID, pointKey string, cfg Config, trials int) bool {
+// Matches reports whether the record stands for the identified point at
+// the given seed, scale and trial count: the one rule by which a resumed
+// campaign.Run reuses a checkpointed record and campaignd resumes a job or
+// accepts a worker's completion. The trial count is part of it: a
+// checkpoint written before a repetition-count change must not be silently
+// mixed with freshly-run points.
+func (r *Record) Matches(campaignID, pointKey string, seed uint64, full bool, trials int) bool {
 	return r.Campaign == campaignID && r.Point == pointKey &&
-		r.Seed == cfg.Seed && r.Full == cfg.Full && r.Trials == trials
+		r.Seed == seed && r.Full == full && r.Trials == trials
 }
 
 // ResultSet holds the records of one run, in completion order, with
@@ -194,7 +196,7 @@ func (v View) Samples(pointKey string) Samples {
 // Sink is an append-only JSONL stream: a record checkpoint, or campaignd's
 // job log. Every value is written as a single Write of one full line
 // followed by a sync, and a failed write or sync is cut back off, so only a
-// crash can leave a torn final line — which ScanJSONL tolerates — and a
+// crash can leave a torn final line — which RepairJSONL cuts off — and a
 // line, once visible, is durable and complete.
 type Sink struct {
 	f *os.File
@@ -242,121 +244,87 @@ func (s *Sink) Append(v any) error {
 // Close closes the underlying file.
 func (s *Sink) Close() error { return s.f.Close() }
 
-// LoadReport accounts for every byte of a loaded checkpoint that did NOT
-// become a record, so tolerated damage is surfaced instead of silently
+// LoadReport accounts for every byte of a reopened stream that was NOT
+// handed on as a line, so tolerated damage is surfaced instead of silently
 // absorbed. Only two shapes are ever tolerated: an unterminated final line
 // (the torn tail of a killed append — the one malformation a prefix-only
 // partial write can produce) and newline-terminated blank lines. Any
 // terminated non-blank line that fails to parse was written whole and then
-// corrupted, and loading errors wherever it sits — mid-file corruption
+// corrupted, and reopening errors wherever it sits — mid-file corruption
 // must never be mistaken for a benign tear and silently mis-resumed over.
 type LoadReport struct {
-	// Records is the number of well-formed records loaded.
+	// Records is the number of lines handed on: records, or the job specs
+	// of campaignd's log.
 	Records int
-	// TornTailBytes is the length of the dropped unterminated final line
-	// (0 when the file ends cleanly).
+	// TornTailBytes is the length of the cut unterminated final line (0
+	// when the file ends cleanly).
 	TornTailBytes int64
 	// BlankLines counts tolerated newline-terminated blank lines.
 	BlankLines int
 }
 
-// Warnings returns the count of tolerated anomalies (for callers that
-// only want to know whether to warn).
-func (r LoadReport) Warnings() int {
-	n := r.BlankLines
-	if r.TornTailBytes > 0 {
-		n++
-	}
-	return n
-}
-
-// LoadRecords reads a JSONL checkpoint into a result set. A missing file
-// yields an empty set. An unterminated final line — the torn tail of a
-// killed append — is dropped; any line that ends in a newline was written
-// whole, so failing to parse one is corruption and errors wherever it
-// sits, mid-file or final. Use LoadRecordsReport to also learn what was
-// tolerated.
-func LoadRecords(path string) (*ResultSet, error) {
-	rs, _, _, err := loadCheckpoint(path)
-	return rs, err
-}
-
-// LoadRecordsReport is LoadRecords plus an explicit account of tolerated
-// damage (torn tail, blank lines), so callers can warn instead of
-// absorbing it silently.
-func LoadRecordsReport(path string) (*ResultSet, LoadReport, error) {
-	rs, _, rep, err := loadCheckpoint(path)
-	return rs, rep, err
-}
-
-// RepairCheckpoint loads a checkpoint and truncates any torn tail in
-// place, so the next append starts on a fresh line and a resumed stream
-// stays byte-identical to an uninterrupted one. This must happen whenever
-// the file exists — even a tear at offset 0 (a run killed mid-append of
-// its very first record) would otherwise have the next record appended
-// onto the partial line, corrupting the stream for good. The report tells
-// the caller what was repaired.
-func RepairCheckpoint(path string) (*ResultSet, LoadReport, error) {
-	rs, cleanLen, rep, err := loadCheckpoint(path)
-	if err != nil {
-		return nil, rep, err
-	}
-	if _, statErr := os.Stat(path); statErr == nil {
-		if err := os.Truncate(path, cleanLen); err != nil {
-			return nil, rep, fmt.Errorf("campaign: truncate torn checkpoint tail: %w", err)
-		}
-	}
-	return rs, rep, nil
-}
-
-// loadCheckpoint is LoadRecords plus the clean length — the byte offset
-// just past the last well-formed line, the truncation target of
-// RepairCheckpoint — and the damage report.
-func loadCheckpoint(path string) (*ResultSet, int64, LoadReport, error) {
+// OpenCheckpoint opens the record checkpoint at path for a run: the one
+// reopen rule campaign.Run and campaignd share. Without resume it starts a
+// fresh stream, and refuses a file that holds any bytes: those are
+// computed records, and overwriting them silently would throw hours away on
+// a mistyped re-run. With resume it reads every record into the returned
+// set, cuts a torn tail in place (see RepairJSONL) so a resumed stream stays
+// byte-identical to an uninterrupted one, and opens the file for appending.
+// The report tells the caller what the repair tolerated. Which of the
+// records a run may reuse is Record.Matches' decision.
+func OpenCheckpoint(path string, resume bool) (*Sink, *ResultSet, LoadReport, error) {
 	rs := NewResultSet()
-	cleanLen, rep, err := ScanJSONL(path, func(line []byte) error {
-		var r Record
-		if err := json.Unmarshal(line, &r); err != nil {
-			return fmt.Errorf("corrupt record (not a torn tail — the line is newline-terminated): %w", err)
+	var rep LoadReport
+	if resume {
+		var err error
+		rep, err = RepairJSONL(path, func(line []byte) error {
+			var r Record
+			if err := json.Unmarshal(line, &r); err != nil {
+				return fmt.Errorf("corrupt record (not a torn tail — the line is newline-terminated): %w", err)
+			}
+			if r.Campaign == "" || r.Point == "" {
+				return fmt.Errorf("record missing campaign/point")
+			}
+			rs.Add(&r)
+			return nil
+		})
+		if err != nil {
+			return nil, nil, rep, err
 		}
-		if r.Campaign == "" || r.Point == "" {
-			return fmt.Errorf("record missing campaign/point")
-		}
-		rs.Add(&r)
-		return nil
-	})
-	if err != nil {
-		return nil, 0, rep, err
+	} else if st, err := os.Stat(path); err == nil && st.Size() > 0 {
+		return nil, nil, rep, fmt.Errorf("campaign: checkpoint %s already holds records; resume to continue it, or remove the file to start fresh", path)
 	}
-	return rs, cleanLen, rep, nil
+	sink, err := OpenSink(path, !resume)
+	if err != nil {
+		return nil, nil, rep, err
+	}
+	return sink, rs, rep, nil
 }
 
-// ScanJSONL walks an append-only JSONL stream with the checkpoint sink's
-// damage tolerance, handing every newline-terminated non-blank line to fn.
-// An unterminated final line — the torn tail of a killed append, the one
-// malformation a prefix-only partial write can produce — is excluded and
-// reported; terminated blank lines are tolerated and counted. A fn error
-// aborts the scan wrapped with the line number and byte offset: a
-// terminated line that fails to parse was written whole and then
-// corrupted, which callers must treat as real damage, never as a benign
-// tear. Returns the clean length — the byte offset just past the last
-// accepted line, the truncation target for in-place tail repair — and the
-// damage report (fn successes counted in Records). A missing file scans
-// as empty. The jobqueue job log (jobs.jsonl, one accepted spec per line)
-// shares this machinery with the record checkpoints.
-func ScanJSONL(path string, fn func(line []byte) error) (int64, LoadReport, error) {
+// RepairJSONL reopens an append-only JSONL stream — a record checkpoint, or
+// campaignd's job log of accepted specs — with the sink's damage
+// tolerance. It hands every newline-terminated non-blank line to fn and
+// counts it in the report's Records. Terminated blank lines are tolerated
+// and counted. An unterminated final line, the torn tail of a killed
+// append, is never handed to fn, and is cut off in place so the next
+// append starts on a fresh line — even a tear at offset 0, a stream killed
+// mid-append of its very first line. A fn error aborts wrapped with the
+// line number and byte offset and leaves the file as it was: a terminated
+// line that fails to parse was written whole and then corrupted, which is
+// real damage, never a benign tear. A missing file reads as empty.
+func RepairJSONL(path string, fn func(line []byte) error) (LoadReport, error) {
 	var rep LoadReport
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		return 0, rep, nil
+		return rep, nil
 	}
 	if err != nil {
-		return 0, rep, fmt.Errorf("campaign: open %s: %w", path, err)
+		return rep, fmt.Errorf("campaign: open %s: %w", path, err)
 	}
 	defer f.Close()
 
 	br := bufio.NewReaderSize(f, 1<<20)
-	var offset, cleanLen int64
+	var offset int64
 	line := 0
 	for {
 		chunk, readErr := br.ReadString('\n')
@@ -366,50 +334,31 @@ func ScanJSONL(path string, fn func(line []byte) error) (int64, LoadReport, erro
 			terminated := strings.HasSuffix(chunk, "\n")
 			text := strings.TrimSpace(chunk)
 			switch {
-			case text == "":
-				if terminated {
-					rep.BlankLines++
-					cleanLen = offset
-				} else {
-					rep.TornTailBytes = int64(len(chunk))
-				}
 			case !terminated:
 				// The torn tail of a killed append (necessarily the final
-				// chunk), even if it happens to parse: every append ends
-				// with a newline, so this line was cut mid-write. Excluded
-				// from the scan and from cleanLen; tail repair truncates
-				// it away.
+				// chunk), even if it is blank or happens to parse: every
+				// append ends with a newline, so this line was cut
+				// mid-write.
 				rep.TornTailBytes = int64(len(chunk))
+			case text == "":
+				rep.BlankLines++
 			default:
 				if err := fn([]byte(text)); err != nil {
-					return 0, rep, fmt.Errorf("campaign: %s line %d (byte %d): %w", path, line, offset-int64(len(chunk)), err)
+					return rep, fmt.Errorf("campaign: %s line %d (byte %d): %w", path, line, offset-int64(len(chunk)), err)
 				}
 				rep.Records++
-				cleanLen = offset
 			}
 		}
 		if readErr == io.EOF {
 			break
 		}
 		if readErr != nil {
-			return 0, rep, fmt.Errorf("campaign: read %s: %w", path, readErr)
+			return rep, fmt.Errorf("campaign: read %s: %w", path, readErr)
 		}
 	}
-	return cleanLen, rep, nil
-}
-
-// RepairJSONL scans a JSONL stream through fn and truncates any torn tail
-// in place, so the next append starts on a fresh line — the generic form
-// of RepairCheckpoint, used when a restarted campaignd reads its job log.
-// The scan's hard-error contract is unchanged: a corrupt terminated line
-// refuses rather than truncates, and leaves the file as it was.
-func RepairJSONL(path string, fn func(line []byte) error) (LoadReport, error) {
-	cleanLen, rep, err := ScanJSONL(path, fn)
-	if err != nil {
-		return rep, err
-	}
-	if _, statErr := os.Stat(path); statErr == nil {
-		if err := os.Truncate(path, cleanLen); err != nil {
+	if rep.TornTailBytes > 0 {
+		// The torn tail is the final chunk, so the clean prefix is the rest.
+		if err := os.Truncate(path, offset-rep.TornTailBytes); err != nil {
 			return rep, fmt.Errorf("campaign: truncate torn tail of %s: %w", path, err)
 		}
 	}

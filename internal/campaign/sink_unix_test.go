@@ -12,7 +12,7 @@ import (
 // TestSinkAppendCutsFailedWriteBack: an append that writes part of its line
 // and then fails must leave none of it behind, so the retry of the same
 // record — what a campaignd does once storage recovers — lands on a fresh
-// line and the checkpoint still loads. A file size limit just past the
+// line and the checkpoint still reopens. A file size limit just past the
 // first record makes the kernel take only 7 bytes of the second; the Go
 // runtime ignores the SIGXFSZ that refuses the rest.
 func TestSinkAppendCutsFailedWriteBack(t *testing.T) {
@@ -56,7 +56,7 @@ func TestSinkAppendCutsFailedWriteBack(t *testing.T) {
 	if err := sink.Append(recs[1]); err != nil {
 		t.Fatal(err)
 	}
-	rs, err := LoadRecords(path)
+	rs, _, err := reopen(path)
 	if err != nil {
 		t.Fatalf("checkpoint after a failed and a retried append: %v", err)
 	}

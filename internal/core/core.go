@@ -107,9 +107,6 @@ func (a *Algorithm1) PhaseOfRound(round int) int {
 	}
 }
 
-// TotalRounds returns the full schedule length. Valid after Begin.
-func (a *Algorithm1) TotalRounds() int { return a.phase3To }
-
 // Begin implements radio.Broadcaster.
 func (a *Algorithm1) Begin(n int, src graph.NodeID, r *rng.RNG) {
 	if !(a.P > 0 && a.P <= 1) { // NaN fails too

@@ -165,8 +165,8 @@ func TestAlgorithm1TotalTransmissionsScaling(t *testing.T) {
 
 func TestAlgorithm1QuiescesByScheduleEnd(t *testing.T) {
 	a, res := runA1(t, 512, 0.05, 3, radio.Options{})
-	if res.Rounds > a.TotalRounds() {
-		t.Fatalf("ran %d rounds past schedule end %d", res.Rounds, a.TotalRounds())
+	if _, end := a.Phase3Rounds(); res.Rounds > end {
+		t.Fatalf("ran %d rounds past schedule end %d", res.Rounds, end)
 	}
 }
 

@@ -238,7 +238,7 @@ func FuzzStateMatchesNaiveReference(f *testing.F) {
 			run.budgets[v] = float64(1+r.Intn(1+int(maxBudget))) / 4
 		}
 		if period > 0 {
-			d := &DutyCycle{Period: 1 + int(period)%8, Offset: int(period>>3) - 16, Stagger: on >= 128}
+			d := &DutyCycle{Period: 1 + int(period)%8}
 			d.On = 1 + int(on)%d.Period
 			run.sched = d
 		}

@@ -93,10 +93,10 @@ type Spec struct {
 	DeadReceive bool
 	// Schedule, when non-nil, duty-cycles every listening radio (see
 	// DutyCycle): an alive uninformed node is awake only in the On leading
-	// rounds of each Period-round cycle (shifted by Offset, plus the node
-	// id when Stagger); in asleep rounds it pays Sleep instead of Listen
-	// and cannot receive — the radio engine vetoes deliveries to sleeping
-	// listeners. On == Period gates nothing and is equivalent to nil.
+	// rounds of each Period-round cycle, shifted by the node id; in
+	// asleep rounds it pays Sleep instead of Listen and cannot receive —
+	// the radio engine vetoes deliveries to sleeping listeners. On ==
+	// Period gates nothing and is equivalent to nil.
 	// Ignored on Resume (the resumed state keeps its schedule).
 	Schedule *DutyCycle
 	// TrackPartition records Report.PartitionRound: the first round at whose

@@ -24,9 +24,8 @@ import (
 	"repro/internal/graph"
 )
 
-// DutyCycle is a periodic listener schedule. The zero Offset, non-Stagger
-// schedule wakes every listener in rounds 1..On of each cycle
-// synchronously; Stagger shifts node v's phase by v, spreading wake
+// DutyCycle is a periodic listener schedule, staggered by node id: node v
+// is awake in round r iff (r - 1 + v) mod Period < On, which spreads wake
 // windows evenly across the network (so every round has ~n·On/Period awake
 // listeners instead of all-or-nothing).
 type DutyCycle struct {
@@ -35,11 +34,6 @@ type DutyCycle struct {
 	// On is the number of awake rounds per cycle (1..Period). On == Period
 	// means always awake — the schedule gates nothing.
 	On int
-	// Offset shifts the global phase: round r is in cycle position
-	// (r - 1 + Offset) mod Period.
-	Offset int
-	// Stagger additionally shifts node v's phase by v.
-	Stagger bool
 }
 
 func (d DutyCycle) validate() error {
@@ -56,17 +50,7 @@ func (d DutyCycle) validate() error {
 func (d DutyCycle) active() bool { return d.On < d.Period }
 
 // classOf returns node v's phase-residue class in [0, Period).
-func (d DutyCycle) classOf(v graph.NodeID) int {
-	off := d.Offset
-	if d.Stagger {
-		off += int(v)
-	}
-	off %= d.Period
-	if off < 0 {
-		off += d.Period
-	}
-	return off
-}
+func (d DutyCycle) classOf(v graph.NodeID) int { return int(v) % d.Period }
 
 // awakeAt reports whether class c is awake in age round r (1-based, r >= 1).
 func (d DutyCycle) awakeAt(c, r int) bool { return (r-1+c)%d.Period < d.On }

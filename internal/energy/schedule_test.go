@@ -11,27 +11,15 @@ import (
 )
 
 // refAwake mirrors DutyCycle.awakeAt independently of the production code:
-// node v is awake in round r iff (r-1+offset+v·stagger) mod Period < On.
+// node v is awake in round r iff (r-1+v) mod Period < On.
 func refAwake(d DutyCycle, v graph.NodeID, r int) bool {
-	off := d.Offset
-	if d.Stagger {
-		off += int(v)
-	}
-	m := (r - 1 + off) % d.Period
-	if m < 0 {
-		m += d.Period
-	}
-	return m < d.On
+	return (r-1+int(v))%d.Period < d.On
 }
 
 func TestScheduleAwakeAtMatchesDefinition(t *testing.T) {
 	r := rng.New(0x5c4ed)
 	for trial := 0; trial < 200; trial++ {
-		d := DutyCycle{
-			Period:  1 + r.Intn(9),
-			Offset:  r.Intn(21) - 10,
-			Stagger: r.Bernoulli(0.5),
-		}
+		d := DutyCycle{Period: 1 + r.Intn(9)}
 		d.On = 1 + r.Intn(d.Period)
 		for v := 0; v < 12; v++ {
 			for round := 1; round <= 3*d.Period+2; round++ {
@@ -62,25 +50,34 @@ func TestScheduleAwakeAtMatchesDefinition(t *testing.T) {
 // at the boundary switches it back.
 func TestScheduleAsleepRunSpendsSleepOnly(t *testing.T) {
 	m := Model{Listen: 1, Sleep: 0.25}
-	// Period 4, On 1, Offset 1: awake rounds are r ≡ 0 (mod 4), so rounds
-	// 1..3 are one fully asleep span for every (un-staggered) node.
+	// Period 4, On 1 over listeners {0, 1, 2}: the awake sets of rounds
+	// 1..4 are {0}, {}, {2}, {1}. Round 2 wakes nobody, and rounds 1..3 are
+	// one fully asleep span for node 1. Report reads without folding, so
+	// node 1's span still settles in one piece.
+	const budget = 100
 	st := NewState()
-	st.Start(Spec{Model: m, Schedule: &DutyCycle{Period: 4, On: 1, Offset: 1}}, 3)
-	for r := 1; r <= 3; r++ {
+	st.Start(Spec{Model: m, Budget: budget, Schedule: &DutyCycle{Period: 4, On: 1}}, 3)
+	awake := []int{1, 0, 1, 1}
+	listened := 0
+	for r := 1; r <= 4; r++ {
 		st.EndRound(r, nil, nil)
-	}
-	rep := st.Report()
-	if rep.ListenEnergy != 0 {
-		t.Fatalf("asleep span accrued listen energy %g", rep.ListenEnergy)
-	}
-	if want := 3 * 3 * 0.25; rep.SleepEnergy != want {
-		t.Fatalf("asleep span sleep energy %g, want %g", rep.SleepEnergy, want)
-	}
-	// Round 4 is the wake boundary: all three listeners pay Listen.
-	st.EndRound(4, nil, nil)
-	rep = st.Report()
-	if rep.ListenEnergy != 3 {
-		t.Fatalf("wake round listen energy %g, want 3", rep.ListenEnergy)
+		listened += awake[r-1]
+		rep := st.Report()
+		if want := float64(listened); rep.ListenEnergy != want {
+			t.Fatalf("rounds 1..%d listen energy %g, want %g", r, rep.ListenEnergy, want)
+		}
+		if want := float64(3*r-listened) * 0.25; rep.SleepEnergy != want {
+			t.Fatalf("rounds 1..%d sleep energy %g, want %g", r, rep.SleepEnergy, want)
+		}
+		// Node 1 pays Sleep through its asleep span and Listen at its
+		// wake boundary, round 4.
+		want := budget - float64(min(r, 3))*0.25
+		if r == 4 {
+			want -= 1
+		}
+		if got := rep.Residual[1]; got != want {
+			t.Fatalf("node 1 after round %d left %g, want %g", r, got, want)
+		}
 	}
 }
 
@@ -89,7 +86,7 @@ func TestScheduleAsleepRunSpendsSleepOnly(t *testing.T) {
 // must cross wake/sleep boundaries exactly.
 func TestScheduleLazyFoldAcrossWakeBoundaries(t *testing.T) {
 	m := Model{Listen: 0.75, Sleep: 0.125}
-	d := &DutyCycle{Period: 3, On: 2, Offset: 0, Stagger: true}
+	d := &DutyCycle{Period: 3, On: 2}
 	const n, rounds = 7, 23
 	st := NewState()
 	st.Start(Spec{Model: m, Budget: 1000, Schedule: d}, n)
@@ -114,11 +111,7 @@ func TestScheduleLazyFoldAcrossWakeBoundaries(t *testing.T) {
 // randomSchedule draws a schedule (possibly inactive) for the naive-mirror
 // rows.
 func randomSchedule(r *rng.RNG) *DutyCycle {
-	d := &DutyCycle{
-		Period:  1 + r.Intn(7),
-		Offset:  r.Intn(11) - 5,
-		Stagger: r.Bernoulli(0.5),
-	}
+	d := &DutyCycle{Period: 1 + r.Intn(7)}
 	d.On = 1 + r.Intn(d.Period)
 	return d
 }

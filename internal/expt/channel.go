@@ -55,7 +55,7 @@ const cRounds = 4000
 // cDuty is the battery's reference listener schedule: awake one round in
 // four, staggered so every round has ~n/4 awake listeners.
 func cDuty() *energy.DutyCycle {
-	return &energy.DutyCycle{Period: 4, On: 1, Stagger: true}
+	return &energy.DutyCycle{Period: 4, On: 1}
 }
 
 // cBroadcast runs one trial of the battery's standard workload — a protocol
@@ -292,7 +292,7 @@ func c4Campaign() campaign.Campaign {
 		Points: c4Grid,
 		Run: func(cfg Config, pt campaign.Point, seed uint64) campaign.Samples {
 			n := cScale(cfg)
-			sched := &energy.DutyCycle{Period: pt.Data.(int), On: 1, Stagger: true}
+			sched := &energy.DutyCycle{Period: pt.Data.(int), On: 1}
 			// A persistent schedule: fixed(q) transmits until everyone is
 			// informed, so completion stays measurable at every period
 			// (Algorithm 1's finite schedule would simply run out; see C5).

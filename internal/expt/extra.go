@@ -3,7 +3,6 @@ package expt
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/baseline"
@@ -37,37 +36,6 @@ var x1Variants = []x1Variant{
 
 var x1Protos = []string{"algorithm1 (G(n,p) assumption)", "algorithm3 (D from probe)", "decay"}
 
-// x1Probe memoizes X1's site-survey probe (mean-degree-derived pEff and
-// sampled diameter): the three protocol points of one link variant share a
-// probe the imperative loop computed once.
-func x1Probe(n int, rmin, rmax float64, seed uint64) (pEff float64, Dest int) {
-	type key struct {
-		n          int
-		rmin, rmax float64
-		seed       uint64
-	}
-	type val struct {
-		pEff float64
-		dest int
-	}
-	k := key{n, rmin, rmax, seed}
-	if v, ok := x1ProbeCache.Load(k); ok {
-		pv := v.(val)
-		return pv.pEff, pv.dest
-	}
-	probe, _ := graph.RandomGeometric(n, rmin, rmax, rng.New(seed))
-	meanDeg := float64(probe.M()) / float64(n)
-	pEff = meanDeg / float64(n)
-	Dest = graph.DiameterSampled(probe, 32, rng.New(seed^0x90))
-	if Dest < 2 {
-		Dest = 2
-	}
-	x1ProbeCache.Store(k, val{pEff, Dest})
-	return pEff, Dest
-}
-
-var x1ProbeCache sync.Map
-
 func x1Grid(cfg Config) []campaign.Point {
 	var pts []campaign.Point
 	for _, v := range x1Variants {
@@ -98,7 +66,17 @@ func x1Campaign() campaign.Campaign {
 			// Estimate mean degree and diameter from a probe instance so the
 			// protocols get honest parameters (a deployment would know them from
 			// site planning; the nodes themselves stay oblivious).
-			pEff, Dest := x1Probe(n, rmin, rmax, cfg.Seed^0x9)
+			probeSeed := cfg.Seed ^ 0x9
+			key := struct {
+				n          int
+				rmin, rmax float64
+				seed       uint64
+			}{n, rmin, rmax, probeSeed}
+			meanDeg, Dest := memoProbe(key, func() *graph.Digraph {
+				g, _ := graph.RandomGeometric(n, rmin, rmax, rng.New(probeSeed))
+				return g
+			}, probeSeed^0x90)
+			pEff := meanDeg / float64(n)
 			var makeProto func() radio.Broadcaster
 			switch d[1].(string) {
 			case x1Protos[0]:

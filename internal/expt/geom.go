@@ -39,36 +39,41 @@ func init() {
 }
 
 // geomProbe estimates honest protocol parameters (mean degree, sampled
-// diameter) from one probe instance, the way a site survey would. Results
-// are memoized per (spec, seed): a probe is a pure function of both, and
-// under the campaign refactor several grid points of one experiment share
-// a probe that the imperative loops computed once.
+// diameter) from one probe instance of spec, the way a site survey would.
 func geomProbe(spec graph.GeomSpec, seed uint64) (meanDeg float64, diam int) {
-	type probeKey struct {
+	key := struct {
 		spec graph.GeomSpec
 		seed uint64
-	}
-	type probeVal struct {
+	}{spec, seed}
+	return memoProbe(key, func() *graph.Digraph {
+		g, _ := graph.Geometric(spec, rng.New(seed))
+		return g
+	}, seed^0x99)
+}
+
+// probes memoizes memoProbe's results by key.
+var probes sync.Map
+
+// memoProbe returns the mean out-degree and the sampled diameter (at least
+// 2) of the probe graph build makes, memoized per key: key must fix
+// everything build and diamSeed depend on, since a probe is a pure function
+// of them, and several grid points of one experiment share a probe that the
+// imperative loops computed once.
+func memoProbe(key any, build func() *graph.Digraph, diamSeed uint64) (meanDeg float64, diam int) {
+	type probe struct {
 		meanDeg float64
 		diam    int
 	}
-	key := probeKey{spec, seed}
-	if v, ok := geomProbeCache.Load(key); ok {
-		pv := v.(probeVal)
-		return pv.meanDeg, pv.diam
+	if v, ok := probes.Load(key); ok {
+		p := v.(probe)
+		return p.meanDeg, p.diam
 	}
-	probe, _ := graph.Geometric(spec, rng.New(seed))
-	meanDeg = float64(probe.M()) / float64(probe.N())
-	diam = graph.DiameterSampled(probe, 32, rng.New(seed^0x99))
-	if diam < 2 {
-		diam = 2
-	}
-	geomProbeCache.Store(key, probeVal{meanDeg, diam})
+	g := build()
+	meanDeg = float64(g.M()) / float64(g.N())
+	diam = max(graph.DiameterSampled(g, 32, rng.New(diamSeed)), 2)
+	probes.Store(key, probe{meanDeg, diam})
 	return meanDeg, diam
 }
-
-// geomProbeCache memoizes geomProbe across grid points and sweeps.
-var geomProbeCache sync.Map
 
 var (
 	g1Factors = []float64{0.8, 1.0, 1.2, 1.5, 2.0, 3.0}

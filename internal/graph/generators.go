@@ -274,10 +274,6 @@ func NewFig2Network(n, D int) *Fig2Network {
 	return net
 }
 
-// LastNode returns the final path node — the node whose informing time
-// determines the broadcast completion time on this network.
-func (f *Fig2Network) LastNode() NodeID { return f.Path[len(f.Path)-1] }
-
 func exactLog2(n int) int {
 	if n < 2 {
 		panic("graph: need n >= 2")

@@ -356,8 +356,8 @@ func TestFig2Network(t *testing.T) {
 		t.Fatalf("source eccentricity %d, want D=%d", ecc, D)
 	}
 	dist := BFS(g, net.Source)
-	if dist[net.LastNode()] != D {
-		t.Fatalf("last node at distance %d, want %d", dist[net.LastNode()], D)
+	if last := net.Path[len(net.Path)-1]; dist[last] != D {
+		t.Fatalf("last node at distance %d, want %d", dist[last], D)
 	}
 }
 

@@ -46,7 +46,6 @@ type MobileNetwork struct {
 	destX      []float64 // waypoint targets
 	destY      []float64
 	speed      []float64
-	epoch      int
 }
 
 // NewMobileNetwork creates a mobile geometric network. vmin/vmax bound the
@@ -84,9 +83,6 @@ func (m *MobileNetwork) pickWaypoint(i int) {
 // N returns the node count.
 func (m *MobileNetwork) N() int { return m.spec.N }
 
-// Epoch returns the number of Advance calls so far.
-func (m *MobileNetwork) Epoch() int { return m.epoch }
-
 // Points returns the current positions and radii. The slice aliases internal
 // state: it is valid to read between Advance calls but must not be modified.
 func (m *MobileNetwork) Points() []GeometricPoint { return m.pts }
@@ -99,7 +95,6 @@ func (m *MobileNetwork) Snapshot(sc *Scratch) *Digraph {
 
 // Advance moves every node one epoch forward under the mobility model.
 func (m *MobileNetwork) Advance() {
-	m.epoch++
 	switch m.model {
 	case MobilityResample:
 		// Fresh positions, fixed radii: re-sampling draws radii too, so

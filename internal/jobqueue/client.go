@@ -29,7 +29,7 @@ type RetryPolicy struct {
 // have side effects per delivery, so they retry only when the request
 // provably never reached the daemon (connection refused); everything
 // else surfaces immediately with a typed *APIError the caller can branch
-// on via Retryable and IsStatus.
+// on via Retryable, or its Status via errors.As.
 type Client struct {
 	// Base is the daemon URL, e.g. "http://127.0.0.1:8655".
 	Base string

@@ -45,7 +45,7 @@ func TestAPIErrorCarriesStatusAndBody(t *testing.T) {
 	if !errors.As(err, &api) {
 		t.Fatalf("unknown job: got %T (%v), want *APIError", err, err)
 	}
-	if api.Status != http.StatusNotFound || !IsStatus(err, http.StatusNotFound) {
+	if api.Status != http.StatusNotFound {
 		t.Fatalf("unknown job: %+v, want 404", api)
 	}
 	if api.Message == "" || !strings.Contains(err.Error(), "HTTP 404") {

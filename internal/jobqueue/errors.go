@@ -28,12 +28,6 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("%s %s: HTTP %d: %s", e.Method, e.Path, e.Status, msg)
 }
 
-// IsStatus reports whether err is an APIError with the given HTTP status.
-func IsStatus(err error, status int) bool {
-	var api *APIError
-	return errors.As(err, &api) && api.Status == status
-}
-
 // Retryable classifies an error from a Client call: true for transient
 // transport failures (timeouts, refused/reset connections, a response
 // severed mid-body) and server-side trouble (5xx, 429), false for

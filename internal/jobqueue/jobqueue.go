@@ -25,10 +25,12 @@
 //     discarded, and the merged record stream of any chaotic execution
 //     equals an unsharded single-process run record for record.
 //
-// Records stream through the PR 4 checkpoint machinery: each job owns a
-// namespaced directory (dataDir/<jobID>/) holding its append-only JSONL
-// record file — written through campaign.Sink, resumable with
-// campaign.RepairCheckpoint — and its failure manifest.
+// Records stream through the campaign engine's checkpoint machinery: each
+// job owns a namespaced directory (dataDir/<jobID>/) holding its
+// append-only JSONL record file and its failure manifest. The record file
+// is opened by campaign.OpenCheckpoint, so it is refused, repaired and
+// resumed as a campaign.Run checkpoint is, and campaign.Record.Matches
+// decides which records count for a point, at resume and at completion.
 //
 // The queue is durable when Options.StateDir is set: Submit acknowledges a
 // job only once its spec is an fsync'd line of StateDir/jobs.jsonl, as

@@ -240,21 +240,10 @@ func (q *Queue) addJob(spec JobSpec, resume bool) (*qjob, error) {
 		j.tasks = append(j.tasks, t)
 	}
 
+	// With resume, a manifest's failures stay failed. It is read before the
+	// checkpoint opens, so that a refusal here leaves no sink open.
+	var m Manifest
 	if resume {
-		rs, rep, err := campaign.RepairCheckpoint(j.sinkPath)
-		if err != nil {
-			return nil, fmt.Errorf("jobqueue: resume job %q: %w", spec.ID, err)
-		}
-		if rep.TornTailBytes > 0 {
-			q.logf("job %s: dropped torn %d-byte checkpoint tail on resume", spec.ID, rep.TornTailBytes)
-		}
-		for _, t := range j.tasks {
-			if r, ok := rs.Lookup(t.ref.Campaign, t.ref.Key); ok && recordMatches(r, t.ref, spec, trials) {
-				t.state = taskDone
-				j.done++
-			}
-		}
-		var m Manifest
 		data, err := os.ReadFile(j.manifest)
 		if err == nil {
 			err = json.Unmarshal(data, &m)
@@ -262,21 +251,27 @@ func (q *Queue) addJob(spec JobSpec, resume bool) (*qjob, error) {
 		if err != nil && !os.IsNotExist(err) {
 			return nil, fmt.Errorf("jobqueue: resume job %q: read manifest: %w", spec.ID, err)
 		}
-		for _, f := range m.Failures {
-			// The holes of a manifest written for another seed or scale do
-			// not carry over, and a point recorded since stays done.
-			if t := j.byRef[f.Point]; t != nil && t.state == taskPending && m.Spec.Seed == spec.Seed && m.Spec.Full == spec.Full {
-				t.state, t.attempts, t.lastErr = taskFailed, f.Attempts, f.LastErr
-				j.failed++
-			}
-		}
-	} else if st, err := os.Stat(j.sinkPath); err == nil && st.Size() > 0 {
-		return nil, fmt.Errorf("jobqueue: job %q checkpoint %s already holds records; submit with resume or remove it", spec.ID, j.sinkPath)
 	}
-
-	sink, err := campaign.OpenSink(j.sinkPath, !resume)
+	sink, rs, rep, err := campaign.OpenCheckpoint(j.sinkPath, resume)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("jobqueue: job %q: %w", spec.ID, err)
+	}
+	if rep.TornTailBytes > 0 {
+		q.logf("job %s: dropped torn %d-byte checkpoint tail on resume", spec.ID, rep.TornTailBytes)
+	}
+	for _, t := range j.tasks {
+		if r, ok := rs.Lookup(t.ref.Campaign, t.ref.Key); ok && r.Matches(t.ref.Campaign, t.ref.Key, spec.Seed, spec.Full, trials) {
+			t.state = taskDone
+			j.done++
+		}
+	}
+	for _, f := range m.Failures {
+		// The holes of a manifest written for another seed or scale do not
+		// carry over, and a point recorded since stays done.
+		if t := j.byRef[f.Point]; t != nil && t.state == taskPending && m.Spec.Seed == spec.Seed && m.Spec.Full == spec.Full {
+			t.state, t.attempts, t.lastErr = taskFailed, f.Attempts, f.LastErr
+			j.failed++
+		}
 	}
 	if err := q.logJob(spec); err != nil {
 		sink.Close() //nolint:errcheck // the log error is the one to report
@@ -300,13 +295,6 @@ func (q *Queue) logJob(spec JobSpec) error {
 		return fmt.Errorf("jobqueue: log job %q: %w", spec.ID, err)
 	}
 	return nil
-}
-
-// recordMatches is the resume/acceptance criterion: same point identity,
-// seed, scale and trial count (mirrors the campaign engine's resume check).
-func recordMatches(r *campaign.Record, ref PointRef, spec JobSpec, trials int) bool {
-	return r.Campaign == ref.Campaign && r.Point == ref.Key &&
-		r.Seed == spec.Seed && r.Full == spec.Full && r.Trials == trials
 }
 
 // RegisterWorker announces a worker. Registration is advisory — an unknown
@@ -433,7 +421,7 @@ func (q *Queue) Complete(ref LeaseRef, rec *campaign.Record) error {
 	if rec == nil {
 		return fmt.Errorf("jobqueue: completion without a record")
 	}
-	if !recordMatches(rec, t.ref, j.spec, j.trials) {
+	if !rec.Matches(t.ref.Campaign, t.ref.Key, j.spec.Seed, j.spec.Full, j.trials) {
 		// Only the holder of the task's current lease can burn an attempt;
 		// a stale mismatch is simply dropped.
 		if t.lease != nil && t.lease.id == ref.ID {

@@ -1,6 +1,7 @@
 package jobqueue
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io/fs"
@@ -274,6 +275,83 @@ func TestJobLogTruncationEveryByte(t *testing.T) {
 		}
 		if err := q.Close(); err != nil {
 			t.Fatalf("cut at byte %d: close: %v", cut, err)
+		}
+		os.RemoveAll(root)
+	}
+}
+
+// TestRecordCheckpointTruncationEveryByte is the service side of the
+// checkpoint crash test: a daemon killed mid-append of a record leaves the
+// job's records.jsonl torn. A queue reopened over the file cut at byte k
+// must mark exactly the records of its clean prefix done, cut the torn
+// bytes off, and drain to a file byte-identical to the uninterrupted one.
+func TestRecordCheckpointTruncationEveryByte(t *testing.T) {
+	const points = 4
+	clk := newFakeClock()
+	opts := durableOptions(t, clk, points)
+	drain := func(q *Queue) {
+		t.Helper()
+		for {
+			l, err := q.Acquire("w1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if l == nil {
+				return
+			}
+			if err := q.Complete(l.Ref(), recFor(l)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	q := mustOpen(t, opts)
+	mustSubmit(t, q, JobSpec{ID: "j", Experiments: []string{"all"}, Seed: 7})
+	drain(q)
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rel := filepath.Join("j", "records.jsonl")
+	full, err := os.ReadFile(filepath.Join(opts.DataDir, rel))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Count(string(full), "\n") != points || full[len(full)-1] != '\n' {
+		t.Fatalf("records malformed:\n%s", full)
+	}
+
+	scratch := t.TempDir()
+	for cut := 0; cut <= len(full); cut++ {
+		root := filepath.Join(scratch, fmt.Sprintf("cut-%04d", cut))
+		cutOpts := opts
+		cutOpts.DataDir = filepath.Join(root, "data")
+		cutOpts.StateDir = filepath.Join(root, "state")
+		copyTree(t, opts.DataDir, cutOpts.DataDir)
+		copyTree(t, opts.StateDir, cutOpts.StateDir)
+		recPath := filepath.Join(cutOpts.DataDir, rel)
+		if err := os.WriteFile(recPath, full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		q, err := NewQueue(cutOpts)
+		if err != nil {
+			t.Fatalf("cut at byte %d: reopen failed: %v", cut, err)
+		}
+		clean := strings.LastIndexByte(string(full[:cut]), '\n') + 1
+		done := strings.Count(string(full[:clean]), "\n")
+		if st, _ := q.Status("j"); st.Done != done || st.Pending != points-done || st.Failed != 0 {
+			t.Fatalf("cut at byte %d: restored %+v, want the %d records of the %d-byte clean prefix done", cut, st, done, clean)
+		}
+		if repaired, err := os.ReadFile(recPath); err != nil || !bytes.Equal(repaired, full[:clean]) {
+			t.Fatalf("cut at byte %d: records not repaired to their %d-byte clean prefix: %d bytes, %v", cut, clean, len(repaired), err)
+		}
+		drain(q)
+		if st, _ := q.Status("j"); st.State != "complete" || st.Done != points {
+			t.Fatalf("cut at byte %d: drained to %+v, want complete", cut, st)
+		}
+		if err := q.Close(); err != nil {
+			t.Fatalf("cut at byte %d: close: %v", cut, err)
+		}
+		if got, err := os.ReadFile(recPath); err != nil || !bytes.Equal(got, full) {
+			t.Fatalf("cut at byte %d: drained records differ from the uninterrupted file (%v):\n%s", cut, err, got)
 		}
 		os.RemoveAll(root)
 	}

@@ -92,8 +92,8 @@ func TestDutyCycleForcingsBitIdentical(t *testing.T) {
 
 	scheds := []energy.DutyCycle{
 		{Period: 2, On: 1},
-		{Period: 4, On: 1, Stagger: true},
-		{Period: 5, On: 2, Offset: 3, Stagger: true},
+		{Period: 4, On: 1},
+		{Period: 5, On: 2},
 	}
 	for gname, g := range sparseTestGraphs(t) {
 		for _, sched := range scheds {

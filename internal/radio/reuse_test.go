@@ -79,7 +79,7 @@ func reuseCases() []reuseCase {
 		}, 30},
 		{"beacon/duty", star, 0, beaconP, func() Options {
 			return Options{Energy: &energy.Spec{Model: energy.CC2420(),
-				Schedule: &energy.DutyCycle{Period: 3, On: 1, Stagger: true}}}
+				Schedule: &energy.DutyCycle{Period: 3, On: 1}}}
 		}, 30},
 	}
 }

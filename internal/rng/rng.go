@@ -272,19 +272,6 @@ func (r *RNG) Binomial(n int, p float64) int {
 	return k
 }
 
-// Exponential returns a sample from Exp(rate) with the given rate parameter
-// (mean 1/rate). It panics if rate <= 0.
-func (r *RNG) Exponential(rate float64) float64 {
-	if rate <= 0 {
-		panic("rng: Exponential needs rate > 0")
-	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -math.Log(u) / rate
-}
-
 // Normal returns a standard normal sample via the polar Box–Muller method.
 func (r *RNG) Normal() float64 {
 	for {

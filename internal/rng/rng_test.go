@@ -409,19 +409,6 @@ func TestNormalMoments(t *testing.T) {
 	}
 }
 
-func TestExponentialMean(t *testing.T) {
-	r := New(15)
-	const rate, n = 2.0, 100000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += r.Exponential(rate)
-	}
-	mean := sum / n
-	if math.Abs(mean-1/rate) > 0.01 {
-		t.Fatalf("Exponential(%v) mean %v", rate, mean)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(16)
 	for _, n := range []int{0, 1, 2, 10, 100} {

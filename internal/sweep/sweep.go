@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"unicode/utf8"
@@ -265,14 +264,4 @@ func RateOf(samples map[string][]float64, key string) float64 {
 		panic("sweep: metric " + key + " has no valid samples")
 	}
 	return float64(hits) / float64(n)
-}
-
-// SortedKeys returns the metric names in sorted order (for stable output).
-func SortedKeys(samples map[string][]float64) []string {
-	keys := make([]string, 0, len(samples))
-	for k := range samples {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -160,14 +160,6 @@ func TestRateOf(t *testing.T) {
 	}
 }
 
-func TestSortedKeys(t *testing.T) {
-	out := map[string][]float64{"b": nil, "a": nil, "c": nil}
-	keys := SortedKeys(out)
-	if len(keys) != 3 || keys[0] != "a" || keys[2] != "c" {
-		t.Fatalf("keys %v", keys)
-	}
-}
-
 func TestMeanOfPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

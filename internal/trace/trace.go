@@ -91,35 +91,3 @@ func (r *Recorder) RoundEnd(round, transmitters, delivered, collisions int) {
 	r.Events = append(r.Events, Event{Kind: "end", Round: round,
 		Transmitters: transmitters, Delivered: delivered, Collisions: collisions})
 }
-
-// Transmissions returns the node ids that transmitted in the given round.
-func (r *Recorder) Transmissions(round int) []graph.NodeID {
-	var out []graph.NodeID
-	for _, e := range r.Events {
-		if e.Kind == "tx" && e.Round == round {
-			out = append(out, graph.NodeID(e.Node))
-		}
-	}
-	return out
-}
-
-// Deliveries returns the node ids first informed in the given round.
-func (r *Recorder) Deliveries(round int) []graph.NodeID {
-	var out []graph.NodeID
-	for _, e := range r.Events {
-		if e.Kind == "rx" && e.Round == round {
-			out = append(out, graph.NodeID(e.Node))
-		}
-	}
-	return out
-}
-
-// InformedAt returns the round in which v was first informed, or -1.
-func (r *Recorder) InformedAt(v graph.NodeID) int {
-	for _, e := range r.Events {
-		if e.Kind == "rx" && e.Node == int(v) {
-			return e.Round
-		}
-	}
-	return -1
-}

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -31,24 +32,27 @@ func TestRecorderCapturesEvents(t *testing.T) {
 	if !res.Completed() {
 		t.Fatal("run incomplete")
 	}
-	// Round 1: node 0 transmits, node 1 receives.
-	tx1 := rec.Transmissions(1)
-	if len(tx1) != 1 || tx1[0] != 0 {
-		t.Fatalf("round-1 transmitters %v", tx1)
+	// Round r: nodes 0..r-1 transmit and node r is informed; the source,
+	// informed at round 0 before tracing, is never delivered to.
+	want := []Event{
+		{Kind: "round", Round: 1, Node: -1},
+		{Kind: "tx", Round: 1, Node: 0},
+		{Kind: "rx", Round: 1, Node: 1},
+		{Kind: "end", Round: 1, Transmitters: 1, Delivered: 1},
+		{Kind: "round", Round: 2, Node: -1},
+		{Kind: "tx", Round: 2, Node: 0},
+		{Kind: "tx", Round: 2, Node: 1},
+		{Kind: "rx", Round: 2, Node: 2},
+		{Kind: "end", Round: 2, Transmitters: 2, Delivered: 1},
+		{Kind: "round", Round: 3, Node: -1},
+		{Kind: "tx", Round: 3, Node: 0},
+		{Kind: "tx", Round: 3, Node: 1},
+		{Kind: "tx", Round: 3, Node: 2},
+		{Kind: "rx", Round: 3, Node: 3},
+		{Kind: "end", Round: 3, Transmitters: 3, Delivered: 1},
 	}
-	rx1 := rec.Deliveries(1)
-	if len(rx1) != 1 || rx1[0] != 1 {
-		t.Fatalf("round-1 deliveries %v", rx1)
-	}
-	// Round 2: nodes 0,1 transmit; node 2 receives.
-	if len(rec.Transmissions(2)) != 2 {
-		t.Fatalf("round-2 transmitters %v", rec.Transmissions(2))
-	}
-	if got := rec.InformedAt(3); got != 3 {
-		t.Fatalf("node 3 informed at %d", got)
-	}
-	if got := rec.InformedAt(0); got != -1 {
-		t.Fatalf("source InformedAt %d, want -1 (informed at round 0, before tracing)", got)
+	if !reflect.DeepEqual(rec.Events, want) {
+		t.Fatalf("events\n%+v\nwant\n%+v", rec.Events, want)
 	}
 }
 
