@@ -384,32 +384,13 @@ func benchRGGRound262144(b *testing.B, repeat bool) {
 }
 
 // --- decision-phase isolation: one round over a fully informed network,
-// per op. Batch is FixedProb's geometric-skip draw through
-// AppendTransmitters, O(nq). Decay is the engine's per-node loop, the path
-// it takes for a protocol without AppendTransmitters: one ShouldTransmit
-// call through the Broadcaster interface per informed node, O(n). Decay's
-// phase budget outlasts the timed rounds, so no node retires.
+// per op, through BeginRound plus AppendTransmitters. Batch is FixedProb's
+// geometric-skip draw, O(nq). DecayBatch is Decay's walk of its window
+// queue, O(n): every node was informed in round 0, so all share one phase
+// position and every ⌈log₂ n⌉-th round draws n plans. Decay's phase budget
+// outlasts the timed rounds, so no node retires.
 
-func benchDecisionBatch(b *testing.B, n int) {
-	q := 16.0 / float64(n) // ~16 transmitters per round
-	f := &baseline.FixedProb{Q: q}
-	f.Begin(n, 0, rng.New(1))
-	informed := make([]graph.NodeID, n)
-	for i := range informed {
-		informed[i] = graph.NodeID(i)
-		f.OnInformed(0, graph.NodeID(i))
-	}
-	dst := make([]graph.NodeID, 0, n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for r := 1; r <= b.N; r++ {
-		f.BeginRound(r)
-		dst = f.AppendTransmitters(r, informed, dst[:0])
-	}
-}
-
-func benchDecisionDecay(b *testing.B, n int) {
-	var proto radio.Broadcaster = baseline.NewDecay(b.N + 1)
+func benchDecision(b *testing.B, proto radio.BatchBroadcaster, n int) {
 	proto.Begin(n, 0, rng.New(1))
 	informed := make([]graph.NodeID, n)
 	for i := range informed {
@@ -421,19 +402,20 @@ func benchDecisionDecay(b *testing.B, n int) {
 	b.ResetTimer()
 	for r := 1; r <= b.N; r++ {
 		proto.BeginRound(r)
-		dst = dst[:0]
-		for _, v := range informed {
-			if proto.ShouldTransmit(r, v) {
-				dst = append(dst, v)
-			}
-		}
+		dst = proto.AppendTransmitters(r, informed, dst[:0])
 	}
 }
 
-func BenchmarkPrimitiveDecisionBatch4096(b *testing.B)   { benchDecisionBatch(b, 4096) }
-func BenchmarkPrimitiveDecisionDecay4096(b *testing.B)   { benchDecisionDecay(b, 4096) }
-func BenchmarkPrimitiveDecisionBatch262144(b *testing.B) { benchDecisionBatch(b, 262144) }
-func BenchmarkPrimitiveDecisionDecay262144(b *testing.B) { benchDecisionDecay(b, 262144) }
+func benchDecisionBatch(b *testing.B, n int) {
+	benchDecision(b, &baseline.FixedProb{Q: 16.0 / float64(n)}, n) // ~16 transmitters per round
+}
+
+func benchDecisionDecay(b *testing.B, n int) { benchDecision(b, baseline.NewDecay(b.N+1), n) }
+
+func BenchmarkPrimitiveDecisionBatch4096(b *testing.B)        { benchDecisionBatch(b, 4096) }
+func BenchmarkPrimitiveDecisionDecayBatch4096(b *testing.B)   { benchDecisionDecay(b, 4096) }
+func BenchmarkPrimitiveDecisionBatch262144(b *testing.B)      { benchDecisionBatch(b, 262144) }
+func BenchmarkPrimitiveDecisionDecayBatch262144(b *testing.B) { benchDecisionDecay(b, 262144) }
 
 // --- delivery-phase isolation: a fixed transmitter set pulsing every round
 // through the engine on a large G(n,p); after the first rounds everyone is
@@ -504,10 +486,10 @@ func BenchmarkPrimitiveDeliverySerial(b *testing.B)   { benchDeliveryPhase(b, fa
 func BenchmarkPrimitiveDeliveryParallel(b *testing.B) { benchDeliveryPhase(b, true) }
 
 // --- draw-kernel isolation: one op is a TxSet.DrawList pass over a
-// 32,768-node candidate list, the geometric-skip loop behind every
+// 32,768-node candidate list, the rng.AppendSkips stream behind every
 // Bernoulli transmitter draw (every G(n,p) row runs the same loop), so
-// ns/index is the cost of one rng.Geometric draw plus the loop's step.
-// p = 4e-4 is about the alg1-gnp edge probability.
+// ns/index is the cost of one skip draw plus the position's mapping to
+// its candidate. p = 4e-4 is about the alg1-gnp edge probability.
 
 func benchDrawList(b *testing.B, p float64) {
 	list := make([]graph.NodeID, 1<<15)

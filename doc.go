@@ -70,22 +70,25 @@
 // and markdown, CSV and JSONL outputs are views over the same record
 // stream. See README.md ("The campaign engine") and cmd/experiments.
 //
-// The engine's hot path is vectorised: protocols implementing
-// radio.BatchBroadcaster (all Bernoulli-phase protocols here do) hand the
-// engine their whole per-round transmitter set in one call, drawn by
-// geometric-skip sampling in O(transmitters) instead of one RNG flip per
-// informed node. The per-node ShouldTransmit loop serves only protocols
-// without that call (Decay); for the rest ShouldTransmit is the
-// paper-literal oracle, held to the batch list every round by the
-// shared-draw contract's oracle test (see README.md and the radio package
-// docs). Every skip is one rng.Geometric draw, the inversion
-// floor(log u / log1p(-p)); a fast path estimates log u from a 256-cell
-// table and a cubic, with no logarithm and no division, and keeps its
-// floor only where a derived error margin proves it equal to the
-// formula's, so every draw, and every G(n,p) graph built by skipping, is
-// bit-identical to the formula. Both engines reuse per-worker storage the
-// same way: a radio.Scratch parks one broadcast and one gossip session and
-// resets the parked one in place for the next trial of the same size.
+// The engine's hot path is vectorised: every protocol in core and baseline
+// implements radio.BatchBroadcaster and hands the engine its whole
+// per-round transmitter set in one call — the Bernoulli-phase protocols
+// draw it by geometric-skip sampling in O(transmitters) instead of one RNG
+// flip per informed node, and Decay walks its window queue of active
+// nodes. The per-node ShouldTransmit loop serves only test protocols; for
+// the rest ShouldTransmit is the paper-literal oracle, held to the batch
+// list every round by the shared-draw contract's oracle test (see
+// README.md and the radio package docs). Every skip stream — a round's
+// transmitter draw, a G(n,p) row — is one rng.AppendSkips call, whose
+// loop keeps the generator in registers; each skip is the inversion
+// floor(log u / log1p(-p)) of one draw, and a fast path estimates log u
+// from a 256-cell table and a cubic, with no logarithm and no division,
+// and keeps its floor only where a derived error margin proves it equal
+// to the formula's, so every draw, and every G(n,p) graph built by
+// skipping, is bit-identical to the formula. Both engines reuse per-worker
+// storage the same way: a radio.Scratch parks one broadcast and one gossip
+// session and resets the parked one in place for the next trial of the
+// same size.
 //
 // On top of that sits the sparse round engine. Delivery is
 // direction-optimizing across four kernels selected per round from exact

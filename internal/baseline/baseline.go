@@ -25,6 +25,7 @@ package baseline
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/dist"
@@ -163,20 +164,27 @@ func (f *FixedProb) Quiesced(int) bool { return f.Window > 0 && len(f.queue.Live
 // rounds (capped at L): it certainly transmits in the phase's first round,
 // then keeps going with halving probability — so within one phase each
 // neighbourhood size 2^j gets a round where the expected number of
-// transmitters is Θ(1). A node stays active for Phases phases after being
-// informed.
+// transmitters is Θ(1). A node's phases are aligned to its own informing
+// round (the protocol needs no global synchronisation beyond the round
+// clock), and it stays active for Phases phases after being informed.
+//
+// Decay is a radio.BatchBroadcaster. Active nodes wait in a
+// radio.WindowQueue whose window is Phases·L, and BeginRound walks them in
+// informing order: nodes informed in one round share their phase position,
+// which it computes once per informing round; at a phase start it draws
+// each node's plan, and it puts every node still inside its plan into the
+// round's TxSet. These are the draws, in the same order, that the per-node
+// rule takes when it is asked of every informed node every round (the
+// decay tests hold it to that rule, run as a scalar-only protocol).
 type Decay struct {
 	// Phases is how many phases a node stays active after informing.
 	Phases int
 
-	n          int
-	l          int
-	informedAt []int
-	plan       []int // rounds-into-phase the node still transmits
-	r          *rng.RNG
-	informedN  int
-	retiredN   int
-	retired    []bool
+	l     int
+	r     *rng.RNG
+	queue radio.WindowQueue // informed, Phases·l rounds not yet passed
+	plan  []uint8           // plan[i]: rounds into its phase the i-th informed node transmits
+	txs   radio.TxSet       // this round's transmitters (shared-draw set)
 }
 
 // NewDecay returns the protocol with the given per-node phase budget.
@@ -192,56 +200,53 @@ func (d *Decay) Name() string { return "decay" }
 
 // Begin implements radio.Broadcaster.
 func (d *Decay) Begin(n int, src graph.NodeID, r *rng.RNG) {
-	d.n = n
-	d.l = int(math.Ceil(math.Log2(float64(n))))
-	if d.l < 1 {
-		d.l = 1
-	}
-	d.informedAt = make([]int, n)
-	for i := range d.informedAt {
-		d.informedAt[i] = -1
-	}
-	d.plan = make([]int, n)
-	d.retired = make([]bool, n)
-	d.informedN, d.retiredN = 0, 0
+	d.l = max(1, int(math.Ceil(math.Log2(float64(n)))))
+	d.queue.Reset(n)
+	d.plan = slices.Grow(d.plan[:0], n)
+	d.txs.Reset()
 	d.r = r
 }
 
-// BeginRound implements radio.Broadcaster.
-func (d *Decay) BeginRound(int) {}
+// BeginRound implements radio.Broadcaster: retire the nodes whose Phases·L
+// rounds have passed and draw the round's transmitter set.
+func (d *Decay) BeginRound(round int) {
+	d.queue.Expire(d.Phases*d.l, round)
+	d.txs.BeginRound()
+	live, at := d.queue.Live(), d.queue.LiveRounds()
+	plan := d.plan[len(d.plan)-len(live):]
+	last, inPhase := int32(-1), 0
+	for k, v := range live {
+		if at[k] != last { // a new informing round: its rounds into the phase
+			last, inPhase = at[k], (round-int(at[k])-1)%d.l
+		}
+		if inPhase == 0 {
+			// New phase: plan 1 + Geometric(1/2) transmitting rounds, capped.
+			plan[k] = uint8(min(1+d.r.Geometric(0.5), d.l))
+		}
+		if inPhase < int(plan[k]) {
+			d.txs.Add(v)
+		}
+	}
+}
 
 // OnInformed implements radio.Broadcaster.
 func (d *Decay) OnInformed(round int, v graph.NodeID) {
-	d.informedAt[v] = round
-	d.informedN++
+	d.queue.Push(v, round)
+	d.plan = append(d.plan, 0)
 }
 
-// ShouldTransmit implements radio.Broadcaster. A node's phases are aligned
-// to its own informing time (the protocol needs no global synchronisation
-// beyond the round clock).
-func (d *Decay) ShouldTransmit(round int, v graph.NodeID) bool {
-	age := round - d.informedAt[v] - 1 // 0-based rounds since informed
-	if age >= d.Phases*d.l {
-		if !d.retired[v] {
-			d.retired[v] = true
-			d.retiredN++
-		}
-		return false
-	}
-	inPhase := age % d.l
-	if inPhase == 0 {
-		// New phase: plan 1 + Geometric(1/2) transmitting rounds, capped.
-		k := 1 + d.r.Geometric(0.5)
-		if k > d.l {
-			k = d.l
-		}
-		d.plan[v] = k
-	}
-	return inPhase < d.plan[v]
+// ShouldTransmit implements radio.Broadcaster: membership in the round's
+// pre-drawn transmitter set.
+func (d *Decay) ShouldTransmit(round int, v graph.NodeID) bool { return d.txs.Contains(v) }
+
+// AppendTransmitters implements radio.BatchBroadcaster.
+func (d *Decay) AppendTransmitters(round int, _ []graph.NodeID, dst []graph.NodeID) []graph.NodeID {
+	return d.txs.AppendTo(dst)
 }
 
-// Quiesced implements radio.Broadcaster.
-func (d *Decay) Quiesced(int) bool { return d.retiredN == d.informedN }
+// Quiesced implements radio.Broadcaster: true once every informed node's
+// phases have passed.
+func (d *Decay) Quiesced(int) bool { return len(d.queue.Live()) == 0 }
 
 // NewCzumajRytter builds the known-diameter Czumaj–Rytter baseline for an
 // n-node network of diameter D: the GeneralBroadcast skeleton with the α′

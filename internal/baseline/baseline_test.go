@@ -123,14 +123,17 @@ func TestDecayPhasePattern(t *testing.T) {
 	d := NewDecay(2)
 	d.Begin(16, 0, rng.New(7))
 	d.OnInformed(0, 0)
+	d.BeginRound(1)
 	if !d.ShouldTransmit(1, 0) {
 		t.Fatal("decay must transmit in round 1 of its phase")
 	}
 	l := int(math.Ceil(math.Log2(16)))
+	d.BeginRound(1 + l)
 	if !d.ShouldTransmit(1+l, 0) {
 		t.Fatal("decay must transmit in first round of second phase")
 	}
 	// After Phases*l rounds it must be silent.
+	d.BeginRound(1 + 2*l)
 	if d.ShouldTransmit(1+2*l, 0) {
 		t.Fatal("decay transmitted past its budget")
 	}

@@ -94,6 +94,8 @@ func TestShouldTransmitOracleMatchesAppendTransmitters(t *testing.T) {
 		{"elsasser-gasieniec", sparse, func() radio.Broadcaster { return NewElsasserGasieniec(0.02) }, 4000},
 		{"elsasser-gasieniec-udg", udg, func() radio.Broadcaster { return NewElsasserGasieniec(0.03) }, 4000},
 		{"czumaj-rytter", sparse, func() radio.Broadcaster { return NewCzumajRytter(1024, 8, 1) }, 20000},
+		{"decay", sparse, func() radio.Broadcaster { return NewDecay(12) }, 20000},
+		{"decay-grid", grid, func() radio.Broadcaster { return NewDecay(40) }, 20000},
 	} {
 		for seed := uint64(0); seed < 3; seed++ {
 			b, ok := tc.mk().(radio.BatchBroadcaster)

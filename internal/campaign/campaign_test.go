@@ -63,7 +63,7 @@ func testUnits() []Unit { return []Unit{{ID: "T1", C: testCampaign()}} }
 // reopen resumes the checkpoint at path the way a run does and closes the
 // sink again: the records it holds, and what the repair tolerated.
 func reopen(path string) (*ResultSet, LoadReport, error) {
-	sink, rs, rep, err := OpenCheckpoint(path, true)
+	sink, rs, rep, err := OpenCheckpoint(path, true, nil)
 	if err != nil {
 		return nil, rep, err
 	}
@@ -419,7 +419,7 @@ func TestLoadReportSurfacesToleratedDamage(t *testing.T) {
 	}
 
 	// Without resume a file that holds bytes is refused and left alone.
-	if _, _, _, err := OpenCheckpoint(path, false); err == nil || !strings.Contains(err.Error(), "already holds records") {
+	if _, _, _, err := OpenCheckpoint(path, false, nil); err == nil || !strings.Contains(err.Error(), "already holds records") {
 		t.Fatalf("fresh open over a written checkpoint: %v, want a refusal", err)
 	}
 	if kept, _ := os.ReadFile(path); !bytes.Equal(kept, full) {
@@ -525,5 +525,62 @@ func TestRunInterruptStopsBetweenPoints(t *testing.T) {
 	resumed, _ := os.ReadFile(path)
 	if !bytes.Equal(resumed, fullBytes) {
 		t.Errorf("resumed-after-interrupt checkpoint differs from uninterrupted stream")
+	}
+}
+
+// TestResumeUnderAnotherSeed resumes a finished checkpoint under a new
+// seed. None of its records match, so the resume drops them all before it
+// appends, and the file ends byte-identical to an uninterrupted run of the
+// new seed. Resumed as one shard of two, the records of the other shard's
+// points stay, ahead of the reruns and in their order.
+func TestResumeUnderAnotherSeed(t *testing.T) {
+	dir := t.TempDir()
+	run := func(path string, seed uint64, shard, shards int, resume bool) string {
+		t.Helper()
+		if _, err := Run(testUnits(), RunOptions{Config: Config{Seed: seed}, Checkpoint: path,
+			Resume: resume, ShardIndex: shard, ShardCount: shards}); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	old := run(filepath.Join(dir, "seed1.jsonl"), 1, 0, 1, false)
+	fresh := run(filepath.Join(dir, "seed2.jsonl"), 2, 0, 1, false)
+
+	path := filepath.Join(dir, "resumed.jsonl")
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var progress strings.Builder
+	if _, err := Run(testUnits(), RunOptions{Config: Config{Seed: 2}, Checkpoint: path, Resume: true, Progress: &progress}); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != fresh {
+		t.Fatalf("seed-1 checkpoint resumed at seed 2:\n%s\nwant the uninterrupted seed-2 run:\n%s", got, fresh)
+	}
+	if !strings.Contains(progress.String(), "dropped 6 record(s)") {
+		t.Fatalf("progress does not report the 6 dropped records:\n%s", progress.String())
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("the rewrite left its temporary file behind: %v", err)
+	}
+
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	oldLines := strings.SplitAfter(old, "\n")
+	freshLines := strings.SplitAfter(fresh, "\n")
+	var want string
+	for i := 1; i < 6; i += 2 {
+		want += oldLines[i] // shard 1's points, not this run's: kept
+	}
+	for i := 0; i < 6; i += 2 {
+		want += freshLines[i] // shard 0's points, rerun at seed 2
+	}
+	if got := run(path, 2, 0, 2, true); got != want {
+		t.Fatalf("seed-1 checkpoint resumed as shard 0/2 at seed 2:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -35,7 +35,9 @@ type RunOptions struct {
 	Checkpoint string
 	// Resume reopens Checkpoint (see OpenCheckpoint) and skips every point
 	// that already has a record matching its campaign, point, seed, scale
-	// and Trials (see Record.Matches). Requires Checkpoint.
+	// and Trials (see Record.Matches). The checkpoint's other records of
+	// this run's points are dropped from it before the run appends, so it
+	// ends byte-identical to an uninterrupted run. Requires Checkpoint.
 	Resume bool
 	// Trials stamps the per-point repetition count into records (informational;
 	// the campaigns themselves derive it from Config).
@@ -81,6 +83,7 @@ func Run(units []Unit, opt RunOptions) (*ResultSet, error) {
 	// this shard's points.
 	var tasks []task
 	seen := map[string]bool{}
+	mine := map[string]bool{} // the keys of this shard's points
 	for _, u := range units {
 		if u.ID == "" {
 			return nil, fmt.Errorf("campaign: unit with empty ID")
@@ -97,6 +100,7 @@ func Run(units []Unit, opt RunOptions) (*ResultSet, error) {
 			seen[k] = true
 			if opt.ShardCount <= 1 || i%opt.ShardCount == opt.ShardIndex {
 				tasks = append(tasks, task{unit: u, point: pt})
+				mine[k] = true
 			}
 		}
 	}
@@ -104,9 +108,15 @@ func Run(units []Unit, opt RunOptions) (*ResultSet, error) {
 	var sink *Sink
 	prior := NewResultSet()
 	if opt.Checkpoint != "" {
+		// A record of one of this run's points stays only if the run may
+		// reuse it; records of other points (other shards or campaigns) stay.
+		keep := func(r *Record) bool {
+			return !mine[setKey(r.Campaign, r.Point)] ||
+				r.Matches(r.Campaign, r.Point, opt.Config.Seed, opt.Config.Full, opt.Trials)
+		}
 		var rep LoadReport
 		var err error
-		sink, prior, rep, err = OpenCheckpoint(opt.Checkpoint, opt.Resume)
+		sink, prior, rep, err = OpenCheckpoint(opt.Checkpoint, opt.Resume, keep)
 		if err != nil {
 			return nil, err
 		}
@@ -118,14 +128,19 @@ func Run(units []Unit, opt RunOptions) (*ResultSet, error) {
 		if opt.Progress != nil && rep.BlankLines > 0 {
 			fmt.Fprintf(opt.Progress, "checkpoint %s: tolerated %d blank line(s)\n", opt.Checkpoint, rep.BlankLines)
 		}
+		if opt.Progress != nil && rep.Dropped > 0 {
+			fmt.Fprintf(opt.Progress, "checkpoint %s: dropped %d record(s) of another seed, scale or trial count; rerunning their points\n",
+				opt.Checkpoint, rep.Dropped)
+		}
 	}
 
 	// Decide once per point whether resume reuses its record, so the ETA
-	// denominator counts only points this run executes.
+	// denominator counts only points this run executes. Every record of a
+	// point of this run that the checkpoint kept matches it.
 	toRun := 0
 	for i := range tasks {
 		t := &tasks[i]
-		if r, ok := prior.Lookup(t.unit.ID, t.point.Key); ok && r.Matches(t.unit.ID, t.point.Key, opt.Config.Seed, opt.Config.Full, opt.Trials) {
+		if r, ok := prior.Lookup(t.unit.ID, t.point.Key); ok {
 			t.reused = r
 		} else {
 			toRun++

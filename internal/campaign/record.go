@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"strings"
 )
 
@@ -261,21 +262,31 @@ type LoadReport struct {
 	TornTailBytes int64
 	// BlankLines counts tolerated newline-terminated blank lines.
 	BlankLines int
+	// Dropped counts the records a resumed checkpoint dropped as not
+	// reusable (see OpenCheckpoint); they count in Records too.
+	Dropped int
 }
 
 // OpenCheckpoint opens the record checkpoint at path for a run: the one
 // reopen rule campaign.Run and campaignd share. Without resume it starts a
 // fresh stream, and refuses a file that holds any bytes: those are
 // computed records, and overwriting them silently would throw hours away on
-// a mistyped re-run. With resume it reads every record into the returned
-// set, cuts a torn tail in place (see RepairJSONL) so a resumed stream stays
-// byte-identical to an uninterrupted one, and opens the file for appending.
-// The report tells the caller what the repair tolerated. Which of the
-// records a run may reuse is Record.Matches' decision.
-func OpenCheckpoint(path string, resume bool) (*Sink, *ResultSet, LoadReport, error) {
+// a mistyped re-run. With resume it reads every record, cuts a torn tail in
+// place (see RepairJSONL), and returns in the set the records keep accepts
+// (a nil keep accepts all): a run keeps the records of its points that
+// Record.Matches, and those of points it does not compute. When keep
+// rejects a record, the file is rewritten to the accepted lines, in their
+// order, through a synced temporary file renamed over path before anything
+// is appended, so the stale records never precede the reruns and the
+// resumed stream stays byte-identical to an uninterrupted one. The report
+// tells the caller what the repair tolerated and how many records it
+// dropped.
+func OpenCheckpoint(path string, resume bool, keep func(*Record) bool) (*Sink, *ResultSet, LoadReport, error) {
 	rs := NewResultSet()
 	var rep LoadReport
 	if resume {
+		var kept []byte // the accepted lines, each newline-terminated
+		dropped := 0
 		var err error
 		rep, err = RepairJSONL(path, func(line []byte) error {
 			var r Record
@@ -285,9 +296,18 @@ func OpenCheckpoint(path string, resume bool) (*Sink, *ResultSet, LoadReport, er
 			if r.Campaign == "" || r.Point == "" {
 				return fmt.Errorf("record missing campaign/point")
 			}
+			if keep != nil && !keep(&r) {
+				dropped++
+				return nil
+			}
 			rs.Add(&r)
+			kept = append(append(kept, line...), '\n')
 			return nil
 		})
+		rep.Dropped = dropped
+		if err == nil && dropped > 0 {
+			err = ReplaceFile(path, kept)
+		}
 		if err != nil {
 			return nil, nil, rep, err
 		}
@@ -299,6 +319,44 @@ func OpenCheckpoint(path string, resume bool) (*Sink, *ResultSet, LoadReport, er
 		return nil, nil, rep, err
 	}
 	return sink, rs, rep, nil
+}
+
+// ReplaceFile replaces the file at path with data so that a crash leaves
+// either the old file or the new one: it writes and syncs a temporary file
+// beside path, renames it over path and syncs the directory. A resumed
+// checkpoint is rewritten through it, and campaignd's job manifests are
+// written through it.
+func ReplaceFile(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return fmt.Errorf("campaign: replace %s: %w", path, err)
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp) //nolint:errcheck // err is the one to report
+		return fmt.Errorf("campaign: replace %s: %w", path, err)
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err == nil {
+		err = dir.Sync()
+		if cerr := dir.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("campaign: replace %s: sync directory: %w", path, err)
+	}
+	return nil
 }
 
 // RepairJSONL reopens an append-only JSONL stream — a record checkpoint, or

@@ -61,7 +61,7 @@ func x8Campaign() campaign.Campaign {
 			}
 			return runBroadcastTrials(cfg, seed, broadcastTrial{
 				makeGraph: func(seed uint64, sc *graph.Scratch) (*graph.Digraph, graph.NodeID) {
-					g, _ := graph.GNPHetero(n, pmin, pmax, rng.New(seed))
+					g, _ := sc.GNPHetero(n, pmin, pmax, rng.New(seed))
 					return g, 0
 				},
 				makeProto: makeProto,

@@ -230,7 +230,7 @@ func TestReadEdgeListErrors(t *testing.T) {
 func TestGNPHetero(t *testing.T) {
 	r := rng.New(10)
 	n := 600
-	g, ps := GNPHetero(n, 0.01, 0.2, r)
+	g, ps := NewScratch().GNPHetero(n, 0.01, 0.2, r)
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestGNPHeteroUniformCaseMatchesGNP(t *testing.T) {
 	// count concentrates at p·n·(n-1).
 	r := rng.New(11)
 	n, p := 500, 0.05
-	g, ps := GNPHetero(n, p, p, r)
+	g, ps := NewScratch().GNPHetero(n, p, p, r)
 	for _, pv := range ps {
 		if pv != p {
 			t.Fatal("degenerate range should give constant p")
@@ -285,7 +285,7 @@ func TestGNPHeteroPanics(t *testing.T) {
 					t.Fatalf("GNPHetero(pmin=%v, pmax=%v) did not panic", c[0], c[1])
 				}
 			}()
-			GNPHetero(10, c[0], c[1], rng.New(1))
+			NewScratch().GNPHetero(10, c[0], c[1], rng.New(1))
 		}()
 	}
 }

@@ -17,42 +17,6 @@ func GNPDirected(n int, p float64, r *rng.RNG) *Digraph {
 	return NewScratch().GNPDirected(n, p, r)
 }
 
-// GNPHetero samples a heterogeneous-range random digraph: node u draws its
-// own edge probability p_u uniformly from [pmin, pmax], then reaches each
-// other node independently with probability p_u. This realises §1.2's
-// "we allow different communication ranges for different nodes" in the
-// Erdős–Rényi setting: strong radios (large p_u) are heard widely but hear
-// only whoever reaches them, so links are asymmetric and out-degrees vary by
-// a factor pmax/pmin. Returns the digraph and the per-node probabilities.
-// Geometric skipping emits each row sorted, so rows go straight into the
-// CSR form with no edge-list sort.
-func GNPHetero(n int, pmin, pmax float64, r *rng.RNG) (*Digraph, []float64) {
-	if !(0 <= pmin && pmin <= pmax && pmax <= 1) {
-		panic("graph: GNPHetero needs 0 <= pmin <= pmax <= 1")
-	}
-	s := NewScratch()
-	g := s.begin(n)
-	ps := make([]float64, n)
-	for i := range ps {
-		ps[i] = pmin + (pmax-pmin)*r.Float64()
-	}
-	for u := 0; u < n; u++ {
-		if p := ps[u]; p > 0 {
-			// Geometric skipping over the n-1 potential targets of u.
-			for idx := r.Geometric(p); idx < n-1; idx += 1 + r.Geometric(p) {
-				v := NodeID(idx)
-				if v >= NodeID(u) {
-					v++
-				}
-				g.outTo = append(g.outTo, v)
-			}
-		}
-		g.outOff[u+1] = len(g.outTo)
-	}
-	s.finishIn()
-	return g, ps
-}
-
 // GNPSymmetric samples an undirected G(n,p) and orients every edge both ways,
 // modelling radios with equal communication ranges. Geometric skipping walks
 // the linear index over the pairs u < v in increasing order, so the pair's

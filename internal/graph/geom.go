@@ -175,15 +175,24 @@ func (s *Scratch) Geometric(spec GeomSpec, r *rng.RNG) (*Digraph, []GeometricPoi
 
 // FromPoints builds the geometric digraph for a fixed point set (u → v iff
 // dist(u, v) ≤ pts[u].Radius) into the scratch's reusable storage: it
-// indexes the points in the scratch's ImplicitGeom cell grid and
-// materializes the index's out-rows — O(n + m) expected for radii near the
-// connectivity threshold. The returned graph aliases scratch storage (valid
+// indexes the points in the scratch's ImplicitGeom cell grid and writes the
+// index's out-rows as they come, in cell order — O(n + m) expected for
+// radii near the connectivity threshold. No row is sorted: the counting
+// transpose (finishIn) makes sorted in-rows out of any out-row order, and
+// one more counting pass over the in-rows (sortOut) rewrites the out-rows
+// in ascending order. The returned graph aliases scratch storage (valid
 // until the next generation call); pts may be external (e.g. a mobility
 // model's) and is not retained.
 func (s *Scratch) FromPoints(pts []GeometricPoint, torus bool) *Digraph {
 	s.geo.index(pts, torus)
-	g := s.fromRows(&s.geo)
+	g := s.begin(len(pts))
+	for u := range pts {
+		g.outTo, _ = s.geo.appendRow(NodeID(u), g.outTo, false, false)
+		g.outOff[u+1] = len(g.outTo)
+	}
 	s.geo.pts = nil
+	s.finishIn()
+	s.sortOut()
 	return g
 }
 

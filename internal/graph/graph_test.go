@@ -474,7 +474,7 @@ func TestDiameterMatchesPerSourceBFS(t *testing.T) {
 			p = min(p, 1)
 			graphs[fmt.Sprintf("gnp p=%.3g", p)] = GNPDirected(n, p, r)
 		}
-		hetero, _ := GNPHetero(n, 0, min(2/float64(n), 1), r)
+		hetero, _ := NewScratch().GNPHetero(n, 0, min(2/float64(n), 1), r)
 		graphs["gnp-hetero"] = hetero
 		all := make([]NodeID, n)
 		for v := range all {

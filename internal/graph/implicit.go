@@ -112,23 +112,19 @@ func (g *ImplicitGNP) N() int { return g.n }
 // AppendOut appends row u — strictly increasing, self-loop-free — to dst.
 // The row is a fresh geometric-skip pass over the n-1 possible targets,
 // seeded by SubSeed(seed, u): the first selected target index is
-// Geometric(p) and each next one the previous + 1 + Geometric(p), so
-// repeated calls append identical sequences and the RNG lives on the stack
-// (no allocation beyond dst growth). At p = 1 every Geometric is 0 without
-// a draw, so the row holds all n-1 other nodes.
+// Geometric(p) and each next one the previous + 1 + Geometric(p), drawn
+// as two rng.AppendSkips calls (the targets below u, then those above it),
+// so repeated calls append identical sequences and the RNG lives on the
+// stack (no allocation beyond dst growth). At p = 1 every Geometric is 0
+// without a draw, so the row holds all n-1 other nodes.
 func (g *ImplicitGNP) AppendOut(u NodeID, dst []NodeID) []NodeID {
 	if g.p <= 0 {
 		return dst
 	}
 	var r rng.RNG
 	r.Reseed(rng.SubSeed(g.seed, uint64(u)))
-	for i := r.Geometric(g.p); i < g.n-1; i += 1 + r.Geometric(g.p) {
-		v := NodeID(i)
-		if v >= u {
-			v++ // skip the diagonal: targets are [0,n) \ {u}
-		}
-		dst = append(dst, v)
-	}
+	dst, gap := r.AppendSkips(dst, 0, r.Geometric(g.p), int(u), g.p)
+	dst, _ = r.AppendSkips(dst, u+1, gap, g.n-1-int(u), g.p)
 	return dst
 }
 
@@ -238,8 +234,9 @@ func (ig *ImplicitGeom) Points() []GeometricPoint { return ig.pts }
 // reaches v. Every qualifying candidate is within rmax ≤ cellW of v, so the
 // 3×3 cell neighbourhood covers both directions; it is deduplicated, so tiny
 // grids and torus wrap-around never double-count a cell. Candidates arrive
-// in grid order; sort restores the contract's increasing-id order. When
-// count is true nothing is appended and only the row length is returned.
+// in grid order, not id order: AppendOut and AppendIn sort them, and
+// Scratch.FromPoints sorts whole graphs by counting instead. When count is
+// true nothing is appended and only the row length is returned.
 func (ig *ImplicitGeom) appendRow(v NodeID, dst []NodeID, in, count bool) ([]NodeID, int) {
 	p := ig.pts[v]
 	cols := ig.cols
@@ -293,7 +290,6 @@ func (ig *ImplicitGeom) appendRow(v NodeID, dst []NodeID, in, count bool) ([]Nod
 		}
 	}
 	if !count {
-		slices.Sort(dst[start:])
 		deg = len(dst) - start
 	}
 	return dst, deg
@@ -301,13 +297,17 @@ func (ig *ImplicitGeom) appendRow(v NodeID, dst []NodeID, in, count bool) ([]Nod
 
 // AppendOut appends the nodes that hear v (dist(v, w) ≤ v's radius).
 func (ig *ImplicitGeom) AppendOut(v NodeID, dst []NodeID) []NodeID {
+	start := len(dst)
 	dst, _ = ig.appendRow(v, dst, false, false)
+	slices.Sort(dst[start:])
 	return dst
 }
 
 // AppendIn appends the nodes v hears (dist(u, v) ≤ u's radius).
 func (ig *ImplicitGeom) AppendIn(v NodeID, dst []NodeID) []NodeID {
+	start := len(dst)
 	dst, _ = ig.appendRow(v, dst, true, false)
+	slices.Sort(dst[start:])
 	return dst
 }
 

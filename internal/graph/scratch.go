@@ -1,6 +1,11 @@
 package graph
 
-import "repro/internal/rng"
+import (
+	"math"
+	"slices"
+
+	"repro/internal/rng"
+)
 
 // Scratch reuses CSR adjacency storage across repeated graph generations —
 // the experiment harness keeps one per worker so trial loops stop paying an
@@ -15,6 +20,9 @@ type Scratch struct {
 	pts     []GeometricPoint
 	parents []float64
 	geo     ImplicitGeom
+
+	// ps holds GNPHetero's per-node edge probabilities.
+	ps []float64
 }
 
 // NewScratch returns an empty scratch; storage is sized on first use.
@@ -70,45 +78,66 @@ func (s *Scratch) fromRows(g Implicit) *Digraph {
 
 // GNPDirected is graph.GNPDirected writing into the scratch's reusable
 // storage. It consumes the RNG identically to the package-level function
-// and produces an identical graph, but builds the CSR form directly:
-// geometric skipping emits edges already sorted by (u, v), so each row is
-// appended in place as the skip crosses into it, with no edge-list sort and
-// no per-edge division, and the in-adjacency follows from one counting
-// pass.
+// and produces an identical graph, but builds the CSR form directly. The
+// skip stream runs over the linear index of the ordered non-diagonal
+// pairs, where row u's n-1 positions are its targets below u and then
+// those above it, so each row is two rng.AppendSkips calls on the carried
+// gap: the targets arrive sorted, with no diagonal test, no index
+// arithmetic and no edge sort. The edge array is reserved up front for
+// n(n-1)p edges plus six standard deviations, so the rows are written once
+// instead of through the regrowth copies of repeated doubling. The
+// in-adjacency follows from one counting pass.
 func (s *Scratch) GNPDirected(n int, p float64, r *rng.RNG) *Digraph {
 	if !(p >= 0 && p <= 1) {
 		panic("graph: GNP needs p in [0,1]")
 	}
 	g := s.begin(n)
 	if p > 0 && n > 1 {
-		// Geometric skipping over the linear index of ordered non-diagonal
-		// pairs; indices arrive in increasing order, i.e. sorted by (u, v).
-		// Row u holds indices [start, start+n-1) with start = u·(n-1); the
-		// loop that closes each row also advances start, so no edge divides.
-		total, row := uint64(n)*uint64(n-1), uint64(n-1)
-		u, start := 0, uint64(0)
-		idx := uint64(r.Geometric(p))
-		for idx < total {
-			for idx-start >= row {
-				u++
-				start += row
-				g.outOff[u] = len(g.outTo)
-			}
-			v := NodeID(idx - start)
-			if v >= NodeID(u) {
-				v++
-			}
-			g.outTo = append(g.outTo, v)
-			idx += 1 + uint64(r.Geometric(p))
-		}
-		for u < n {
-			u++
-			g.outOff[u] = len(g.outTo)
+		pairs := float64(n) * float64(n-1)
+		mean := pairs * p
+		g.outTo = slices.Grow(g.outTo, int(min(mean+6*math.Sqrt(mean*(1-p))+64, pairs)))
+		gap := r.Geometric(p)
+		for u := 0; u < n; u++ {
+			g.outTo, gap = r.AppendSkips(g.outTo, 0, gap, u, p)
+			g.outTo, gap = r.AppendSkips(g.outTo, NodeID(u+1), gap, n-1-u, p)
+			g.outOff[u+1] = len(g.outTo)
 		}
 	}
-
 	s.finishIn()
 	return g
+}
+
+// GNPHetero samples a heterogeneous-range random digraph into the
+// scratch's reusable storage: node u draws its own edge probability p_u
+// uniformly from [pmin, pmax], then reaches each other node independently
+// with probability p_u. This realises §1.2's "we allow different
+// communication ranges for different nodes" in the Erdős–Rényi setting:
+// strong radios (large p_u) are heard widely but hear only whoever reaches
+// them, so links are asymmetric and out-degrees vary by a factor pmax/pmin.
+// It returns the digraph and the per-node probabilities, both aliasing
+// scratch storage until the next generation call. Each row is its own skip
+// stream at p_u, drawn as GNPDirected's rows are: two rng.AppendSkips
+// calls, the targets below u and above it, so rows go straight into the
+// CSR form sorted.
+func (s *Scratch) GNPHetero(n int, pmin, pmax float64, r *rng.RNG) (*Digraph, []float64) {
+	if !(0 <= pmin && pmin <= pmax && pmax <= 1) {
+		panic("graph: GNPHetero needs 0 <= pmin <= pmax <= 1")
+	}
+	g := s.begin(n)
+	s.ps = slices.Grow(s.ps[:0], n)[:n]
+	for i := range s.ps {
+		s.ps[i] = pmin + (pmax-pmin)*r.Float64()
+	}
+	for u, p := range s.ps {
+		if p > 0 {
+			gap := r.Geometric(p)
+			g.outTo, gap = r.AppendSkips(g.outTo, 0, gap, u, p)
+			g.outTo, _ = r.AppendSkips(g.outTo, NodeID(u+1), gap, n-1-u, p)
+		}
+		g.outOff[u+1] = len(g.outTo)
+	}
+	s.finishIn()
+	return g, s.ps
 }
 
 // finishIn derives the in-adjacency of s.g from its completed out-adjacency
@@ -136,4 +165,23 @@ func (s *Scratch) finishIn() {
 	}
 	copy(g.inOff[1:], g.inOff[:n])
 	g.inOff[0] = 0
+}
+
+// sortOut rewrites every out-row of s.g in ascending order from the
+// in-rows, which finishIn leaves sorted: walking v in ascending order and
+// putting v into the out-row of each node it hears fills every out-row in
+// order. Each outOff[u] serves as row u's fill cursor, so afterwards it
+// holds the start of row u+1 and one shift restores the offsets, as in
+// finishIn.
+func (s *Scratch) sortOut() {
+	g := &s.g
+	n := g.n
+	for v := 0; v < n; v++ {
+		for _, u := range g.inTo[g.inOff[v]:g.inOff[v+1]] {
+			g.outTo[g.outOff[u]] = NodeID(v)
+			g.outOff[u]++
+		}
+	}
+	copy(g.outOff[1:], g.outOff[:n])
+	g.outOff[0] = 0
 }

@@ -126,7 +126,7 @@ func digraphsEqual(a, b *Digraph) bool {
 
 // TestScratchGNPMatchesBuilderConstruction pins the three G(n,p) generators
 // to the constructions they replaced: Scratch.GNPDirected to builderGNP's
-// per-edge divide, GNPHetero (pmin = 0, pmax = p) to the Builder and its
+// per-edge divide, Scratch.GNPHetero (pmin = 0, pmax = p) to the Builder and its
 // sort, and GNPSymmetric to the row walk from 0. Out-rows, in-rows, the
 // per-node probabilities and the randomness consumed must all agree.
 func TestScratchGNPMatchesBuilderConstruction(t *testing.T) {
@@ -146,6 +146,9 @@ func TestScratchGNPMatchesBuilderConstruction(t *testing.T) {
 			}
 		}
 	}
+	// One scratch serves every case, so this one reuses storage the dense
+	// n = 1000 graphs above grew: edges, offsets and probabilities.
+	cases = append(cases, gnpCase{100, 0.3, 9})
 	sc := NewScratch()
 	for _, tc := range cases {
 		name := fmt.Sprintf("n=%d p=%v seed=%d", tc.n, tc.p, tc.seed)
@@ -168,12 +171,12 @@ func TestScratchGNPMatchesBuilderConstruction(t *testing.T) {
 		check("Scratch.GNPDirected", sc.GNPDirected(tc.n, tc.p, rGot), builderGNP(tc.n, tc.p, rWant), rGot, rWant)
 
 		rGot, rWant = rng.New(tc.seed), rng.New(tc.seed)
-		got, ps := GNPHetero(tc.n, 0, tc.p, rGot)
+		got, ps := sc.GNPHetero(tc.n, 0, tc.p, rGot)
 		want, wantPs := builderGNPHetero(tc.n, 0, tc.p, rWant)
 		if !slices.Equal(ps, wantPs) {
-			t.Fatalf("GNPHetero %s: per-node probabilities differ", name)
+			t.Fatalf("Scratch.GNPHetero %s: per-node probabilities differ", name)
 		}
-		check("GNPHetero", got, want, rGot, rWant)
+		check("Scratch.GNPHetero", got, want, rGot, rWant)
 
 		// The reference's row walk is O(n·m): keep it to the sparse graphs.
 		if tc.n < 1000 || tc.p <= 0.05 {

@@ -252,15 +252,24 @@ func (q *Queue) addJob(spec JobSpec, resume bool) (*qjob, error) {
 			return nil, fmt.Errorf("jobqueue: resume job %q: read manifest: %w", spec.ID, err)
 		}
 	}
-	sink, rs, rep, err := campaign.OpenCheckpoint(j.sinkPath, resume)
+	// A record of one of the job's points stays only if the job may reuse
+	// it; OpenCheckpoint drops the rest before anything is appended.
+	keep := func(r *campaign.Record) bool {
+		return j.byRef[PointRef{Campaign: r.Campaign, Key: r.Point}] == nil ||
+			r.Matches(r.Campaign, r.Point, spec.Seed, spec.Full, trials)
+	}
+	sink, rs, rep, err := campaign.OpenCheckpoint(j.sinkPath, resume, keep)
 	if err != nil {
 		return nil, fmt.Errorf("jobqueue: job %q: %w", spec.ID, err)
 	}
 	if rep.TornTailBytes > 0 {
 		q.logf("job %s: dropped torn %d-byte checkpoint tail on resume", spec.ID, rep.TornTailBytes)
 	}
+	if rep.Dropped > 0 {
+		q.logf("job %s: dropped %d checkpoint record(s) of another seed, scale or trial count on resume", spec.ID, rep.Dropped)
+	}
 	for _, t := range j.tasks {
-		if r, ok := rs.Lookup(t.ref.Campaign, t.ref.Key); ok && r.Matches(t.ref.Campaign, t.ref.Key, spec.Seed, spec.Full, trials) {
+		if _, ok := rs.Lookup(t.ref.Campaign, t.ref.Key); ok {
 			t.state = taskDone
 			j.done++
 		}
@@ -605,21 +614,8 @@ func (q *Queue) maybeFinish(j *qjob) {
 		m.Failures = []FailureEntry{}
 	}
 	data, err := json.MarshalIndent(m, "", "  ")
-	var f *os.File
 	if err == nil {
-		f, err = os.Create(j.manifest + ".tmp")
-	}
-	if err == nil {
-		_, err = f.Write(append(data, '\n'))
-		if err == nil {
-			err = f.Sync()
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err == nil {
-		err = os.Rename(j.manifest+".tmp", j.manifest)
+		err = campaign.ReplaceFile(j.manifest, append(data, '\n'))
 	}
 	if err != nil {
 		q.logf("job %s: write manifest: %v", j.spec.ID, err)

@@ -603,3 +603,69 @@ func FuzzRestoreJobs(f *testing.F) {
 		}
 	})
 }
+
+// TestResumeUnderAnotherSeed resubmits a job with Resume under a new seed
+// over a records.jsonl its first run wrote: once finished, and once after
+// one point. None of the old records match the new seed, so the job drops
+// them from its checkpoint before any append, reruns every point, and
+// ends with records byte-identical to an uninterrupted run of the new seed.
+func TestResumeUnderAnotherSeed(t *testing.T) {
+	const points = 3
+	clk := newFakeClock()
+	drain := func(q *Queue, max int) {
+		t.Helper()
+		for i := 0; i < max; i++ {
+			l, err := q.Acquire("w1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if l == nil {
+				return
+			}
+			if err := q.Complete(l.Ref(), recFor(l)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	records := func(opts Options) []byte {
+		t.Helper()
+		b, err := os.ReadFile(filepath.Join(opts.DataDir, "j", "records.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+
+	freshOpts := testOptions(t, clk, points)
+	q := mustOpen(t, freshOpts)
+	mustSubmit(t, q, JobSpec{ID: "j", Experiments: []string{"all"}, Seed: 2})
+	drain(q, points)
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := records(freshOpts)
+
+	for _, first := range []int{points, 1} {
+		opts := testOptions(t, clk, points)
+		q := mustOpen(t, opts)
+		mustSubmit(t, q, JobSpec{ID: "j", Experiments: []string{"all"}, Seed: 1})
+		drain(q, first)
+		if err := q.Close(); err != nil {
+			t.Fatal(err)
+		}
+		q = mustOpen(t, opts)
+		if st := mustSubmit(t, q, JobSpec{ID: "j", Experiments: []string{"all"}, Seed: 2, Resume: true}); st.Done != 0 {
+			t.Fatalf("seed-1 records after %d point(s): the seed-2 resume counts %d point(s) done", first, st.Done)
+		}
+		drain(q, points)
+		if st, _ := q.Status("j"); st.State != "complete" || st.Done != points {
+			t.Fatalf("seed-1 records after %d point(s): drained to %+v, want complete", first, st)
+		}
+		if err := q.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := records(opts); !bytes.Equal(got, want) {
+			t.Fatalf("seed-1 records after %d point(s), resumed at seed 2:\n%s\nwant the uninterrupted seed-2 run:\n%s", first, got, want)
+		}
+	}
+}

@@ -26,11 +26,13 @@
 // informed node per round) is then pure overhead: geometric-skip sampling
 // can draw the ~nq transmitters directly. Every such protocol implements
 // BatchBroadcaster, and the engine collects the round's transmitters in one
-// AppendTransmitters call. The per-node ShouldTransmit loop serves only
-// protocols without it (Decay and test protocols). For a BatchBroadcaster,
-// ShouldTransmit stays the paper-literal oracle: asked for every informed
-// node, it reports the AppendTransmitters list (the shared-draw contract,
-// see BatchBroadcaster), which a per-round oracle test pins. The protocols
+// AppendTransmitters call; so does baseline.Decay, which walks its window
+// queue of active nodes instead of skipping. The per-node ShouldTransmit
+// loop serves only protocols without AppendTransmitters, which are test
+// protocols. For a BatchBroadcaster, ShouldTransmit stays the
+// paper-literal oracle: asked for every informed node, it reports the
+// AppendTransmitters list (the shared-draw contract, see
+// BatchBroadcaster), which a per-round oracle test pins. The protocols
 // draw that list through TxSet, which keeps nothing but the list: its
 // membership answer is a scan of it, a cost the engine never pays because
 // it never asks ShouldTransmit of a BatchBroadcaster.

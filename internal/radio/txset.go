@@ -47,8 +47,10 @@ func (s *TxSet) AddAll(list []graph.NodeID) { s.pending = append(s.pending, list
 // DrawList skip-samples the candidate list with per-node probability p into
 // the round's list: one Geometric draw per selected node plus one overshoot,
 // instead of one Bernoulli per candidate. The first selected index is
-// Geometric(p) and each next one the previous + 1 + Geometric(p); an empty
-// list or p <= 0 selects nothing and p >= 1 everything, neither with a draw.
+// Geometric(p) and each next one the previous + 1 + Geometric(p), drawn as
+// one rng.AppendSkips stream of list positions that then become the
+// candidates at them; an empty list or p <= 0 selects nothing and p >= 1
+// everything, neither with a draw.
 func (s *TxSet) DrawList(r *rng.RNG, list []graph.NodeID, p float64) {
 	k := len(list)
 	if k == 0 || p <= 0 {
@@ -58,8 +60,10 @@ func (s *TxSet) DrawList(r *rng.RNG, list []graph.NodeID, p float64) {
 		s.AddAll(list)
 		return
 	}
-	for i := r.Geometric(p); i < k; i += 1 + r.Geometric(p) {
-		s.Add(list[i])
+	start := len(s.pending)
+	s.pending, _ = r.AppendSkips(s.pending, 0, r.Geometric(p), k, p)
+	for j, i := range s.pending[start:] {
+		s.pending[start+j] = list[i]
 	}
 }
 
@@ -97,9 +101,13 @@ func (s *TxSet) RetireListStream(r *rng.RNG, list []graph.NodeID, q float64) []g
 	return s.drawStream(r, list, q, true)
 }
 
-// drawStream is the one stream loop behind DrawListStream and
-// RetireListStream; with retire set it compacts the unselected candidates
-// to the front of list and returns them, otherwise it returns list as is.
+// drawStream is the one stream draw behind DrawListStream and
+// RetireListStream: rng.AppendSkips selects list positions from the carried
+// gap and carries the overshoot on, and one pass turns the positions into
+// candidates. With retire set that pass also compacts the unselected
+// candidates to the front of list, copying only the segments between
+// selected positions, and drawStream returns them; otherwise it returns
+// list as is.
 func (s *TxSet) drawStream(r *rng.RNG, list []graph.NodeID, q float64, retire bool) []graph.NodeID {
 	k := len(list)
 	if q >= 1 {
@@ -115,28 +123,33 @@ func (s *TxSet) drawStream(r *rng.RNG, list []graph.NodeID, q float64, retire bo
 		return list
 	}
 	s.ensureStream(r, q)
-	pos, keep := 0, 0 // list[:keep] are survivors; list[keep:pos] is free
-	for pos+s.gap < k {
-		sel := pos + s.gap
-		if retire {
-			if keep != pos {
-				copy(list[keep:], list[pos:sel])
-			}
-			keep += sel - pos
+	start := len(s.pending)
+	s.pending, s.gap = r.AppendSkips(s.pending, 0, s.gap, k, q)
+	sel := s.pending[start:]
+	if !retire {
+		for j, i := range sel {
+			sel[j] = list[i]
 		}
-		s.Add(list[sel])
-		pos = sel + 1
-		s.gap = r.Geometric(q)
+		return list
 	}
-	s.gap -= k - pos
-	if !retire || keep == pos {
+	pos, keep := 0, 0 // list[:keep] are survivors; list[keep:pos] is free
+	for j, i := range sel {
+		if keep != pos {
+			copy(list[keep:], list[pos:i])
+		}
+		keep += int(i) - pos
+		pos = int(i) + 1
+		sel[j] = list[i]
+	}
+	if keep == pos {
 		return list
 	}
 	return list[:keep+copy(list[keep:], list[pos:])]
 }
 
 // DrawRangeStream is DrawListStream over the id range [0, n) — the gossip
-// case, where every node is a candidate.
+// case, where every node is a candidate and a selected position is the
+// node itself.
 func (s *TxSet) DrawRangeStream(r *rng.RNG, n int, q float64) {
 	if q >= 1 {
 		for v := 0; v < n; v++ {
@@ -148,14 +161,7 @@ func (s *TxSet) DrawRangeStream(r *rng.RNG, n int, q float64) {
 		return
 	}
 	s.ensureStream(r, q)
-	pos := 0
-	for pos+s.gap < n {
-		pos += s.gap
-		s.Add(graph.NodeID(pos))
-		pos++
-		s.gap = r.Geometric(q)
-	}
-	s.gap -= n - pos
+	s.pending, s.gap = r.AppendSkips(s.pending, 0, s.gap, n, q)
 }
 
 // StreamSilentRounds consumes up to max whole silent rounds of k candidates
@@ -199,11 +205,11 @@ func (s *TxSet) AppendTo(dst []graph.NodeID) []graph.NodeID { return append(dst,
 func (s *TxSet) Pending() []graph.NodeID { return s.pending }
 
 // WindowQueue is the activity-window queue shared by the window-based
-// protocols (GeneralBroadcast, FixedProb): nodes enter in informing order
-// with their informing round beside them, and because informing rounds are
-// non-decreasing along that order, window expiry always pops from the
-// head. The queue is the protocols' only record of who is informed and
-// when.
+// protocols (GeneralBroadcast, FixedProb, Decay): nodes enter in informing
+// order with their informing round beside them, and because informing
+// rounds are non-decreasing along that order, window expiry always pops
+// from the head. The queue is the protocols' only record of who is
+// informed and when.
 type WindowQueue struct {
 	nodes []graph.NodeID
 	at    []int32 // at[i] is the round nodes[i] was informed in
@@ -240,3 +246,7 @@ func (q *WindowQueue) HeadRound() int { return int(q.at[q.head]) }
 
 // Live returns the not-yet-expired nodes in informing order.
 func (q *WindowQueue) Live() []graph.NodeID { return q.nodes[q.head:] }
+
+// LiveRounds returns the informing rounds of the Live nodes, index for
+// index.
+func (q *WindowQueue) LiveRounds() []int32 { return q.at[q.head:] }

@@ -21,7 +21,7 @@ import (
 
 // RNG is a xoshiro256++ generator. The zero value is invalid; use New.
 type RNG struct {
-	s0, s1, s2, s3 uint64
+	xoshiro
 
 	// geoP is the last Geometric parameter and geoLog its log1p(-p), so a
 	// stream of draws at one p takes the logarithm once. geoInv is
@@ -64,15 +64,22 @@ func (r *RNG) Reseed(seed uint64) {
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 uniformly random bits.
-func (r *RNG) Uint64() uint64 {
-	result := rotl(r.s0+r.s3, 23) + r.s0
-	t := r.s1 << 17
-	r.s2 ^= r.s0
-	r.s3 ^= r.s1
-	r.s1 ^= r.s2
-	r.s0 ^= r.s3
-	r.s2 ^= t
-	r.s3 = rotl(r.s3, 45)
+func (r *RNG) Uint64() uint64 { return r.next() }
+
+// xoshiro is the xoshiro256++ state. A loop that copies it into a local,
+// as AppendSkips does, keeps the four words in registers.
+type xoshiro struct{ s0, s1, s2, s3 uint64 }
+
+// next advances the state one step and returns its output.
+func (s *xoshiro) next() uint64 {
+	result := rotl(s.s0+s.s3, 23) + s.s0
+	t := s.s1 << 17
+	s.s2 ^= s.s0
+	s.s3 ^= s.s1
+	s.s1 ^= s.s2
+	s.s0 ^= s.s3
+	s.s2 ^= t
+	s.s3 = rotl(s.s3, 45)
 	return result
 }
 
@@ -151,7 +158,8 @@ func (r *RNG) Bernoulli(p float64) bool {
 // below about 1e-10, where every draw takes it. The generator caches
 // log1p(-p) and the fast path's constants for the last p it was called
 // with, so a stream of draws at one p (a round's transmitter draw, a
-// G(n,p) row) takes that logarithm once.
+// G(n,p) row) takes that logarithm once. A stream of draws belongs in
+// AppendSkips, whose loop keeps the generator in registers.
 func (r *RNG) Geometric(p float64) int {
 	if !(p > 0 && p <= 1) {
 		panic("rng: Geometric needs 0 < p <= 1")
@@ -209,9 +217,26 @@ func init() {
 // variate at p in (0, 1), and reports whether the fast path decided it.
 func (r *RNG) geometric(m uint64, p float64) (g int, fast bool) {
 	if p != r.geoP {
-		r.geoP, r.geoLog = p, math.Log1p(-p)
-		r.geoInv, r.geoHalf = 1/r.geoLog, 0.5+geoSlack/r.geoLog
+		r.cacheGeo(p)
 	}
+	f, fast := geoFloor(lnEstimate(m)*r.geoInv, r.geoHalf)
+	if !fast {
+		f = geoFormula(m, r.geoLog)
+	}
+	return geoClamp(f), fast
+}
+
+// cacheGeo caches log1p(-p) and the fast path's constants for a p other
+// than the cached one.
+func (r *RNG) cacheGeo(p float64) {
+	r.geoP, r.geoLog = p, math.Log1p(-p)
+	r.geoInv, r.geoHalf = 1/r.geoLog, 0.5+geoSlack/r.geoLog
+}
+
+// lnEstimate is the fast path's table-and-cubic estimate s of ln u for the
+// draw m, u = m·2^-53 (see geoSlack). It is small enough to inline into
+// its two callers, geometric and AppendSkips.
+func lnEstimate(m uint64) float64 {
 	// u = 2^e·x with x in [1, 2): m converts to float64 exactly, so its
 	// exponent gives e and its top eight fraction bits x's cell.
 	b := math.Float64bits(float64(int64(m)))
@@ -219,22 +244,87 @@ func (r *RNG) geometric(m uint64, p float64) (g int, fast bool) {
 	x := math.Float64frombits(b&(1<<52-1) | 1023<<52)
 	cell := &geoCell[b>>44&0xff]
 	t := x*cell.inv - 1
-	s := e*math.Ln2 + cell.log + (t + t*t*(t*(1.0/3)-0.5))
-	q := s * r.geoInv
+	return e*math.Ln2 + cell.log + (t + t*t*(t*(1.0/3)-0.5))
+}
+
+// geoFloor is the fast path's decision on the estimated quotient
+// q = lnEstimate(m)/log1p(-p): its floor, and whether the margin test,
+// against the cached bound half, proves that floor equal to the formula's.
+// A p so small that 1/log1p(-p) overflows makes q infinite and the test
+// NaN, which fails like a margin of 1/2 or more does.
+func geoFloor(q, half float64) (float64, bool) {
 	f := math.Floor(q)
-	// A p so small that 1/geoLog overflows makes q infinite and the test
-	// NaN, which falls back like a margin of 1/2 or more does.
-	fast = math.Abs(q-f-0.5) < r.geoHalf
-	if !fast {
-		f = math.Floor(math.Log(float64(m)*(1.0/(1<<53))) / r.geoLog)
-	}
+	return f, math.Abs(q-f-0.5) < half
+}
+
+// geoFormula is the inversion formula's floor for the draw m at the cached
+// log1p(-p): the fallback where the margin test fails.
+func geoFormula(m uint64, log float64) float64 {
+	return math.Floor(math.Log(float64(m)*(1.0/(1<<53))) / log)
+}
+
+// geoClamp clamps a floor to Geometric's range [0, MaxInt32].
+func geoClamp(f float64) int {
 	if f < 0 {
-		return 0, fast
+		return 0
 	}
 	if f > math.MaxInt32 {
-		return math.MaxInt32, fast
+		return math.MaxInt32
 	}
-	return int(f), fast
+	return int(f)
+}
+
+// AppendSkips runs a Bernoulli(p) selection stream over the k positions
+// [0, k) and appends base+i to dst for every selected position i. The
+// first selection lies gap positions in, each next one 1 + Geometric(p)
+// positions after the last, and the returned gap is how far past k the
+// stream's next selection lies, so windows drawn one after another with the
+// carried gap form one stream. The draws, and the generator state after
+// them, are exactly those of
+//
+//	for i := gap; i < k; i += 1 + r.Geometric(p) {
+//		dst = append(dst, base+int32(i))
+//	}
+//
+// with i - k returned; gap >= k draws nothing and does not read p, and
+// otherwise AppendSkips panics unless 0 < p <= 1. The loop keeps the
+// generator state and p's cached constants in locals and inlines the fast
+// path's estimate; the only branches on a variate's value are the window
+// test and the rarely taken fallback and clamp.
+func (r *RNG) AppendSkips(dst []int32, base int32, gap, k int, p float64) ([]int32, int) {
+	if gap >= k {
+		return dst, gap - k
+	}
+	if !(p > 0 && p <= 1) {
+		panic("rng: AppendSkips needs 0 < p <= 1")
+	}
+	if p == 1 {
+		for i := gap; i < k; i++ {
+			dst = append(dst, base+int32(i))
+		}
+		return dst, 0
+	}
+	if p != r.geoP {
+		r.cacheGeo(p)
+	}
+	log, inv, half := r.geoLog, r.geoInv, r.geoHalf
+	st := r.xoshiro
+	i := gap
+	for i < k {
+		dst = append(dst, base+int32(i))
+		// The draw m in [1, 2^53) is Float64's, redrawn while 0.
+		var m uint64
+		for m == 0 {
+			m = st.next() >> 11
+		}
+		f, fast := geoFloor(lnEstimate(m)*inv, half)
+		if !fast {
+			f = geoFormula(m, log)
+		}
+		i += 1 + geoClamp(f)
+	}
+	r.xoshiro = st
+	return dst, i - k
 }
 
 // Binomial returns a sample from Binomial(n, p). For small n it sums
