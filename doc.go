@@ -32,8 +32,11 @@
 // transmission radii (asymmetric links from heterogeneous transmit power),
 // and a mobility layer (graph.MobileNetwork: random-waypoint or resample
 // epochs emitting one CSR snapshot per epoch). Every geometric graph comes
-// from one neighbour search, the graph.ImplicitGeom cell-grid index, which
-// graph.Scratch builds into reusable storage and materializes in O(n + m);
+// from one neighbour search, the graph.ImplicitGeom cell-grid index: a
+// branch-free scan over each point's coordinates and squared radius, which
+// the index copies into cell order. graph.Scratch builds the index into
+// reusable storage and materializes it in O(n + m), and a graph whose nodes
+// share one radius serves its out- and in-rows from one row array;
 // the G1–G6 experiment battery in internal/expt maps broadcast and gossip
 // behaviour across this model class. graph.Diameter and DiameterSampled
 // run their BFS 64 sources at a time, one bit per source in a word per

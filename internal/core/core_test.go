@@ -378,6 +378,19 @@ func TestWindowRoundsFormula(t *testing.T) {
 	}
 }
 
+// TestLevelProbabilityLdexpMatchesPow pins GeneralBroadcast.BeginRound's
+// 2^{-I_r}: math.Ldexp(1, -k) must be math.Pow(2, -float64(k)) bit for bit
+// for every level k from 0 down to the smallest subnormal, 2^{-1074}, so
+// every transmitter draw sees the probability it saw through Pow.
+func TestLevelProbabilityLdexpMatchesPow(t *testing.T) {
+	for k := 0; k <= 1074; k++ {
+		got, want := math.Ldexp(1, -k), math.Pow(2, -float64(k))
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("k=%d: Ldexp gives %x, Pow %x", k, math.Float64bits(got), math.Float64bits(want))
+		}
+	}
+}
+
 func TestGeneralBroadcastPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"nil dist":  func() { (&GeneralBroadcast{Window: 5}).Begin(10, 0, rng.New(1)) },

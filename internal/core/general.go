@@ -123,7 +123,7 @@ func (g *GeneralBroadcast) Begin(n int, src graph.NodeID, r *rng.RNG) {
 // informing order, so window expiry always happens at the head.
 func (g *GeneralBroadcast) BeginRound(round int) {
 	k := g.Dist.Sample(g.seq)
-	g.curProb = math.Pow(2, -float64(k))
+	g.curProb = math.Ldexp(1, -k)
 	g.queue.Expire(g.Window, round)
 	g.txs.BeginRound()
 	g.txs.DrawList(g.r, g.queue.Live(), g.curProb)

@@ -195,13 +195,18 @@ func x6Campaign() campaign.Campaign {
 				protoRNG := rng.New(rng.SubSeed(tr.Seed, 1))
 				proto := core.NewAlgorithm3(n, dGuess, 8) // wide window: survives epochs
 				sess := radio.NewBroadcastSession(n, 0, proto, protoRNG)
+				// A static network is one graph for every epoch; a mobile
+				// one is rebuilt in place each epoch, as nodes move.
+				gs := graph.NewScratch()
+				var g *graph.Digraph
+				if !sc.dynamic {
+					g, _ = gs.RandomGeometric(n, sc.radius, sc.radius, rng.New(tr.Seed))
+				}
 				var res *radio.Result
 				for e := 0; e < epochs; e++ {
-					gseed := tr.Seed
 					if sc.dynamic {
-						gseed = rng.SubSeed(tr.Seed, uint64(100+e)) // nodes moved
+						g, _ = gs.RandomGeometric(n, sc.radius, sc.radius, rng.New(rng.SubSeed(tr.Seed, uint64(100+e))))
 					}
-					g, _ := graph.RandomGeometric(n, sc.radius, sc.radius, rng.New(gseed))
 					res = sess.Run(g, radio.Options{MaxRounds: epochLen, StopWhenInformed: true})
 					if res.Completed() {
 						break

@@ -73,7 +73,7 @@ func x1Campaign() campaign.Campaign {
 				seed       uint64
 			}{n, rmin, rmax, probeSeed}
 			meanDeg, Dest := memoProbe(key, func() *graph.Digraph {
-				g, _ := graph.RandomGeometric(n, rmin, rmax, rng.New(probeSeed))
+				g, _ := graph.NewScratch().RandomGeometric(n, rmin, rmax, rng.New(probeSeed))
 				return g
 			}, probeSeed^0x90)
 			pEff := meanDeg / float64(n)
@@ -88,7 +88,7 @@ func x1Campaign() campaign.Campaign {
 			}
 			return runBroadcastTrials(cfg, seed, broadcastTrial{
 				makeGraph: func(seed uint64, sc *graph.Scratch) (*graph.Digraph, graph.NodeID) {
-					g, _ := graph.RandomGeometric(n, rmin, rmax, rng.New(seed))
+					g, _ := sc.RandomGeometric(n, rmin, rmax, rng.New(seed))
 					return g, 0
 				},
 				makeProto: makeProto,

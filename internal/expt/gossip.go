@@ -71,7 +71,7 @@ func e6Campaign() campaign.Campaign {
 				p := p0.d / float64(p0.n)
 				return runSweep(cfg, seed, func(tr sweep.Trial) sweep.Metrics {
 					ts := scratchOf(tr)
-					g := graph.GNPDirected(p0.n, p, rng.New(tr.Seed))
+					g := ts.graph.GNPDirected(p0.n, p, rng.New(tr.Seed))
 					a := core.NewAlgorithm2(p)
 					res := radio.RunGossipWith(ts.radio, g, a, rng.New(rng.SubSeed(tr.Seed, 1)), radio.GossipOptions{
 						MaxRounds: a.RoundBudget(p0.n), StopWhenComplete: true,
@@ -92,7 +92,7 @@ func e6Campaign() campaign.Campaign {
 				}
 				return runSweep(cfg, seed, func(tr sweep.Trial) sweep.Metrics {
 					ts := scratchOf(tr)
-					g := graph.GNPDirected(n, p, rng.New(tr.Seed))
+					g := ts.graph.GNPDirected(n, p, rng.New(tr.Seed))
 					res := radio.RunGossipWith(ts.radio, g, makeProto(), rng.New(rng.SubSeed(tr.Seed, 1)),
 						radio.GossipOptions{MaxRounds: caps, StopWhenComplete: true})
 					return gossipMetrics(res)
@@ -116,7 +116,7 @@ func e6Campaign() campaign.Campaign {
 				}
 				return runSweep(cfg, seed, func(tr sweep.Trial) sweep.Metrics {
 					ts := scratchOf(tr)
-					g := graph.GNPDirected(nc, pc, rng.New(tr.Seed))
+					g := ts.graph.GNPDirected(nc, pc, rng.New(tr.Seed))
 					a := core.NewAlgorithm2(pc)
 					res := radio.RunGossipWith(ts.radio, g, a, rng.New(rng.SubSeed(tr.Seed, 1)), radio.GossipOptions{
 						MaxRounds: a.RoundBudget(nc), StopWhenComplete: true,

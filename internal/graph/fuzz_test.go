@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"math"
 	"regexp"
 	"strconv"
 	"testing"
@@ -56,6 +57,9 @@ func FuzzReadEdgeList(f *testing.F) {
 //   - every ImplicitGeom in-row and in-degree equals the CSR in-row, which
 //     the CSR derives by transposing out-rows, not from the index, and
 //     every ImplicitGeom out-degree equals the length of its out-row;
+//   - with one radius for every node, every in-row equals the out-row;
+//   - ImplicitFromPoints copies what it indexes: overwriting the caller's
+//     points afterwards changes no row;
 //   - the graph passes Validate.
 //
 // Specs that GeomSpec rejects are skipped.
@@ -79,6 +83,7 @@ func FuzzGeomRows(f *testing.F) {
 		if !digraphsEqual(g, naiveGeometric(pts, spec.Torus)) {
 			t.Fatalf("%+v seed %d: cell-grid graph differs from the pairwise reference", spec, seed)
 		}
+		sameR := !(spec.RadiusMax > spec.Radius)
 		var row []NodeID
 		for v := 0; v < g.N(); v++ {
 			id := NodeID(v)
@@ -92,6 +97,17 @@ func FuzzGeomRows(f *testing.F) {
 			if got := ig.OutDegree(id); got != len(row) {
 				t.Fatalf("%+v seed %d: OutDegree(%d) = %d, out-row length %d", spec, seed, v, got, len(row))
 			}
+			if sameR && !equalIDs(g.In(id), g.Out(id)) {
+				t.Fatalf("%+v seed %d: one radius, but in-row %v and out-row %v of %d differ", spec, seed, g.In(id), g.Out(id), v)
+			}
+		}
+		own := append([]GeometricPoint(nil), pts...)
+		fromPts := ImplicitFromPoints(own, spec.Torus)
+		for i := range own {
+			own[i] = GeometricPoint{X: 0.5, Y: 0.5, Radius: math.Sqrt2}
+		}
+		if !digraphsEqual(g, MaterializeImplicit(fromPts)) {
+			t.Fatalf("%+v seed %d: overwriting the points after ImplicitFromPoints changed its rows", spec, seed)
 		}
 	})
 }

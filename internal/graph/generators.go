@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/rng"
 )
@@ -295,26 +296,29 @@ type GeometricPoint struct {
 	Radius float64
 }
 
-// RandomGeometric samples n points uniformly in the unit square and connects
-// u → v iff dist(u,v) ≤ radius(u) — i.e. v hears u when v lies inside u's
-// transmission range. With a constant radius the graph is symmetric; with
-// heterogeneous radii (rmin < rmax) links become asymmetric, reproducing the
-// paper's motivation that one device may hear another but not vice versa.
-// Returns the digraph and the sampled points. Runs in O(n + m) expected time
-// using a uniform grid of cell size rmax.
-func RandomGeometric(n int, rmin, rmax float64, r *rng.RNG) (*Digraph, []GeometricPoint) {
+// RandomGeometric samples n points uniformly in the unit square into the
+// scratch's reusable storage and connects u → v iff dist(u,v) ≤ radius(u)
+// — i.e. v hears u when v lies inside u's transmission range. With a
+// constant radius the graph is symmetric; with heterogeneous radii (rmin <
+// rmax) links become asymmetric, reproducing the paper's motivation that
+// one device may hear another but not vice versa. Each point draws x, y
+// and then, when rmin < rmax, its radius uniform in [rmin, rmax]. Returns
+// the digraph and the sampled points, both aliasing scratch storage until
+// the next generation call. Runs in O(n + m) expected time through
+// FromPoints' cell grid.
+func (s *Scratch) RandomGeometric(n int, rmin, rmax float64, r *rng.RNG) (*Digraph, []GeometricPoint) {
 	if n < 1 {
 		panic("graph: geometric needs n >= 1")
 	}
 	if rmin <= 0 || rmax < rmin || rmax > math.Sqrt2 {
 		panic("graph: geometric needs 0 < rmin <= rmax <= sqrt(2)")
 	}
-	pts := make([]GeometricPoint, n)
-	for i := range pts {
-		pts[i] = GeometricPoint{X: r.Float64(), Y: r.Float64(), Radius: rmin}
+	s.pts = slices.Grow(s.pts[:0], n)[:n]
+	for i := range s.pts {
+		s.pts[i] = GeometricPoint{X: r.Float64(), Y: r.Float64(), Radius: rmin}
 		if rmax > rmin {
-			pts[i].Radius = rmin + (rmax-rmin)*r.Float64()
+			s.pts[i].Radius = rmin + (rmax-rmin)*r.Float64()
 		}
 	}
-	return NewScratch().FromPoints(pts, false), pts
+	return s.FromPoints(s.pts, false), s.pts
 }

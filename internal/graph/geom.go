@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/rng"
 )
@@ -177,29 +178,58 @@ func (s *Scratch) Geometric(spec GeomSpec, r *rng.RNG) (*Digraph, []GeometricPoi
 // dist(u, v) ≤ pts[u].Radius) into the scratch's reusable storage: it
 // indexes the points in the scratch's ImplicitGeom cell grid and writes the
 // index's out-rows as they come, in cell order — O(n + m) expected for
-// radii near the connectivity threshold. No row is sorted: the counting
-// transpose (finishIn) makes sorted in-rows out of any out-row order, and
-// one more counting pass over the in-rows (sortOut) rewrites the out-rows
-// in ascending order. The returned graph aliases scratch storage (valid
-// until the next generation call); pts may be external (e.g. a mobility
-// model's) and is not retained.
+// radii near the connectivity threshold. Both row arrays are reserved once
+// for the expected edge count of a uniform placement, (n-1)·π·Σr², plus six
+// standard deviations, instead of growing by repeated doubling; clustered
+// placements, denser than that, still grow them as they go. No row is sorted:
+// the counting transpose (finishIn) makes sorted in-rows out of any out-row
+// order. When every radius is equal the graph is symmetric, so those sorted
+// in-rows are the out-rows too, and the graph serves both sides from one
+// row array, parking the other for the scratch's next build. Otherwise one
+// more counting pass over the in-rows (sortOut) rewrites the out-rows in
+// ascending order. The returned graph aliases scratch storage (valid until
+// the next generation call); pts may be external (e.g. a mobility model's)
+// and is not retained.
 func (s *Scratch) FromPoints(pts []GeometricPoint, torus bool) *Digraph {
-	s.geo.index(pts, torus)
+	ig := &s.geo
+	ig.index(pts, torus)
 	g := s.begin(len(pts))
+	sumR2 := 0.0
+	for i := range ig.cellPts {
+		sumR2 += ig.cellPts[i].r2
+	}
+	// On the torus a pair's two edges are independent of every other
+	// pair's, so the count's variance is at most twice its mean; on the
+	// square πr² overstates the mean. A NaN radius fails the comparison
+	// and reserves nothing.
+	pairs := float64(len(pts)) * float64(len(pts)-1)
+	mean := min(math.Pi*float64(len(pts)-1)*sumR2, pairs)
+	if want := min(mean+6*math.Sqrt(2*mean)+64, pairs); want >= 0 {
+		g.outTo = slices.Grow(g.outTo, int(want))
+		g.inTo = slices.Grow(g.inTo[:0], int(want))
+	}
 	for u := range pts {
-		g.outTo, _ = s.geo.appendRow(NodeID(u), g.outTo, false, false)
+		g.outTo, _ = ig.appendRow(NodeID(u), g.outTo, false, false)
 		g.outOff[u+1] = len(g.outTo)
 	}
-	s.geo.pts = nil
 	s.finishIn()
-	s.sortOut()
+	if ig.sameR {
+		s.spareTo, s.spareOff = g.outTo, g.outOff
+		g.outTo, g.outOff = g.inTo, g.inOff
+	} else {
+		s.sortOut()
+	}
 	return g
 }
 
 // Geometric samples a geometric instance with fresh storage (the convenience
 // entry point; sweeps use Scratch.Geometric to reuse storage across trials).
+// The graph it returns holds only its own rows, not the index and spare
+// buffers of the scratch it was built in.
 func Geometric(spec GeomSpec, r *rng.RNG) (*Digraph, []GeometricPoint) {
-	return NewScratch().Geometric(spec, r)
+	g, pts := NewScratch().Geometric(spec, r)
+	d := *g
+	return &d, pts
 }
 
 // RGG samples the homogeneous random geometric graph RGG(n, radius) — the

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -93,19 +94,41 @@ func TestGeometricMatchesNaive(t *testing.T) {
 
 // TestGeometricScratchReuse checks that regenerating through one scratch
 // yields the same instance as a fresh scratch (stale storage never leaks).
+// G(n,p) builds are interleaved with the geometric ones: a build with equal
+// radii serves both sides from one row array and parks the other, and every
+// later build, geometric or G(n,p), must get both arrays back intact.
 func TestGeometricScratchReuse(t *testing.T) {
 	sc := NewScratch()
 	specs := []GeomSpec{
 		{N: 300, Radius: 0.1, Torus: true},
 		{N: 40, Radius: 0.4},
 		{N: 500, Radius: 0.05, RadiusMax: 0.1},
+		{N: 120, Radius: 0.1, RadiusMax: 0.3, Placement: PlaceCluster, Torus: true},
+	}
+	check := func(what string, got, want *Digraph) {
+		t.Helper()
+		if err := got.Validate(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if !digraphsEqual(got, want) {
+			t.Fatalf("%s: the reused scratch's graph differs from a fresh build", what)
+		}
 	}
 	for trial := 0; trial < 3; trial++ {
-		for _, spec := range specs {
+		for i, spec := range specs {
 			seed := uint64(trial)*31 + uint64(spec.N)
 			got, _ := sc.Geometric(spec, rng.New(seed))
 			want, _ := Geometric(spec, rng.New(seed))
-			sameDigraph(t, got, want)
+			check(fmt.Sprintf("trial %d spec %+v", trial, spec), got, want)
+			n := 64 + spec.N/2
+			if i%2 == 0 {
+				check(fmt.Sprintf("trial %d GNPDirected after spec %d", trial, i),
+					sc.GNPDirected(n, 0.05, rng.New(seed)), GNPDirected(n, 0.05, rng.New(seed)))
+			} else {
+				got, _ = sc.GNPHetero(n, 0.01, 0.1, rng.New(seed))
+				want, _ = NewScratch().GNPHetero(n, 0.01, 0.1, rng.New(seed))
+				check(fmt.Sprintf("trial %d GNPHetero after spec %d", trial, i), got, want)
+			}
 		}
 	}
 }

@@ -560,7 +560,7 @@ func TestGNPConnectivityAboveThreshold(t *testing.T) {
 
 func TestRandomGeometricHomogeneous(t *testing.T) {
 	r := rng.New(7)
-	g, pts := RandomGeometric(300, 0.15, 0.15, r)
+	g, pts := NewScratch().RandomGeometric(300, 0.15, 0.15, r)
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -590,7 +590,7 @@ func TestRandomGeometricHomogeneous(t *testing.T) {
 
 func TestRandomGeometricHeterogeneous(t *testing.T) {
 	r := rng.New(8)
-	g, pts := RandomGeometric(400, 0.05, 0.25, r)
+	g, pts := NewScratch().RandomGeometric(400, 0.05, 0.25, r)
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -130,20 +130,28 @@ func (g *ImplicitGNP) AppendOut(u NodeID, dst []NodeID) []NodeID {
 
 // ImplicitGeom serves a geometric (RGG/UDG, optionally heterogeneous-radius)
 // digraph from a coordinates-only index: the points bucketed into a uniform
-// cell grid whose cells are at least the maximum radius wide, holding node
-// ids only — no edge lists. It is the package's one geometric neighbour
-// search: Scratch.FromPoints builds the same index into reusable storage and
-// materializes its out-rows. Both edge directions are O(row) expected:
-// out-rows (dist(u,v) ≤ r_u) and in-rows (dist(u,v) ≤ r_v) of a node both
-// live in its 3×3 cell neighbourhood. Memory is O(n) regardless of density.
+// cell grid whose cells are at least the maximum radius wide, with each
+// point's x, y and squared radius copied in cell order beside its id — no
+// edge lists, and no reference to the caller's points. It is the package's
+// one geometric neighbour search: Scratch.FromPoints builds the same index
+// into reusable storage and materializes its out-rows. Both edge directions
+// are O(row) expected: out-rows (dist(u,v) ≤ r_u) and in-rows (dist(u,v) ≤
+// r_v) of a node both live in its 3×3 cell neighbourhood. Memory is O(n)
+// regardless of density: 32 bytes per node (coordinates and r² in cell
+// order, the id at each slot, each id's slot) plus one offset per cell.
 type ImplicitGeom struct {
-	pts     []GeometricPoint
 	torus   bool
+	sameR   bool // every radius is equal, so every edge has its reverse
 	cols    int
 	cellW   float64
-	cellOff []int
-	cellIDs []NodeID
+	cellOff []int       // cell c holds slots [cellOff[c], cellOff[c+1])
+	cellPts []cellPoint // the point at each slot
+	cellIDs []NodeID    // the node at each slot
+	slot    []int32     // each node's slot
 }
+
+// cellPoint is an indexed point as the neighbour scan reads it.
+type cellPoint struct{ x, y, r2 float64 }
 
 // NewImplicitGeom samples a geometric instance and returns its implicit
 // view. It consumes r identically to Scratch.Geometric, so at equal seeds
@@ -154,16 +162,19 @@ func NewImplicitGeom(spec GeomSpec, r *rng.RNG) *ImplicitGeom {
 }
 
 // ImplicitFromPoints indexes a fixed point set (u → v iff dist(u, v) ≤
-// pts[u].Radius) without building adjacency. pts is retained (not copied).
+// pts[u].Radius) without building adjacency. The index copies what it
+// reads, so pts is not retained and the caller may reuse it.
 func ImplicitFromPoints(pts []GeometricPoint, torus bool) *ImplicitGeom {
 	ig := &ImplicitGeom{}
 	ig.index(pts, torus)
 	return ig
 }
 
-// index points ig at pts and buckets them by cell, reusing ig's storage when
-// it is large enough. Cells are at least rmax wide, so a disk of radius rmax
-// is covered by the 3×3 neighbourhood, and the cell count is capped at ~n so
+// index buckets pts by cell, reusing ig's storage when it is large enough:
+// a counting sort writes each point's x, y and r² to its slot in cell
+// order, the point's id beside it, and the slot to the id's entry in the
+// slot map. Cells are at least rmax wide, so a disk of radius rmax is
+// covered by the 3×3 neighbourhood, and the cell count is capped at ~n so
 // the index stays O(n) even for tiny radii.
 func (ig *ImplicitGeom) index(pts []GeometricPoint, torus bool) {
 	n := len(pts)
@@ -174,10 +185,12 @@ func (ig *ImplicitGeom) index(pts []GeometricPoint, torus bool) {
 		panic("graph: too many nodes for int32 ids")
 	}
 	rmax := 0.0
+	sameR := true
 	for i := range pts {
 		if pts[i].Radius > rmax {
 			rmax = pts[i].Radius
 		}
+		sameR = sameR && pts[i].Radius == pts[0].Radius
 	}
 	if rmax <= 0 {
 		panic("graph: all radii must be positive")
@@ -189,13 +202,15 @@ func (ig *ImplicitGeom) index(pts []GeometricPoint, torus bool) {
 	if cols < 1 {
 		cols = 1
 	}
-	ig.pts, ig.torus, ig.cols, ig.cellW = pts, torus, cols, 1.0/float64(cols)
+	ig.torus, ig.sameR, ig.cols, ig.cellW = torus, sameR, cols, 1.0/float64(cols)
 
 	// Counting sort into CSR-style buckets; each bucket's start offset is its
 	// fill cursor, and one shift restores the offsets afterwards.
 	nCells := cols * cols
 	ig.cellOff = growOffsets(ig.cellOff, nCells+1)
+	ig.cellPts = slices.Grow(ig.cellPts[:0], n)[:n]
 	ig.cellIDs = growIDs(ig.cellIDs, n)
+	ig.slot = growIDs(ig.slot, n)
 	for i := range pts {
 		ig.cellOff[ig.cellOf(pts[i].Y)*cols+ig.cellOf(pts[i].X)+1]++
 	}
@@ -203,9 +218,13 @@ func (ig *ImplicitGeom) index(pts []GeometricPoint, torus bool) {
 		ig.cellOff[c+1] += ig.cellOff[c]
 	}
 	for i := range pts {
-		c := ig.cellOf(pts[i].Y)*cols + ig.cellOf(pts[i].X)
-		ig.cellIDs[ig.cellOff[c]] = NodeID(i)
+		p := &pts[i]
+		c := ig.cellOf(p.Y)*cols + ig.cellOf(p.X)
+		s := ig.cellOff[c]
 		ig.cellOff[c]++
+		ig.cellPts[s] = cellPoint{p.X, p.Y, p.Radius * p.Radius}
+		ig.cellIDs[s] = NodeID(i)
+		ig.slot[i] = int32(s)
 	}
 	copy(ig.cellOff[1:], ig.cellOff[:nCells])
 	ig.cellOff[0] = 0
@@ -223,76 +242,100 @@ func (ig *ImplicitGeom) cellOf(x float64) int {
 }
 
 // N returns the number of nodes.
-func (ig *ImplicitGeom) N() int { return len(ig.pts) }
-
-// Points returns the indexed point set. The slice is internal storage and
-// must not be modified (moving a point would desynchronise the grid).
-func (ig *ImplicitGeom) Points() []GeometricPoint { return ig.pts }
+func (ig *ImplicitGeom) N() int { return len(ig.slot) }
 
 // appendRow appends v's neighbours in one direction: out-rows keep
 // candidates inside v's own radius, in-rows keep candidates whose radius
 // reaches v. Every qualifying candidate is within rmax ≤ cellW of v, so the
-// 3×3 cell neighbourhood covers both directions; it is deduplicated, so tiny
-// grids and torus wrap-around never double-count a cell. Candidates arrive
-// in grid order, not id order: AppendOut and AppendIn sort them, and
+// 3×3 cell neighbourhood covers both directions. Its cells are scanned as
+// runs of consecutive slots: each row of the block is one run of adjacent
+// cells, or two where the torus wraps the columns, and a torus of at most
+// 3×3 cells is one run of every slot, so no cell is scanned twice.
+//
+// The candidate loop does not branch on the data: it reads each run's
+// coordinates in order, stores every candidate's id at the row's end and
+// advances the row length by whether the candidate is in range and is not
+// v, so an id that fails is overwritten by the next. Candidates arrive in
+// grid order, not id order: AppendOut and AppendIn sort them, and
 // Scratch.FromPoints sorts whole graphs by counting instead. When count is
-// true nothing is appended and only the row length is returned.
+// true nothing is stored and only the row length is returned.
 func (ig *ImplicitGeom) appendRow(v NodeID, dst []NodeID, in, count bool) ([]NodeID, int) {
-	p := ig.pts[v]
-	cols := ig.cols
-	cx, cy := ig.cellOf(p.X), ig.cellOf(p.Y)
-	rr := p.Radius * p.Radius
-	var nbr [9]int
-	cells := nbr[:0]
-	for dy := -1; dy <= 1; dy++ {
-		for dx := -1; dx <= 1; dx++ {
-			nx, ny := cx+dx, cy+dy
-			if ig.torus {
-				nx, ny = (nx+cols)%cols, (ny+cols)%cols
-			} else if nx < 0 || ny < 0 || nx >= cols || ny >= cols {
+	p := ig.cellPts[ig.slot[v]]
+	cols, torus := ig.cols, ig.torus
+	cx, cy := ig.cellOf(p.x), ig.cellOf(p.y)
+	var runs [6][2]int
+	nr := 0
+	if torus && cols <= 3 {
+		runs[0] = [2]int{0, len(ig.cellIDs)}
+		nr = 1
+	} else {
+		for dy := -1; dy <= 1; dy++ {
+			ny := cy + dy
+			if torus {
+				ny = (ny + cols) % cols
+			} else if ny < 0 || ny >= cols {
 				continue
 			}
-			key := ny*cols + nx
-			if !slices.Contains(cells, key) {
-				cells = append(cells, key)
+			row := ig.cellOff[ny*cols : ny*cols+cols+1]
+			lo, hi := cx-1, cx+1
+			if torus {
+				if lo < 0 {
+					runs[nr] = [2]int{row[cols-1], row[cols]}
+					nr++
+				}
+				if hi >= cols {
+					runs[nr] = [2]int{row[0], row[1]}
+					nr++
+				}
 			}
+			lo, hi = max(lo, 0), min(hi, cols-1)
+			runs[nr] = [2]int{row[lo], row[hi+1]}
+			nr++
 		}
 	}
-	start := len(dst)
 	deg := 0
-	for _, c := range cells {
-		for _, w := range ig.cellIDs[ig.cellOff[c]:ig.cellOff[c+1]] {
-			if w == v {
-				continue
-			}
-			q := ig.pts[w]
-			lim := rr
-			if in {
-				lim = q.Radius * q.Radius
-			}
-			ddx := math.Abs(q.X - p.X)
-			ddy := math.Abs(q.Y - p.Y)
-			if ig.torus {
-				if ddx > 0.5 {
-					ddx = 1 - ddx
-				}
-				if ddy > 0.5 {
-					ddy = 1 - ddy
-				}
-			}
-			if ddx*ddx+ddy*ddy <= lim {
-				if count {
-					deg++
-				} else {
-					dst = append(dst, w)
-				}
-			}
+	for _, run := range runs[:nr] {
+		cand := ig.cellPts[run[0]:run[1]]
+		ids := ig.cellIDs[run[0]:run[1]]
+		ids = ids[:len(cand)]
+		var out []NodeID
+		if !count {
+			dst = slices.Grow(dst, len(cand))
+			out = dst[len(dst) : len(dst)+len(cand)]
 		}
-	}
-	if !count {
-		deg = len(dst) - start
+		k := 0
+		for i := range cand {
+			q := &cand[i]
+			dx := math.Abs(q.x - p.x)
+			dy := math.Abs(q.y - p.y)
+			if torus {
+				dx = min(dx, 1-dx)
+				dy = min(dy, 1-dy)
+			}
+			lim := p.r2
+			if in {
+				lim = q.r2
+			}
+			w := ids[i]
+			if !count {
+				out[k] = w
+			}
+			k += b2i(dx*dx+dy*dy <= lim) & b2i(w != v)
+		}
+		if !count {
+			dst = dst[:len(dst)+k]
+		}
+		deg += k
 	}
 	return dst, deg
+}
+
+// b2i is 1 for true and 0 for false, without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // AppendOut appends the nodes that hear v (dist(v, w) ≤ v's radius).

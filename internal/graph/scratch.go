@@ -14,6 +14,11 @@ import (
 // next call.
 type Scratch struct {
 	g Digraph
+	// spareTo and spareOff park the out-row storage while g serves its
+	// in-rows as out-rows too (FromPoints with equal radii); begin hands
+	// them back to g.
+	spareTo  []NodeID
+	spareOff []int
 
 	// Geometric-generation storage (see geom.go): sampled points, clustered-
 	// placement parent sites, and the cell-grid neighbour index.
@@ -57,6 +62,10 @@ func (s *Scratch) begin(n int) *Digraph {
 		panic("graph: too many nodes for int32 ids")
 	}
 	g := &s.g
+	if s.spareOff != nil {
+		g.outTo, g.outOff = s.spareTo, s.spareOff
+		s.spareTo, s.spareOff = nil, nil
+	}
 	g.n = n
 	g.outOff = growOffsets(g.outOff, n+1)
 	g.outTo = g.outTo[:0]
